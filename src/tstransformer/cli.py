@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -86,7 +84,6 @@ DEFAULTS = {
     "rul_origin_hours": "split",  # split = use split_hours
     "covariate_mode": "oracle",
     "forecast_step": "0",  # 0 = horizon
-    "out_dir": "out",
 }
 
 
@@ -99,14 +96,21 @@ class RunConfig:
     def __getitem__(self, key: str) -> str:
         return self.raw[key]
 
+    def _typed(self, key: str, convert, kind: str):
+        value = self.raw[key]
+        try:
+            return convert(value)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: expected {kind}, got {value!r}") from None
+
     def get_float(self, key: str) -> float:
-        return float(self.raw[key])
+        return self._typed(key, float, "a number")
 
     def get_int(self, key: str) -> int:
-        return int(self.raw[key])
+        return self._typed(key, int, "an integer")
 
     def floats(self, key: str) -> tuple:
-        return tuple(float(v) for v in self.raw[key].split(","))
+        return self._typed(key, lambda v: tuple(map(float, v.split(","))), "a list of numbers")
 
     def schema(self) -> CsvSchema:
         cov = self.raw["covariate_columns"]
@@ -151,8 +155,8 @@ class RunConfig:
         )
 
     def rul_origin(self) -> float:
-        raw = self.raw["rul_origin_hours"]
-        return self.get_float("split_hours") if raw == "split" else float(raw)
+        split = self.raw["rul_origin_hours"] == "split"
+        return self.get_float("split_hours" if split else "rul_origin_hours")
 
 
 def load_run_config(path=None, overrides=()) -> RunConfig:
@@ -171,14 +175,21 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
                 if key not in DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
-    for item in overrides:
+    values.update(_parse_overrides(overrides))
+    return RunConfig(values)
+
+
+def _parse_overrides(items) -> dict:
+    """Validate ``--set key=value`` items against the known config keys."""
+    values = {}
+    for item in items:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         if key not in DEFAULTS:
             raise ConfigError(f"--set: unknown config key {key!r}")
         values[key] = value
-    return RunConfig(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +214,32 @@ def _is_preprocessed(path) -> bool:
 
 
 def _load_for_training(args, cfg: RunConfig):
+    """Ingest, split, and z-score the training side with its own statistics."""
     series = ingest_csv(args.data, cfg.schema())
     train_ts, _ = split_at(series, cfg.get_float("split_hours"))
     stats = zscore_fit(train_ts)
-    return series, train_ts, stats
+    return series, zscore_apply(train_ts, stats), stats
+
+
+def _fit(cfg: RunConfig, series: TimeSeries, train_norm: TimeSeries, lookback: int):
+    """Window the normalized training side, then build and train a model."""
+    windows = make_windows(
+        train_norm, lookback, cfg.get_int("horizon"), all_channels=cfg["loss_channels"] == "all"
+    )
+    model = TSTransformerModel(
+        cfg.model_config(len(series.channel_names), lookback), seed=cfg.get_int("seed")
+    )
+    history = train(model, windows, cfg.train_config())
+    return model, history
+
+
+def _rollout(cfg: RunConfig, model: TSTransformerModel, series: TimeSeries, stats):
+    """Rolling forecast past ``split_hours``; ``forecast_step=0`` means the horizon."""
+    return rolling_forecast(
+        model, series, stats, cfg.get_float("split_hours"),
+        step=cfg.get_int("forecast_step") or None,
+        covariate_mode=cfg["covariate_mode"],
+    )
 
 
 def _read_forecast_csv(path):
@@ -312,20 +345,9 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
-    series, train_ts, stats = _load_for_training(args, cfg)
-    train_norm = zscore_apply(train_ts, stats)
-    windows = make_windows(
-        train_norm,
-        cfg.get_int("lookback"),
-        cfg.get_int("horizon"),
-        all_channels=cfg["loss_channels"] == "all",
-    )
-    model = TSTransformerModel(
-        cfg.model_config(len(series.channel_names)), seed=cfg.get_int("seed")
-    )
+    series, train_norm, stats = _load_for_training(args, cfg)
+    model, history = _fit(cfg, series, train_norm, cfg.get_int("lookback"))
     tcfg = cfg.train_config()
-    history = train(model, windows, tcfg)
-
     extra = {
         "target_channel": series.target_channel,
         "train.split_hours": repr(cfg.get_float("split_hours")),
@@ -356,10 +378,12 @@ def cmd_predict(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
     except FileNotFoundError as exc:
         raise CorruptionError(f"checkpoint not readable: {exc}") from exc
-    overrides = dict(item.partition("=")[::2] for item in (args.set or ()))
+    # The run's train.* header values, overlaid by this call's --set values.
+    trained = {k.removeprefix("train."): v for k, v in ckpt.header.items() if k.startswith("train.")}
+    cfg = RunConfig({**DEFAULTS, **trained, **_parse_overrides(args.set or ())})
     target = ckpt.header.get("stats.target", ckpt.stats.channel_names[0])
     schema = CsvSchema(
-        time_column=ckpt.header.get("train.time_column", "time_h"),
+        time_column=cfg["time_column"],
         target_column=target,
         covariates=tuple(c for c in ckpt.stats.channel_names if c != target),
     )
@@ -370,15 +394,7 @@ def cmd_predict(args) -> int:
         series = TimeSeries(
             series.time, series.features[:, order], ckpt.stats.channel_names, target
         )
-    model = ckpt.to_model()
-    boundary = float(overrides.get("split_hours", ckpt.header["train.split_hours"]))
-    mode = overrides.get("covariate_mode", ckpt.header.get("train.covariate_mode", "oracle"))
-    step_raw = int(overrides.get("forecast_step", ckpt.header.get("train.forecast_step", "0")))
-    result = rolling_forecast(
-        model, series, ckpt.stats, boundary,
-        step=None if step_raw == 0 else step_raw,
-        covariate_mode=mode,
-    )
+    result = _rollout(cfg, ckpt.to_model(), series, ckpt.stats)
     Path(args.out).write_text(forecast_csv(result), encoding="utf-8")
     print(f"forecast {len(result.time)} test points -> {args.out}; RMSE {rmse(result.pred, result.true):.6g} V")
     return 0
@@ -399,52 +415,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _lag_scan_one(args, cfg: RunConfig, window_size: int):
-    series, train_ts, stats = _load_for_training(args, cfg)
-    train_norm = zscore_apply(train_ts, stats)
-    windows = make_windows(train_norm, window_size, cfg.get_int("horizon"))
-    model = TSTransformerModel(
-        cfg.model_config(len(series.channel_names), lookback=window_size),
-        seed=cfg.get_int("seed"),
-    )
-    train(model, windows, cfg.train_config())
-    result = rolling_forecast(
-        model, series, stats, cfg.get_float("split_hours"),
-        covariate_mode=cfg["covariate_mode"],
-    )
-    thresholds = cfg.thresholds()
-    origin = cfg.rul_origin()
-    return [
-        lag_error(result.time, result.pred, result.true, thr, origin)
-        for thr in thresholds.voltages
-    ]
-
-
 def cmd_lag_scan(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
     sizes = [int(w) for w in args.windows.split(",") if w]
     if not sizes:
         raise ParameterError("lag-scan needs at least one window size")
-    threads = max(1, int(os.environ.get("TST_THREADS", "1")))
-
-    def run(size: int):
+    thresholds = cfg.thresholds()
+    origin = cfg.rul_origin()
+    series, train_norm, stats = _load_for_training(args, cfg)
+    lines = ["window," + ",".join(f"lag_h_ft_{f:g}" for f in thresholds.loss_fractions)]
+    for size in sizes:
         try:
-            return _lag_scan_one(args, cfg, size)
+            model, _ = _fit(cfg, series, train_norm, size)
+            result = _rollout(cfg, model, series, stats)
         except Exception as exc:
             raise type(exc)(f"lag-scan failed for window size {size}: {exc}") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
-            rows = list(pool.map(run, sizes))
-    else:
-        rows = [run(size) for size in sizes]
-
-    fractions = cfg.thresholds().loss_fractions
-    lines = ["window," + ",".join(f"lag_h_ft_{f:g}" for f in fractions)]
-    for size, lags in zip(sizes, rows):
+        lags = [lag_error(result.time, result.pred, result.true, thr, origin) for thr in thresholds.voltages]
         lines.append(f"{size}," + ",".join("" if v is None else repr(v) for v in lags))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"lag table ({len(sizes)} window sizes x {len(fractions)} thresholds) -> {args.out}")
+    print(f"lag table ({len(sizes)} window sizes x {len(thresholds.voltages)} thresholds) -> {args.out}")
     return 0
 
 

@@ -328,7 +328,7 @@ def _parse_header(text: str) -> dict:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Validate magic, version, and scalar count, then rebuild everything."""
+    """Validate magic, version, header encoding, scalar count and finiteness, then rebuild."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12:
@@ -341,9 +341,9 @@ def load_checkpoint(path) -> Checkpoint:
     (header_len,) = struct.unpack("<I", blob[8:12])
     if len(blob) < 12 + header_len:
         raise CorruptionError("checkpoint truncated inside header")
-    fields = _parse_header(blob[12 : 12 + header_len].decode("utf-8"))
 
     try:
+        fields = _parse_header(blob[12 : 12 + header_len].decode("utf-8"))
         config = ModelConfig(
             n_variates=int(fields["model.n_variates"]),
             lookback=int(fields["model.lookback"]),
@@ -364,7 +364,7 @@ def load_checkpoint(path) -> Checkpoint:
                 c for c in fields["stats.constant"].split(",") if c
             ),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise CorruptionError(f"invalid checkpoint header: {exc}") from exc
 
     payload = blob[12 + header_len :]
@@ -376,6 +376,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptionError(
             f"scalar count mismatch: payload has {len(scalars)}, config needs {expected}"
         )
+    if not np.all(np.isfinite(scalars)):
+        raise CorruptionError("checkpoint payload holds non-finite scalars")
 
     reference = TSTransformerModel(config, seed=0)
     arrays, pos = [], 0

@@ -6,9 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from tstransformer import cli
 from tstransformer.cli import DEFAULTS, _write_series_csv, load_run_config, main
 from tstransformer.data import DegradationSpec, ingest_csv, synth_degradation
 from tstransformer.errors import ConfigError
+from tstransformer.metrics import lag_error
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,11 @@ def workdir(tmp_path_factory):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+# On the workdir fixture both the measured and the forecast voltage cross
+# these thresholds, so lag tables hold numbers rather than empty cells.
+CROSSING = ("--set", "split_hours=20", "--set", "thresholds=0.0011,0.0013,0.0015")
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +151,12 @@ def test_predict_covers_test_rows(workdir):
     assert len(lines) - 1 == int(np.sum(ts.time >= 40.0))
 
 
+def test_predict_unknown_override_exit_2(workdir, tmp_path, capsys):
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", workdir / "model.ckpt",
+               "--out", tmp_path / "f.csv", "--set", "bogus_key=1") == 2
+    assert "bogus_key" in capsys.readouterr().err
+
+
 def test_predict_missing_checkpoint_exit_3(workdir, tmp_path):
     assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", tmp_path / "none.ckpt",
                "--out", tmp_path / "f.csv") == 3
@@ -222,15 +235,54 @@ def test_lag_scan_table_shape(workdir):
     assert all(len(r.split(",")) == 6 for r in rows)
 
 
-def test_lag_scan_parallel_matches_serial(workdir, tmp_path, monkeypatch):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    monkeypatch.delenv("TST_THREADS", raising=False)
+def test_lag_scan_rows_match_train_then_predict(workdir, tmp_path):
+    # Non-default rollout keys, so the checkpoint header must carry them to predict.
+    sets = CROSSING + ("--set", "forecast_step=2", "--set", "covariate_mode=hold_last")
+    out = tmp_path / "lag.csv"
     assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
-               "--windows", "8,16", "--out", serial) == 0
-    monkeypatch.setenv("TST_THREADS", "2")
+               *sets, "--windows", "8,16", "--out", out) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert any(cell for row in rows for cell in row.split(",")[1:])
+    cfg = load_run_config(workdir / "run.cfg", sets[1::2])
+    for size, row in zip((8, 16), rows):
+        ckpt, forecast = tmp_path / f"w{size}.ckpt", tmp_path / f"w{size}.csv"
+        assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+                   *sets, "--set", f"lookback={size}", "--out-checkpoint", ckpt) == 0
+        assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", ckpt,
+                   "--out", forecast) == 0
+        time, true, pred = cli._read_forecast_csv(forecast)
+        lags = [lag_error(time, pred, true, thr, cfg.rul_origin())
+                for thr in cfg.thresholds().voltages]
+        assert row == f"{size}," + ",".join("" if v is None else repr(v) for v in lags)
+
+
+def test_lag_scan_honours_forecast_step(workdir, tmp_path):
+    tables = []
+    for step in (1, 4):
+        out = tmp_path / f"lag{step}.csv"
+        assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+                   *CROSSING, "--set", f"forecast_step={step}", "--windows", "16", "--out", out) == 0
+        tables.append(out.read_text())
+    assert all(any(table.splitlines()[1].split(",")[1:]) for table in tables)
+    assert tables[0] != tables[1]
+
+
+def test_lag_scan_all_channel_loss(workdir, tmp_path):
     assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
-               "--windows", "8,16", "--out", parallel) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+               "--set", "loss_channels=all", "--windows", "8", "--out", tmp_path / "lag.csv") == 0
+
+
+def test_lag_scan_ingests_once(workdir, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_ingest(*a, **kw):
+        calls.append(a)
+        return ingest_csv(*a, **kw)
+
+    monkeypatch.setattr(cli, "ingest_csv", counting_ingest)
+    assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--windows", "8,16", "--out", tmp_path / "lag.csv") == 0
+    assert len(calls) == 1
 
 
 def test_lag_scan_failure_names_window_size(workdir, tmp_path, capsys):
@@ -238,3 +290,27 @@ def test_lag_scan_failure_names_window_size(workdir, tmp_path, capsys):
              "--windows", "100000", "--out", tmp_path / "lag.csv")
     assert rc != 0
     assert "100000" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# typed config values (uses the files the tests above wrote)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "lookback", "abc"),
+    ("preprocess", "ma_window", "x"),
+    ("evaluate", "thresholds", "abc"),
+    ("predict", "forecast_step", "abc"),
+])
+def test_untyped_value_exit_2_names_key(workdir, tmp_path, capsys, command, key, value):
+    inputs = {
+        "train": ["--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+                  "--out-checkpoint", tmp_path / "x.ckpt"],
+        "preprocess": ["--in", workdir / "raw.csv", "--out", tmp_path / "pre.csv"],
+        "evaluate": ["--forecast", workdir / "forecast.csv", "--out", tmp_path / "r.csv"],
+        "predict": ["--data", workdir / "pre.csv", "--checkpoint", workdir / "model.ckpt",
+                    "--out", tmp_path / "f.csv"],
+    }[command]
+    assert run(command, *inputs, "--set", f"{key}={value}") == 2
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err

@@ -309,6 +309,29 @@ def test_checkpoint_header_width_edit_breaks_scalar_count(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_header_not_utf8_is_corruption(tmp_path):
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, {})
+    blob = bytearray(path.read_bytes())
+    blob[20] = 0xFF  # inside the header text
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="utf-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_scalar_is_corruption(tmp_path):
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, {})
+    blob = bytearray(path.read_bytes())
+    payload = 12 + int.from_bytes(blob[8:12], "little")
+    blob[payload : payload + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="non-finite"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # csv helpers
 
