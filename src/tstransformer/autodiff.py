@@ -3,17 +3,19 @@
 Everything runs at 64-bit precision so finite-difference gradient checks
 can be held to tight tolerances. The op set is exactly what the
 forecasting model needs: matrix products, affine maps, ReLU, last-axis
-softmax, per-slice layer normalization, strided depthwise 1-D
-convolution, elementwise arithmetic and scalar reductions.
+softmax, multi-head scaled dot-product attention, per-slice layer
+normalization, strided depthwise 1-D convolution, elementwise
+arithmetic, slicing and scalar reductions.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
 General numpy-style broadcasting is intentionally not supported.
 
-Gradients are recorded on a thread-local tape in execution order and
-replayed strictly in reverse by :func:`backward`. Tensors are immutable
-after construction except for ``grad`` population; optimizers that
-update parameters in place must own the model exclusively.
+The tape is a thread-local list of ``(out, inputs, grad_fn)`` entries in
+execution order, replayed strictly in reverse by :func:`backward`.
+Tensors are immutable after construction except for ``grad``
+population; optimizers that update parameters in place must own the
+model exclusively.
 """
 
 from __future__ import annotations
@@ -79,31 +81,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-class Tape:
-    """Ordered record of executed primitives for one forward pass.
-
-    Reverse iteration over the record is a valid topological order by
-    construction, so backward never needs an explicit graph sort.
-    """
-
-    __slots__ = ("nodes",)
-
-    def __init__(self):
-        self.nodes = []
-
-
-class _Node:
-    __slots__ = ("out", "inputs", "grad_fn")
-
-    def __init__(self, out, inputs, grad_fn):
-        self.out = out
-        self.inputs = inputs
-        self.grad_fn = grad_fn
-
-
 class _State(threading.local):
     def __init__(self):
-        self.tape = Tape()
+        self.tape = []
         self.recording = True
         self.debug_checks = False
 
@@ -139,7 +119,7 @@ def _result(arr, inputs, grad_fn) -> Tensor:
     if _state.debug_checks and not np.all(np.isfinite(out.data)):
         raise NumericalError("primitive produced non-finite values")
     if requires:
-        _state.tape.nodes.append(_Node(out, inputs, grad_fn))
+        _state.tape.append((out, inputs, grad_fn))
     return out
 
 
@@ -156,10 +136,6 @@ def _reduce_leading(g: np.ndarray, shape: tuple) -> np.ndarray:
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     return g
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +195,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         return (gx,)
 
     return _result(out, (x,), grad_fn)
-
-
-def concat_last(parts) -> Tensor:
-    parts = list(parts)
-    widths = [p.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
-
-    def grad_fn(g):
-        grads, pos = [], 0
-        for w in widths:
-            grads.append(np.ascontiguousarray(g[..., pos : pos + w]))
-            pos += w
-        return tuple(grads)
-
-    return _result(out, tuple(parts), grad_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -304,16 +265,58 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # normalizations and convolution
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_last(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by max subtraction."""
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data)
+    return _result(y, (x,), lambda g: (_softmax_grad(y, g),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """softmax(q k^T / sqrt(hd)) v per head, for q (..., N, D) and k, v (..., J, D).
+
+    Head h attends with last-axis block h of width hd = D / heads; the
+    (..., N, D) output holds the head results side by side.
+    """
+    if (q.data.ndim < 2 or k.data.ndim != q.data.ndim or k.shape != v.shape
+            or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1]):
+        raise DimensionError(f"attention expects q (..., N, D) and k, v (..., J, D), "
+                             f"got {q.shape}, {k.shape}, {v.shape}")
+    *lead, n, d = q.shape
+    j = k.shape[-2]
+    if heads < 1 or d % heads:
+        raise DimensionError(f"heads ({heads}) must divide the model width ({d})")
+    hd = d // heads
+    c = 1.0 / math.sqrt(hd)
+
+    def split(a, rows):  # (..., rows, D) -> (..., H, rows, hd)
+        return a.reshape(*lead, rows, heads, hd).swapaxes(-3, -2)
+
+    def merge(a, rows):  # (..., H, rows, hd) -> (..., rows, D)
+        return a.swapaxes(-3, -2).reshape(*lead, rows, d)
+
+    qh, vh = split(q.data, n), split(v.data, j)
+    # contiguous like transpose()'s output, so scores equal matmul(q, transpose(k)) bit for bit
+    kt = np.ascontiguousarray(split(k.data, j).swapaxes(-1, -2))
+    p = _softmax((qh @ kt) * c)
 
     def grad_fn(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        gh = split(g, n)
+        gs = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
+        gq = merge(gs @ kt.swapaxes(-1, -2), n)
+        gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), j)
+        gv = merge(p.swapaxes(-1, -2) @ gh, j)
+        return gq, gk, gv
 
-    return _result(y, (x,), grad_fn)
+    return _result(merge(p @ vh, n), (q, k, v), grad_fn)
 
 
 def layer_norm(z: Tensor, eps: float = 1e-5) -> Tensor:
@@ -406,21 +409,22 @@ def backward(loss: Tensor) -> None:
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         shape = loss.shape if isinstance(loss, Tensor) else type(loss)
         raise ContractError(f"backward requires a scalar taped tensor, got {shape}")
-    nodes = _state.tape.nodes
-    if not any(node.out is loss for node in nodes):
+    tape = _state.tape
+    if not any(out is loss for out, _, _ in tape):
         raise ContractError(
             "loss was not produced by taped primitives (tape empty or already consumed)"
         )
     try:
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(nodes):
-            g = node.out.grad
-            if g is None:
+        # Every op's inputs existed before it ran, so reverse execution
+        # order is a valid topological order and needs no graph sort.
+        for out, inputs, grad_fn in reversed(tape):
+            if out.grad is None:
                 continue
-            for t, gi in zip(node.inputs, node.grad_fn(g)):
+            for t, gi in zip(inputs, grad_fn(out.grad)):
                 _accumulate(t, gi)
     finally:
-        _state.tape = Tape()
+        _state.tape = []
 
 
 def gradient_check(f, params, h: float = 1e-5) -> float:

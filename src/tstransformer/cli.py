@@ -417,7 +417,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_lag_scan(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
-    sizes = [int(w) for w in args.windows.split(",") if w]
+    try:
+        sizes = [int(w) for w in args.windows.split(",") if w]
+    except ValueError as exc:
+        raise ParameterError(f"--windows expects comma-separated integers: {exc}") from None
     if not sizes:
         raise ParameterError("lag-scan needs at least one window size")
     thresholds = cfg.thresholds()

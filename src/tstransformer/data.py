@@ -161,6 +161,9 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> TimeSeries:
         if missing:
             raise SchemaError(f"{path}: missing column {missing[0]!r}")
         channels = [name for name in header if name in wanted]
+    for name in (schema.time_column, *channels):
+        if any(ch in name for ch in ",\n\r"):
+            raise SchemaError(f"{path}: column name {name!r} contains a comma or line break")
     col_idx = [header.index(name) for name in channels]
     time_idx = header.index(schema.time_column)
 

@@ -197,25 +197,9 @@ class TSTransformerModel:
         stage's reduction factor.
         """
         self._check_stage(stage)
-        cfg = self.config
         q = ad.affine(tokens, self.param(f"stage{stage}.q.weight"), self.param(f"stage{stage}.q.bias"))
         k_r, v_r = self.reduce_kv(tokens, stage)
-        inv_scale = 1.0 / math.sqrt(cfg.width / cfg.heads)
-
-        if cfg.heads == 1:
-            scores = ad.scale(ad.matmul(q, ad.transpose(k_r)), inv_scale)
-            attended = ad.matmul(ad.softmax_last(scores), v_r)
-        else:
-            hd = cfg.width // cfg.heads
-            outs = []
-            for h in range(cfg.heads):
-                qh = ad.slice_axis(q, -1, h * hd, (h + 1) * hd)
-                kh = ad.slice_axis(k_r, -1, h * hd, (h + 1) * hd)
-                vh = ad.slice_axis(v_r, -1, h * hd, (h + 1) * hd)
-                scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_scale)
-                outs.append(ad.matmul(ad.softmax_last(scores), vh))
-            attended = ad.concat_last(outs)
-
+        attended = ad.attention(q, k_r, v_r, self.config.heads)
         return ad.affine(
             attended, self.param(f"stage{stage}.out.weight"), self.param(f"stage{stage}.out.bias")
         )

@@ -1,13 +1,39 @@
 """Shared reference implementations and fixture builders for the tests.
 
-The attention reference here is deliberately independent of the library
-ops: plain numpy, written straight from the classic scaled-dot-product
-formulation, so the model's multi-scale path can be checked against it.
+``vanilla_attention_reference`` is deliberately independent of the
+library ops: plain numpy, written straight from the classic
+scaled-dot-product formulation, so the model's multi-scale path can be
+checked against it. ``per_head_attention_loop`` is the opposite: the
+model's former attention, op for op in taped primitives, kept so the
+fused ``autodiff.attention`` can be held to it bit for bit.
 """
+
+import math
 
 import numpy as np
 
+from tstransformer import autodiff as ad
 from tstransformer.data import DegradationSpec
+
+
+def per_head_attention_loop(q, k, v, heads: int) -> list:
+    """Per-head taped outputs of the slice-per-head attention.
+
+    Laid side by side on the last axis they form the attention output.
+    """
+    inv_scale = 1.0 / math.sqrt(q.shape[-1] / heads)
+    if heads == 1:
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_scale)
+        return [ad.matmul(ad.softmax_last(scores), v)]
+    hd = q.shape[-1] // heads
+    outs = []
+    for h in range(heads):
+        qh = ad.slice_axis(q, -1, h * hd, (h + 1) * hd)
+        kh = ad.slice_axis(k, -1, h * hd, (h + 1) * hd)
+        vh = ad.slice_axis(v, -1, h * hd, (h + 1) * hd)
+        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_scale)
+        outs.append(ad.matmul(ad.softmax_last(scores), vh))
+    return outs
 
 
 def vanilla_attention_reference(x: np.ndarray, model, stage: int) -> np.ndarray:

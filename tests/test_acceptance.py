@@ -79,6 +79,7 @@ def test_criterion_2_gradient_suite():
     b = Tensor(rng.normal(size=6), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     cot3 = Tensor(rng.normal(size=(2, 6)))
+    kv = [Tensor(rng.normal(size=(3, 6)), requires_grad=True) for _ in range(2)]
     primitives = {
         "matmul": (lambda: ad.sum_all(ad.mul(ad.matmul(x, w), cot)), [x, w]),
         "affine": (lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), cot)), [x, w, b]),
@@ -89,6 +90,7 @@ def test_criterion_2_gradient_suite():
             lambda: ad.sum_all(ad.mul(ad.depthwise_conv1d(x, k, b, 2), cot3)),
             [x, k, b],
         ),
+        "attention": (lambda: ad.sum_all(ad.mul(ad.attention(x, *kv, 2), cot)), [x, *kv]),
     }
     for name, (f, params) in primitives.items():
         err = ad.gradient_check(f, params, h=1e-5)

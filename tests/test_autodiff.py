@@ -171,6 +171,34 @@ def test_conv_rejects_bad_reduction():
 
 
 # ---------------------------------------------------------------------------
+# attention
+
+
+@pytest.mark.parametrize("q_shape, k_shape, v_shape, heads", [
+    ((4, 6), (3, 6), (3, 6), 4),  # heads does not divide D
+    ((4, 6), (3, 6), (3, 6), 0),
+    ((4, 6), (3, 5), (3, 5), 1),  # widths differ
+    ((4, 6), (3, 6), (2, 6), 1),  # keys and values differ
+    ((2, 4, 6), (3, 3, 6), (3, 3, 6), 1),  # stack axes differ
+    ((6,), (6,), (6,), 1),  # not a token matrix
+])
+def test_attention_rejects_bad_shapes(q_shape, k_shape, v_shape, heads):
+    q, k, v = (t(np.ones(shape)) for shape in (q_shape, k_shape, v_shape))
+    with pytest.raises(DimensionError):
+        ad.attention(q, k, v, heads)
+
+
+def test_attention_multi_head_batched_gradient():
+    rng = np.random.default_rng(9)
+    q = t(rng.normal(size=(2, 4, 8)), grad=True)
+    k = t(rng.normal(size=(2, 3, 8)), grad=True)
+    v = t(rng.normal(size=(2, 3, 8)), grad=True)
+    c = Tensor(rng.normal(size=(2, 4, 8)))
+    f = lambda: ad.sum_all(ad.mul(ad.attention(q, k, v, 4), c))
+    assert ad.gradient_check(f, [q, k, v], h=1e-5) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
 # relu / affine
 
 
@@ -329,15 +357,15 @@ def test_gradient_check_each_primitive(name):
         x = t(rng.normal(size=(4, 6)) + np.sign(rng.normal(size=(4, 6))) * 0.5, grad=True)
         f = lambda: ad.sum_all(ad.mul(ad.relu(x), c))
         params = [x]
-    else:  # mix: transpose + slice + concat + scale + sub + mean
+    else:  # mix: transpose + slice + add + scale + sub + mean
         x = t(rng.normal(size=(4, 6)), grad=True)
 
         def f():
             y = ad.transpose(x)  # (6, 4)
             a = ad.slice_axis(y, -1, 0, 2)
             b = ad.slice_axis(y, -1, 2, 4)
-            z = ad.concat_last([a, ad.scale(b, 2.0)])
-            return ad.mean_all(ad.mul(ad.sub(z, Tensor(np.ones((6, 4)))), z))
+            z = ad.add(a, ad.scale(b, 2.0))
+            return ad.mean_all(ad.mul(ad.sub(z, Tensor(np.ones((6, 2)))), z))
 
         params = [x]
 

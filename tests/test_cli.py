@@ -286,10 +286,11 @@ def test_lag_scan_ingests_once(workdir, tmp_path, monkeypatch):
 
 
 def test_lag_scan_failure_names_window_size(workdir, tmp_path, capsys):
-    rc = run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
-             "--windows", "100000", "--out", tmp_path / "lag.csv")
-    assert rc != 0
-    assert "100000" in capsys.readouterr().err
+    for windows, entry, code in (("100000", "100000", 3), ("8,abc", "abc", 2)):
+        rc = run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+                 "--windows", windows, "--out", tmp_path / "lag.csv")
+        assert rc == code, windows
+        assert entry in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

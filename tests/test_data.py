@@ -1,6 +1,9 @@
 """Pipeline tests: ingestion, condensing, filtering, normalization,
 splitting, windowing, and the synthetic degradation generator."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +92,17 @@ def test_ingest_explicit_covariates(tmp_path):
     assert ts.channel_names == ("Utot_V", "I_A")
     with pytest.raises(SchemaError, match="missing"):
         ingest_csv(p, CsvSchema(covariates=("P_mbar",)))
+
+
+@pytest.mark.parametrize("name", ["I,A", "I\nA", "I\rA"])
+def test_ingest_rejects_column_names_the_csv_writers_cannot_hold(tmp_path, name):
+    # Series CSVs and checkpoint headers join channel names with commas
+    # and newlines, so such a name would come back split.
+    p = tmp_path / "names.csv"
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["time_h", "Utot_V", name], [0.0, 3.3, 70], [0.1, 3.29, 71]])
+    with pytest.raises(SchemaError, match=re.escape(repr(name))):
+        ingest_csv(p)
 
 
 # ---------------------------------------------------------------------------

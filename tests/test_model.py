@@ -4,9 +4,10 @@ permutation equivariance, parameter accounting, block gradients."""
 import numpy as np
 import pytest
 
-from helpers import vanilla_attention_reference
+from helpers import per_head_attention_loop, vanilla_attention_reference
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
+from tstransformer.cli import load_run_config
 from tstransformer.errors import DimensionError, ParameterError
 from tstransformer.model import (
     ModelConfig,
@@ -158,6 +159,47 @@ def test_vanilla_equivalence_multihead():
     assert np.max(np.abs(got - vanilla_attention_reference(x, model, 0))) <= 1e-9
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("j", [1, 2, 6])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_per_head_loop_bit_for_bit(heads, j, lead):
+    rng = np.random.default_rng(heads * 10 + j)
+    arrays = [rng.normal(size=lead + (rows, 16)) for rows in (6, j, j)]
+    cot = rng.normal(size=lead + (6, 16))
+    hd = 16 // heads
+
+    def run(fused):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        if fused:
+            out = ad.attention(q, k, v, heads)
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(cot))))
+            fwd = out.data
+        else:
+            outs = per_head_attention_loop(q, k, v, heads)
+            losses = [ad.sum_all(ad.mul(o, Tensor(cot[..., h * hd:(h + 1) * hd])))
+                      for h, o in enumerate(outs)]
+            loss = losses[0]
+            for extra in losses[1:]:
+                loss = ad.add(loss, extra)
+            ad.backward(loss)
+            fwd = np.concatenate([o.data for o in outs], axis=-1)
+        return [fwd, q.grad, k.grad, v.grad]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+def test_recorded_forward_tape_nodes(heads):
+    # embed affine, 13 ops per stage over 4 stages, head affine, mean add
+    cfg = load_run_config(None, (f"heads={heads}",)).model_config(5)
+    model = TSTransformerModel(cfg, seed=0)
+    before = len(ad._state.tape)  # a forward left unconsumed elsewhere stays on the tape
+    out = model.forward(np.random.default_rng(0).normal(size=(8, cfg.lookback, 5)))
+    assert len(ad._state.tape) - before == 55
+    ad.backward(ad.sum_all(out))  # consumes the tape
+
+
 # ---------------------------------------------------------------------------
 # encoder block
 
@@ -187,6 +229,17 @@ def test_trm_block_gradient_check():
     # small cotangent keeps the loss ulp fine enough for the FD probe of
     # coordinates whose true gradient is zero by softmax shift invariance
     cot = Tensor(0.05 * np.random.default_rng(9).normal(size=(5, 8)))
+    f = lambda: ad.sum_all(ad.mul(model.trm_block(x, 0), cot))
+    params = [p for name, p in model.named_parameters() if name.startswith("stage0.")]
+    assert ad.gradient_check(f, params, h=1e-4) <= 1e-4
+
+
+def test_trm_block_gradient_check_multi_head():
+    cfg = ModelConfig(n_variates=5, lookback=4, horizon=1, width=8, stages=1, ratios=(0.5,),
+                      heads=4)
+    model = TSTransformerModel(cfg, seed=13)
+    x = Tensor(np.random.default_rng(10).normal(size=(5, 8)))
+    cot = Tensor(0.05 * np.random.default_rng(11).normal(size=(5, 8)))
     f = lambda: ad.sum_all(ad.mul(model.trm_block(x, 0), cot))
     params = [p for name, p in model.named_parameters() if name.startswith("stage0.")]
     assert ad.gradient_check(f, params, h=1e-4) <= 1e-4
