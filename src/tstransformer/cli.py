@@ -9,7 +9,6 @@ inputs and seed produce byte-identical outputs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .metrics import FaultThresholds, evaluate_forecast, lag_error, rmse, threshold_crossing
+from .metrics import FaultThresholds, evaluate_forecast, lag_error, rmse
 from .model import ModelConfig, TSTransformerModel
 from .training import (
     TrainConfig,
@@ -163,18 +162,21 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
     """Read the config file (if any) and apply key=value overrides."""
     values = dict(DEFAULTS)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-                key, _, value = text.partition("=")
-                key = key.strip()
-                if key not in DEFAULTS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = value.strip()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            entry = line.strip()
+            if not entry or entry.startswith("#"):
+                continue
+            if "=" not in entry:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {entry!r}")
+            key, _, value = entry.partition("=")
+            key = key.strip()
+            if key not in DEFAULTS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = value.strip()
     values.update(_parse_overrides(overrides))
     return RunConfig(values)
 
@@ -188,6 +190,8 @@ def _parse_overrides(items) -> dict:
         key, _, value = item.partition("=")
         if key not in DEFAULTS:
             raise ConfigError(f"--set: unknown config key {key!r}")
+        if "\n" in value or "\r" in value:
+            raise ConfigError(f"--set: value of config key {key!r} contains a line break")
         values[key] = value
     return values
 
@@ -243,32 +247,18 @@ def _rollout(cfg: RunConfig, model: TSTransformerModel, series: TimeSeries, stat
 
 
 def _read_forecast_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-    if not rows:
-        raise SchemaError(f"{path}: empty forecast file")
-    header = [c.strip() for c in rows[0]]
-    for col in ("time_h", "true_V", "pred_V"):
-        if col not in header:
-            raise SchemaError(f"{path}: missing forecast column {col!r}")
-    it, iy, ip = header.index("time_h"), header.index("true_V"), header.index("pred_V")
-    time, true, pred = [], [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            time.append(float(row[it]))
-            true.append(float(row[iy]))
-            pred.append(float(row[ip]))
-        except (ValueError, IndexError) as exc:
-            raise SchemaError(f"{path}:{i}: malformed forecast row") from exc
-    if not time:
-        raise SchemaError(f"{path}: no forecast rows")
-    return np.array(time), np.array(true), np.array(pred)
+    """(time, true, pred) from a forecast CSV; every row must parse (exit 2)."""
+    try:
+        series = ingest_csv(path, CsvSchema("time_h", "true_V", ("pred_V",)))
+    except DataError as exc:
+        raise SchemaError(str(exc)) from exc
+    if series.dropped_rows:
+        raise SchemaError(f"{path}: {series.dropped_rows} malformed forecast row(s)")
+    return series.time, series.target, series.features[:, series.channel_names.index("pred_V")]
 
 
-def render_forecast_svg(path, time, true, pred, thresholds: FaultThresholds, origin: float) -> None:
-    """Static plot: one polyline per series, threshold lines, crossing marks."""
+def render_forecast_svg(path, time, true, pred, report, thresholds: FaultThresholds, origin: float) -> None:
+    """Static plot: one polyline per series, threshold lines, the report's crossing marks."""
     width, height, pad = 960, 540, 60
     t0, t1 = float(time[0]), float(time[-1])
     values = np.concatenate([true, pred, np.array(thresholds.voltages)])
@@ -290,7 +280,7 @@ def render_forecast_svg(path, time, true, pred, thresholds: FaultThresholds, ori
         viewBox=f"0 0 {width} {height}",
     )
     ET.SubElement(svg, "rect", x="0", y="0", width=str(width), height=str(height), fill="white")
-    for frac, thr in zip(thresholds.loss_fractions, thresholds.voltages):
+    for est, thr in zip(report.estimates, thresholds.voltages):
         y = f"{sy(thr):.2f}"
         ET.SubElement(
             svg, "line",
@@ -299,9 +289,8 @@ def render_forecast_svg(path, time, true, pred, thresholds: FaultThresholds, ori
         )
         label = ET.SubElement(svg, "text", x=f"{sx(t0) + 4:.2f}", y=f"{float(y) - 4:.2f}", fill="#666666")
         label.set("font-size", "12")
-        label.text = f"{100 * frac:.1f}% loss"
-        for series, color in ((true, "#cc4444"), (pred, "#4444cc")):
-            rul = threshold_crossing(time, series, thr, origin)
+        label.text = f"{100 * est.loss_fraction:.1f}% loss"
+        for rul, color in ((est.rul_true, "#cc4444"), (est.rul_pred, "#4444cc")):
             if rul is not None:
                 x = f"{sx(origin + rul):.2f}"
                 ET.SubElement(
@@ -324,13 +313,12 @@ def render_forecast_svg(path, time, true, pred, thresholds: FaultThresholds, ori
 
 def cmd_preprocess(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
+    raw = ingest_csv(args.input, cfg.schema())  # also proves the file is UTF-8 text
     if _is_preprocessed(args.input):
         # Already condensed and filtered: pass through unchanged.
         Path(args.out).write_bytes(Path(args.input).read_bytes())
-        series = ingest_csv(args.input, cfg.schema())
-        print(f"already preprocessed: {len(series)} rows copied to {args.out}")
+        print(f"already preprocessed: {len(raw)} rows copied to {args.out}")
         return 0
-    raw = ingest_csv(args.input, cfg.schema())
     interval = cfg.get_float("interval_h")
     ma_window = cfg.get_int("ma_window")
     out = moving_average(condense(raw, interval), ma_window)
@@ -376,7 +364,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise CorruptionError(f"checkpoint not readable: {exc}") from exc
     # The run's train.* header values, overlaid by this call's --set values.
     trained = {k.removeprefix("train."): v for k, v in ckpt.header.items() if k.startswith("train.")}
@@ -410,7 +398,7 @@ def cmd_evaluate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_csv(), encoding="utf-8")
     svg_path = args.svg or str(out.with_suffix(".svg"))
-    render_forecast_svg(svg_path, time, true, pred, thresholds, origin)
+    render_forecast_svg(svg_path, time, true, pred, report, thresholds, origin)
     print(f"RMSE {report.rmse:.6g} V, Score_RUL {report.score_rul:.4f} -> {out}, plot {svg_path}")
     return 0
 
@@ -491,22 +479,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per error family (see the module docstring); other exceptions
+# are bugs and keep their traceback.
+EXIT_CODES = (
+    ((ConfigError, ParameterError, SchemaError, DimensionError, ContractError, OSError), 2),
+    ((DataError, CorruptionError), 3),
+    ((NumericalError,), 4),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, SchemaError, DimensionError, ContractError) as exc:
+    except tuple(t for types, _ in EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, CorruptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

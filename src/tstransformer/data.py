@@ -19,17 +19,19 @@ from .errors import DataError, ParameterError, SchemaError
 DEFAULT_TARGET = "Utot_V"
 DEFAULT_TIME_COLUMN = "time_h"
 
-# Covariate names drawn from the usual health-monitoring channel set.
-COVARIATE_NAME_POOL = (
-    "I_A",
-    "TinH2_C",
-    "PinAIR_mbara",
-    "DinH2_lmin",
-    "HrAIRFC_pct",
-    "ToutWAT_C",
-    "TinAIR_C",
-    "PoutH2_mbara",
-)
+# Covariate channels from the usual health-monitoring set, each with the synthetic
+# generator's (base level, degradation-state gain, periodic-load amplitude).
+_COVARIATE_BASES = {
+    "I_A": (70.0, 4.0, 3.0),
+    "TinH2_C": (53.0, 40.0, 0.5),
+    "PinAIR_mbara": (1300.0, 200.0, 5.0),
+    "DinH2_lmin": (4.0, 8.0, 0.3),
+    "HrAIRFC_pct": (50.0, 90.0, 2.0),
+    "ToutWAT_C": (57.0, 60.0, 0.8),
+    "TinAIR_C": (45.0, 25.0, 1.0),
+    "PoutH2_mbara": (1250.0, 150.0, 4.0),
+}
+COVARIATE_NAME_POOL = tuple(_COVARIATE_BASES)
 
 
 @dataclass
@@ -144,22 +146,21 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> TimeSeries:
     ``TimeSeries.dropped_rows``; ``#``-prefixed lines are skipped.
     """
     schema = schema or CsvSchema()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(line for line in fh if not line.startswith("#")) if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(line for line in fh if not line.startswith("#")) if row]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not rows:
         raise DataError(f"{path}: no rows")
     header = [name.strip() for name in rows[0]]
-    if schema.time_column not in header:
-        raise SchemaError(f"{path}: missing mandatory column {schema.time_column!r}")
-    if schema.target_column not in header:
-        raise SchemaError(f"{path}: missing mandatory column {schema.target_column!r}")
+    wanted = (schema.target_column, *(schema.covariates or ()))
+    missing = [name for name in (schema.time_column, *wanted) if name not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing column {missing[0]!r}")
     if schema.covariates is None:
         channels = [name for name in header if name != schema.time_column]
     else:
-        wanted = {schema.target_column, *schema.covariates}
-        missing = sorted(wanted - set(header))
-        if missing:
-            raise SchemaError(f"{path}: missing column {missing[0]!r}")
         channels = [name for name in header if name in wanted]
     for name in (schema.time_column, *channels):
         if any(ch in name for ch in ",\n\r"):
@@ -406,20 +407,9 @@ def synth_degradation(
     t_lead = t + spec.covariate_lead_hours
     state = _degradation_state(spec, t_lead)
     wave = np.sin(2.0 * np.pi * t_lead / spec.periodic_period_hours)
-    bases = {
-        "I_A": (70.0, 4.0, 3.0),
-        "TinH2_C": (53.0, 40.0, 0.5),
-        "PinAIR_mbara": (1300.0, 200.0, 5.0),
-        "DinH2_lmin": (4.0, 8.0, 0.3),
-        "HrAIRFC_pct": (50.0, 90.0, 2.0),
-        "ToutWAT_C": (57.0, 60.0, 0.8),
-        "TinAIR_C": (45.0, 25.0, 1.0),
-        "PoutH2_mbara": (1250.0, 150.0, 4.0),
-    }
     names = [DEFAULT_TARGET]
     columns = [target]
-    for name in COVARIATE_NAME_POOL[: n_channels - 1]:
-        base, state_gain, wave_amp = bases[name]
+    for name, (base, state_gain, wave_amp) in list(_COVARIATE_BASES.items())[: n_channels - 1]:
         # Smooth nuisance: a few slow incommensurate sinusoids with
         # seeded phases, bounded and infinitely differentiable.
         nuisance = np.zeros(n)

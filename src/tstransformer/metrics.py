@@ -24,7 +24,7 @@ _LN_HALF = math.log(0.5)
 
 
 class RulCoverageWarning(UserWarning):
-    """A threshold was excluded from the score because a series never crossed it."""
+    """A threshold was excluded from the score: a series never crossed it, or RUL_true is 0."""
 
 
 @dataclass(frozen=True)
@@ -162,16 +162,9 @@ def lag_error(time, pred, true, threshold_voltage: float, origin_hours: float):
     """Signed crossing-time gap: true minus predicted, in hours.
 
     Positive means the prediction crossed early; negative means it lags
-    reality. Both series must share the timestamp grid. None flags a
-    non-crossing on either side.
+    reality. Both series must share the timestamp grid (``threshold_crossing``
+    checks each against it). None flags a non-crossing on either side.
     """
-    time = np.asarray(time, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    true = np.asarray(true, dtype=np.float64)
-    if pred.shape != time.shape or true.shape != time.shape:
-        raise ContractError(
-            f"series must share the timestamp grid: {time.shape}, {pred.shape}, {true.shape}"
-        )
     r_true = threshold_crossing(time, true, threshold_voltage, origin_hours)
     r_pred = threshold_crossing(time, pred, threshold_voltage, origin_hours)
     if r_true is None or r_pred is None:
@@ -189,8 +182,9 @@ def evaluate_forecast(
     """Assemble the full report for an aligned (time, true, pred) triple.
 
     ``origin_hours`` defaults to the first timestamp. Thresholds that
-    one of the series never crosses are flagged, warned about, and
-    excluded from the score.
+    one of the series never crosses, or that the true series has already
+    reached at the origin (RUL 0, where percent error is undefined), are
+    flagged, warned about, and excluded from the score.
     """
     thresholds = thresholds or FaultThresholds()
     time = np.asarray(time, dtype=np.float64)
@@ -200,10 +194,11 @@ def evaluate_forecast(
     for frac, thr_v in zip(thresholds.loss_fractions, thresholds.voltages):
         r_true = threshold_crossing(time, true, thr_v, origin)
         r_pred = threshold_crossing(time, pred, thr_v, origin)
-        if r_true is None or r_pred is None:
-            side = "true" if r_true is None else "predicted"
+        if r_true is None or r_pred is None or r_true == 0.0:
+            why = ("true series is already at or below it at the origin" if r_true == 0.0
+                   else f"{'true' if r_true is None else 'predicted'} series never crosses")
             warnings.warn(
-                f"threshold {frac:g}: {side} series never crosses; excluded from Score_RUL",
+                f"threshold {frac:g}: {why}; excluded from Score_RUL",
                 RulCoverageWarning,
                 stacklevel=2,
             )

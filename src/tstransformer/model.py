@@ -220,6 +220,9 @@ class TSTransformerModel:
         A leading batch axis is accepted: (B, lookback, n_variates)
         yields (B, n_variates, horizon).
 
+        Outside ``ad.no_grad()`` the forward is recorded: its nodes stay on
+        the thread-local tape until a ``backward``. Run inference under it.
+
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
         window-relative movement while the level rides the window

@@ -8,6 +8,7 @@ float64, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -241,6 +242,8 @@ def rolling_forecast(
             out = model.forward(window)  # (M, S)
             take = min(s, n - pos)
             chunk = out.data[ti, :take]
+            if not np.all(np.isfinite(chunk)):
+                raise NumericalError(f"non-finite forecast in the round starting at row {pos}")
             work[pos : pos + take, ti] = chunk
             preds[pos - origin : pos - origin + take] = chunk
             pos += take
@@ -274,17 +277,25 @@ class Checkpoint:
         return model
 
 
+# (encode, decode) per ModelConfig field type, shared by the header's writer and
+# reader. Ints use str because numpy 2 reprs a numpy integer as "np.int64(16)".
+_FIELD_CODECS = {
+    "int": (str, int),
+    "float": (repr, float),
+    "str": (str, str),
+    "tuple": (lambda v: ",".join(map(repr, v)), lambda text: tuple(map(float, text.split(",")))),
+}
+
+
 def _header_text(config: ModelConfig, stats: NormStats, extra: dict) -> str:
+    bad = [k for k, v in extra.items() if "=" in k or any(c in f"{k}{v}" for c in "\n\r")]
+    if bad:
+        raise ParameterError(f"checkpoint header entry {bad[0]!r} has '=' in its key or a line break")
     lines = [
-        f"model.n_variates={config.n_variates}",
-        f"model.lookback={config.lookback}",
-        f"model.horizon={config.horizon}",
-        f"model.width={config.width}",
-        f"model.stages={config.stages}",
-        "model.ratios=" + ",".join(repr(r) for r in config.ratios),
-        f"model.heads={config.heads}",
-        f"model.mode={config.mode}",
-        f"model.eps={config.eps!r}",
+        f"model.{f.name}={_FIELD_CODECS[f.type][0](getattr(config, f.name))}"
+        for f in dataclasses.fields(ModelConfig)
+    ]
+    lines += [
         "stats.channels=" + ",".join(stats.channel_names),
         "stats.mean=" + ",".join(repr(float(v)) for v in stats.mean),
         "stats.std=" + ",".join(repr(float(v)) for v in stats.std),
@@ -344,17 +355,10 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         fields = _parse_header(blob[12 : 12 + header_len].decode("utf-8"))
-        config = ModelConfig(
-            n_variates=int(fields["model.n_variates"]),
-            lookback=int(fields["model.lookback"]),
-            horizon=int(fields["model.horizon"]),
-            width=int(fields["model.width"]),
-            stages=int(fields["model.stages"]),
-            ratios=tuple(float(v) for v in fields["model.ratios"].split(",")),
-            heads=int(fields["model.heads"]),
-            mode=fields["model.mode"],
-            eps=float(fields["model.eps"]),
-        )
+        config = ModelConfig(**{
+            f.name: _FIELD_CODECS[f.type][1](fields[f"model.{f.name}"])
+            for f in dataclasses.fields(ModelConfig)
+        })
         channels = tuple(fields["stats.channels"].split(","))
         stats = NormStats(
             channel_names=channels,

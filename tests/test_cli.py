@@ -10,7 +10,8 @@ from tstransformer import cli
 from tstransformer.cli import DEFAULTS, _write_series_csv, load_run_config, main
 from tstransformer.data import DegradationSpec, ingest_csv, synth_degradation
 from tstransformer.errors import ConfigError
-from tstransformer.metrics import lag_error
+from tstransformer.metrics import RulCoverageWarning, lag_error
+from tstransformer.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +221,40 @@ def test_evaluate_malformed_row_exit_2(tmp_path):
     assert run("evaluate", "--forecast", bad, "--out", tmp_path / "r.csv") == 2
 
 
+def test_evaluate_threshold_crossed_at_origin_is_flagged(tmp_path, capsys):
+    # true_V starts at 3.2 V, below the 3.5 % threshold (3.2086 V) at origin 0.
+    t = np.linspace(0.0, 600.0, 3001)
+    v = 3.2 - 1.0e-4 * t
+    forecast = tmp_path / "f.csv"
+    forecast.write_text("time_h,true_V,pred_V\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{float(b)!r}\n" for a, b in zip(t, v)))
+    out = tmp_path / "r.csv"
+    with pytest.warns(RulCoverageWarning, match="threshold 0.035: true series is already at or below"):
+        assert run("evaluate", "--forecast", forecast, "--out", out,
+                   "--set", "rul_origin_hours=0") == 0
+    rows = out.read_text().splitlines()
+    assert rows[1] == "0.035,0.0,0.0,,"
+    assert rows[-1].endswith(",1.0,,")  # the other four thresholds score 1
+
+
+@pytest.mark.parametrize("defect", ["repeated time", "nan", "inf"])
+def test_evaluate_forecast_breaking_series_rules_exit_2(perfect_forecast, tmp_path, defect):
+    # Rows that the old private parser accepted, in a forecast that crosses
+    # every threshold: only the defect stands between them and exit 0.
+    lines = (perfect_forecast / "forecast.csv").read_text().splitlines()
+    time, true, pred = lines[1500].split(",")
+    lines[1500] = {
+        "repeated time": lines[1499].split(",")[0] + f",{true},{pred}",
+        "nan": f"{time},nan,{pred}",
+        "inf": f"{time},{true},inf",
+    }[defect]
+    bad = tmp_path / "f.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("evaluate", "--forecast", bad, "--out", tmp_path / "r.csv",
+               "--set", "rul_origin_hours=0") == 2
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # lag-scan
 
@@ -315,3 +350,61 @@ def test_untyped_value_exit_2_names_key(workdir, tmp_path, capsys, command, key,
     assert run(command, *inputs, "--set", f"{key}={value}") == 2
     err = capsys.readouterr().err
     assert key in err and repr(value) in err
+
+
+# ---------------------------------------------------------------------------
+# inputs that must end in an exit code, not a traceback
+
+
+def test_set_value_with_line_break_exit_2(workdir, tmp_path, capsys):
+    ckpt = tmp_path / "x.ckpt"
+    assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--set", "covariate_mode=oracle\nmodel.width=8", "--out-checkpoint", ckpt) == 2
+    assert "'covariate_mode'" in capsys.readouterr().err
+    assert not ckpt.exists()
+    with pytest.raises(ConfigError, match="'time_column'"):
+        load_run_config(None, ("time_column=t\rx",))
+
+
+@pytest.mark.parametrize("command, code", [("preprocess", 3), ("train", 3), ("evaluate", 2)])
+def test_non_utf8_csv_exit_code_names_file(workdir, tmp_path, capsys, command, code):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"time_h,Utot_V,true_V,pred_V\n0.0,3.3,3.3,3.3\n# \xb0C\n")
+    inputs = {
+        "preprocess": ["--in", bad, "--out", tmp_path / "pre.csv"],
+        "train": ["--data", bad, "--config", workdir / "run.cfg", "--out-checkpoint", tmp_path / "x.ckpt"],
+        "evaluate": ["--forecast", bad, "--out", tmp_path / "r.csv"],
+    }[command]
+    assert run(command, *inputs) == code
+    assert "latin1.csv: not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exit_2(workdir, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# \xb0C\nepochs=1\n")
+    assert run("train", "--data", workdir / "pre.csv", "--config", cfg,
+               "--out-checkpoint", tmp_path / "x.ckpt") == 2
+    assert "latin1.cfg: not UTF-8" in capsys.readouterr().err
+
+
+def test_directory_as_input_exit_2(workdir, tmp_path):
+    assert run("train", "--data", tmp_path, "--config", workdir / "run.cfg",
+               "--out-checkpoint", tmp_path / "x.ckpt") == 2
+    assert run("preprocess", "--in", tmp_path, "--out", tmp_path / "pre.csv") == 2
+    # An unreadable checkpoint stays a checkpoint failure.
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", tmp_path,
+               "--out", tmp_path / "f.csv") == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_predict_non_finite_forecast_exit_4(workdir, tmp_path, capsys):
+    ckpt = load_checkpoint(workdir / "model.ckpt")
+    model = ckpt.to_model()
+    model.param("embed.weight").data *= 1e306
+    extra = {k: v for k, v in ckpt.header.items() if k.startswith("train.")}
+    scaled = tmp_path / "scaled.ckpt"
+    save_checkpoint(scaled, model, ckpt.stats, {"target_channel": ckpt.header["stats.target"], **extra})
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", scaled,
+               "--out", tmp_path / "f.csv") == 4
+    assert "non-finite forecast" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()

@@ -85,6 +85,13 @@ def test_ingest_missing_file():
         ingest_csv("/nonexistent/file.csv")
 
 
+def test_ingest_undecodable_text_is_data_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("time_h,Utot_V\n0.0,3.3\n# \u00b0C\n".encode("latin-1"))
+    with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
+        ingest_csv(p)
+
+
 def test_ingest_explicit_covariates(tmp_path):
     p = tmp_path / "cols.csv"
     p.write_text("time_h,Utot_V,I_A,T_C\n0.0,3.3,70,55\n1.0,3.2,71,56\n")

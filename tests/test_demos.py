@@ -1,15 +1,21 @@
-"""Smoke tests: the demos that tour the tensor core and the attention
-run to completion."""
+"""Smoke tests: the demos that tour the tensor core, the attention and
+the RUL metrics run to completion and leave no forwards on the tape."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
+from tstransformer import autodiff as ad
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_autodiff_basics.py", "02_multiscale_attention.py"])
+@pytest.mark.parametrize(
+    "name", ["01_autodiff_basics.py", "02_multiscale_attention.py", "05_rul_metrics.py"]
+)
 def test_demo_runs(name, capsys):
+    before = len(ad._state.tape)
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out
+    assert len(ad._state.tape) <= before  # inference forwards run under no_grad

@@ -261,6 +261,26 @@ def test_evaluate_forecast_excludes_missing_crossings_and_warns():
             evaluate_forecast(t, true, pred, thresholds, 500.0)
 
 
+def test_evaluate_forecast_flags_threshold_crossed_at_origin():
+    # The true series starts below the 3.5 % threshold (3.2086 V): RUL_true is
+    # 0, where percent error is undefined, so that threshold is flagged.
+    t = np.linspace(0.0, 600.0, 3001)
+    true = 3.2 - 1.0e-4 * t
+    pred = true - 1e-4
+    with pytest.warns(RulCoverageWarning) as caught:
+        report = evaluate_forecast(t, true, pred, FaultThresholds(), 0.0)
+    first = report.estimates[0]
+    assert first.rul_true == 0.0 and first.percent_error is None and first.accuracy is None
+    assert report.lag_errors[0] is None
+    assert [str(w.message) for w in caught if "threshold 0.035" in str(w.message)] == [
+        "threshold 0.035: true series is already at or below it at the origin; excluded from Score_RUL"
+    ]
+    assert all(e.accuracy is not None for e in report.estimates[1:])
+    assert report.score_rul == pytest.approx(
+        np.mean([e.accuracy for e in report.estimates[1:]]), abs=1e-12
+    )
+
+
 def test_fault_threshold_validation():
     with pytest.raises(ParameterError):
         FaultThresholds(initial_voltage=-1.0)

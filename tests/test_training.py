@@ -332,6 +332,44 @@ def test_checkpoint_non_finite_scalar_is_corruption(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_model_lines_follow_config_fields(tmp_path):
+    cfg = ModelConfig(n_variates=3, lookback=16, horizon=4, width=8, stages=2,
+                      ratios=(1.0, 0.25), heads=2, mode="vanilla", eps=1e-6)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TSTransformerModel(cfg, seed=0), tiny_setup()[1], {})
+    blob = path.read_bytes()
+    header = blob[12 : 12 + int.from_bytes(blob[8:12], "little")].decode("utf-8")
+    assert header.splitlines()[:9] == [
+        "model.n_variates=3", "model.lookback=16", "model.horizon=4", "model.width=8",
+        "model.stages=2", "model.ratios=1.0,0.25", "model.heads=2", "model.mode=vanilla",
+        "model.eps=1e-06",
+    ]
+    assert load_checkpoint(path).config == cfg
+
+
+@pytest.mark.parametrize("extra", [
+    {"train.a=b": "1"},
+    {"train.a\nmodel.width": "8"},
+    {"train.a\r": "1"},
+    {"train.covariate_mode": "oracle\nmodel.width=8"},
+    {"train.covariate_mode": "oracle\rmodel.width=8"},
+])
+def test_checkpoint_header_rejects_unstorable_extra(tmp_path, extra):
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ParameterError, match="checkpoint header entry"):
+        save_checkpoint(path, model, stats, extra)
+    assert not path.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rolling_forecast_non_finite_round_is_numerical_error():
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    model.param("embed.weight").data *= 1e306
+    with pytest.raises(NumericalError, match="non-finite forecast"):
+        rolling_forecast(model, series, stats, 20.0)
+
+
 # ---------------------------------------------------------------------------
 # csv helpers
 
