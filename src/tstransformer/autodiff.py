@@ -3,9 +3,9 @@
 Everything runs at 64-bit precision so finite-difference gradient checks
 can be held to tight tolerances. The op set is exactly what the
 forecasting model needs: matrix products, affine maps, ReLU, last-axis
-softmax, multi-head scaled dot-product attention, per-slice layer
-normalization, strided depthwise 1-D convolution, elementwise
-arithmetic, slicing and scalar reductions.
+softmax, multi-head scaled dot-product attention and its one-key case,
+per-slice layer normalization, strided depthwise 1-D convolution,
+elementwise arithmetic, slicing and scalar reductions.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -127,8 +127,12 @@ def _accumulate(t: Tensor, g) -> None:
     if g is None or not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a fresh buffer, never g itself: add() hands one g to both of its
+        # inputs, and later writes accumulate into grad in place
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _reduce_leading(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -317,6 +321,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return gq, gk, gv
 
     return _result(merge(p @ vh, n), (q, k, v), grad_fn)
+
+
+def single_key_attention(v: Tensor, n: int, heads: int) -> Tensor:
+    """:func:`attention` for one key and value: v (..., 1, D) repeated to n rows.
+
+    Softmax over one key is exactly 1, so the output ignores q and k and
+    their gradients are exact zeros; neither is an input. The backward sums
+    the n row gradients per head in attention's order, so both agree bit for bit.
+    """
+    if v.data.ndim < 2 or v.shape[-2] != 1:
+        raise DimensionError(f"single_key_attention expects v (..., 1, D), got {v.shape}")
+    *lead, _, d = v.shape
+    if n < 1 or heads < 1 or d % heads:
+        raise DimensionError(f"need n >= 1 and heads ({heads}) dividing the model width ({d})")
+    ones = np.ones((heads, 1, n))
+
+    def grad_fn(g):
+        gh = g.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
+        return ((ones @ gh).swapaxes(-3, -2).reshape(*lead, 1, d),)
+
+    return _result(np.repeat(v.data, n, axis=-2), (v,), grad_fn)
 
 
 def layer_norm(z: Tensor, eps: float = 1e-5) -> Tensor:

@@ -41,12 +41,13 @@ from .metrics import FaultThresholds, evaluate_forecast, lag_error, rmse
 from .model import ModelConfig, TSTransformerModel
 from .training import (
     TrainConfig,
-    forecast_csv,
     load_checkpoint,
     loss_history_csv,
     rolling_forecast,
     save_checkpoint,
+    series_csv,
     train,
+    write_atomic,
 )
 
 PREPROCESSED_PREFIX = "#preprocessed"
@@ -201,14 +202,7 @@ def _parse_overrides(items) -> dict:
 
 
 def _write_series_csv(path, ts: TimeSeries, time_column: str, marker: str | None) -> None:
-    lines = []
-    if marker:
-        lines.append(marker)
-    lines.append(",".join((time_column,) + ts.channel_names))
-    for i in range(len(ts)):
-        row = [repr(float(ts.time[i]))] + [repr(float(v)) for v in ts.features[i]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, series_csv((time_column,) + ts.channel_names, ts.time, ts.features, marker))
 
 
 def _is_preprocessed(path) -> bool:
@@ -304,7 +298,7 @@ def render_forecast_svg(path, time, true, pred, report, thresholds: FaultThresho
     legend = ET.SubElement(svg, "text", x=str(pad), y="24", fill="#333333")
     legend.set("font-size", "14")
     legend.text = "stack voltage: measured (red) vs predicted (blue)"
-    ET.ElementTree(svg).write(path, encoding="utf-8", xml_declaration=True)
+    write_atomic(path, ET.tostring(svg, encoding="utf-8", xml_declaration=True))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,7 @@ def cmd_preprocess(args) -> int:
     raw = ingest_csv(args.input, cfg.schema())  # also proves the file is UTF-8 text
     if _is_preprocessed(args.input):
         # Already condensed and filtered: pass through unchanged.
-        Path(args.out).write_bytes(Path(args.input).read_bytes())
+        write_atomic(args.out, Path(args.input).read_bytes())
         print(f"already preprocessed: {len(raw)} rows copied to {args.out}")
         return 0
     interval = cfg.get_float("interval_h")
@@ -353,7 +347,7 @@ def cmd_train(args) -> int:
     out_ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_ckpt, model, stats, extra)
     loss_path = Path(args.out_loss) if args.out_loss else out_ckpt.with_suffix(out_ckpt.suffix + ".loss.csv")
-    loss_path.write_text(loss_history_csv(history), encoding="utf-8")
+    write_atomic(loss_path, loss_history_csv(history))
     print(
         f"trained {model.parameter_count()} parameters for {len(history)} epochs; "
         f"final loss {history[-1]:.6g}; checkpoint {out_ckpt}, losses {loss_path}"
@@ -383,7 +377,8 @@ def cmd_predict(args) -> int:
             series.time, series.features[:, order], ckpt.stats.channel_names, target
         )
     result = _rollout(cfg, ckpt.to_model(), series, ckpt.stats)
-    Path(args.out).write_text(forecast_csv(result), encoding="utf-8")
+    columns = np.column_stack((result.true, result.pred))
+    write_atomic(args.out, series_csv(("time_h", "true_V", "pred_V"), result.time, columns))
     print(f"forecast {len(result.time)} test points -> {args.out}; RMSE {rmse(result.pred, result.true):.6g} V")
     return 0
 
@@ -396,10 +391,11 @@ def cmd_evaluate(args) -> int:
     report = evaluate_forecast(time, true, pred, thresholds, origin)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report.to_csv(), encoding="utf-8")
+    write_atomic(out, report.to_csv())
     svg_path = args.svg or str(out.with_suffix(".svg"))
     render_forecast_svg(svg_path, time, true, pred, report, thresholds, origin)
-    print(f"RMSE {report.rmse:.6g} V, Score_RUL {report.score_rul:.4f} -> {out}, plot {svg_path}")
+    score = "n/a" if report.score_rul is None else f"{report.score_rul:.4f}"
+    print(f"RMSE {report.rmse:.6g} V, Score_RUL {score} -> {out}, plot {svg_path}")
     return 0
 
 
@@ -423,7 +419,7 @@ def cmd_lag_scan(args) -> int:
             raise type(exc)(f"lag-scan failed for window size {size}: {exc}") from exc
         lags = [lag_error(result.time, result.pred, result.true, thr, origin) for thr in thresholds.voltages]
         lines.append(f"{size}," + ",".join("" if v is None else repr(v) for v in lags))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"lag table ({len(sizes)} window sizes x {len(thresholds.voltages)} thresholds) -> {args.out}")
     return 0
 

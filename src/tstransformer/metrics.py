@@ -67,11 +67,14 @@ class RulEstimate:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Full evaluation block for one forecast run."""
+    """Full evaluation block for one forecast run.
+
+    ``score_rul`` is None when no threshold gives a valid accuracy.
+    """
 
     rmse: float
     estimates: tuple
-    score_rul: float
+    score_rul: float | None
     lag_errors: tuple  # signed hours per threshold, None where flagged
 
     def to_csv(self) -> str:
@@ -83,7 +86,8 @@ class MetricsReport:
                 for v in (est.rul_true, est.rul_pred, est.percent_error, est.accuracy)
             ]
             lines.append(",".join(cells))
-        lines.append(f"summary,{self.rmse!r},{self.score_rul!r},,")
+        score = "" if self.score_rul is None else repr(self.score_rul)
+        lines.append(f"summary,{self.rmse!r},{score},,")
         return "\n".join(lines) + "\n"
 
 
@@ -184,7 +188,8 @@ def evaluate_forecast(
     ``origin_hours`` defaults to the first timestamp. Thresholds that
     one of the series never crosses, or that the true series has already
     reached at the origin (RUL 0, where percent error is undefined), are
-    flagged, warned about, and excluded from the score.
+    flagged, warned about, and excluded from the score; with none left
+    the score is None.
     """
     thresholds = thresholds or FaultThresholds()
     time = np.asarray(time, dtype=np.float64)
@@ -209,7 +214,7 @@ def evaluate_forecast(
         estimates.append(RulEstimate(frac, r_true, r_pred, pe, accuracy_ft(pe)))
         accs.append(estimates[-1].accuracy)
         lags.append(r_true - r_pred)
-    score = score_rul(accs, expected=len(thresholds.loss_fractions))
+    score = score_rul(accs, expected=len(thresholds.loss_fractions)) if accs else None
     return MetricsReport(
         rmse=rmse(pred, true),
         estimates=tuple(estimates),

@@ -194,12 +194,22 @@ class TSTransformerModel:
         """Attention with full-resolution queries over reduced keys/values.
 
         Output token count always matches the input, whatever the
-        stage's reduction factor.
+        stage's reduction factor. A stage that reduces K/V to one token
+        (N <= r) builds only V: softmax over one key is exactly 1, so q, k
+        and the k reducer cannot change the output and are skipped.
         """
         self._check_stage(stage)
-        q = ad.affine(tokens, self.param(f"stage{stage}.q.weight"), self.param(f"stage{stage}.q.bias"))
-        k_r, v_r = self.reduce_kv(tokens, stage)
-        attended = ad.attention(q, k_r, v_r, self.config.heads)
+        n, r = tokens.shape[-2], self.config.reduction_factors[stage]
+        if n > r:
+            q = ad.affine(tokens, self.param(f"stage{stage}.q.weight"), self.param(f"stage{stage}.q.bias"))
+            k_r, v_r = self.reduce_kv(tokens, stage)
+            attended = ad.attention(q, k_r, v_r, self.config.heads)
+        else:
+            v = ad.affine(tokens, self.param(f"stage{stage}.v.weight"), self.param(f"stage{stage}.v.bias"))
+            v_r = ad.depthwise_conv1d(
+                v, self.param(f"stage{stage}.v_reduce.kernel"), self.param(f"stage{stage}.v_reduce.bias"), r
+            )
+            attended = ad.single_key_attention(v_r, n, self.config.heads)
         return ad.affine(
             attended, self.param(f"stage{stage}.out.weight"), self.param(f"stage{stage}.out.bias")
         )
@@ -214,11 +224,14 @@ class TSTransformerModel:
         )
         return ad.layer_norm(ad.add(normed, ffn), eps)
 
-    def forward(self, window) -> Tensor:
+    def forward(self, window, channel: int | None = None) -> Tensor:
         """(lookback, n_variates) -> (n_variates, horizon) forecast.
 
         A leading batch axis is accepted: (B, lookback, n_variates)
-        yields (B, n_variates, horizon).
+        yields (B, n_variates, horizon). With ``channel`` set, only that
+        variate's row is returned, shape (..., 1, horizon), equal bit for
+        bit to that row of the full output; the mean is added back to that
+        row alone.
 
         Outside ``ad.no_grad()`` the forward is recorded: its nodes stay on
         the thread-local tape until a ``backward``. Run inference under it.
@@ -231,6 +244,8 @@ class TSTransformerModel:
         exits that range, cannot be tracked over long rollouts.
         """
         arr = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
+        if channel is not None and not 0 <= channel < self.config.n_variates:
+            raise ParameterError(f"channel {channel} out of range [0, {self.config.n_variates})")
         mu = arr.mean(axis=-2, keepdims=True)  # (..., 1, M)
         centered = arr - mu
 
@@ -239,8 +254,12 @@ class TSTransformerModel:
             tokens = self.trm_block(tokens, stage)
         delta = ad.affine(tokens, self.param("project.weight"), self.param("project.bias"))
 
-        mu_rows = np.repeat(mu.swapaxes(-1, -2), self.config.horizon, axis=-1)  # (..., M, S)
-        return ad.add(delta, Tensor(mu_rows))
+        mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
+        if channel is not None:
+            delta = ad.slice_axis(delta, -2, channel, channel + 1)
+            mu_rows = mu_rows[..., channel : channel + 1, :]
+        mu_rows = np.repeat(mu_rows, self.config.horizon, axis=-1)  # (..., rows, S)
+        return ad.add(delta, Tensor._wrap(mu_rows, False))
 
     def _check_stage(self, stage: int) -> None:
         if not 0 <= stage < self.config.stages:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -80,35 +83,45 @@ def mse_loss(pred: Tensor, truth) -> Tensor:
 
 @dataclass
 class AdamState:
+    """Step count and the moments of every parameter, flat in declared order."""
+
     step: int
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
 
 
 def adam_init(params) -> AdamState:
-    params = list(params)
-    return AdamState(
-        step=0,
-        m=[np.zeros_like(p.data) for p in params],
-        v=[np.zeros_like(p.data) for p in params],
-    )
+    size = sum(p.size for p in params)
+    return AdamState(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place; aborts on non-finite grads."""
+    """One bias-corrected Adam update, in place; aborts on non-finite grads.
+
+    The gradients (None counts as zero) are checked, then updated as one
+    flat vector; each parameter's slice of the step is subtracted in place.
+    """
+    named_params = list(named_params)
+    g = np.concatenate([
+        p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size) for _, p in named_params
+    ])
+    if not np.all(np.isfinite(g)):
+        name = next(n for n, p in named_params if p.grad is not None and not np.all(np.isfinite(p.grad)))
+        raise NumericalError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     c1 = 1.0 - config.beta1 ** t
     c2 = 1.0 - config.beta2 ** t
-    for (name, p), m, v in zip(named_params, state.m, state.v):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        p.data -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+    m, v = state.m, state.v
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * g * g
+    update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+    pos = 0
+    for _, p in named_params:
+        p.data -= update[pos : pos + p.size].reshape(p.shape)
+        pos += p.size
 
 
 def clip_global_norm(params, max_norm: float) -> float:
@@ -151,16 +164,16 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
             idx = order[start : start + config.batch_size]
             xb = windows.inputs[idx]
             yb = windows.targets[idx]
-            pred = model.forward(xb)  # (B, M, S)
             if config.loss_channels == LOSS_ALL:
                 if yb.ndim != 3:
                     raise ContractError("loss_channels='all' needs (n, horizon, channels) targets")
+                pred = model.forward(xb)  # (B, M, S)
                 loss = mse_loss(pred, np.ascontiguousarray(yb.transpose(0, 2, 1)))
             else:
                 if yb.ndim != 2:
                     raise ContractError("loss_channels='target' needs (n, horizon) targets")
-                pred_t = ad.slice_axis(pred, -2, target_row, target_row + 1)
-                loss = mse_loss(pred_t, yb[:, None, :])
+                pred = model.forward(xb, channel=target_row)  # (B, 1, S)
+                loss = mse_loss(pred, yb[:, None, :])
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, batch {b}")
@@ -317,13 +330,13 @@ def save_checkpoint(
     """Write magic, version, key=value header, then parameters as <f8."""
     extra = dict(extra or {})
     header = _header_text(model.config, stats, extra).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for _, p in model.named_parameters():
-            fh.write(p.data.astype("<f8").tobytes())
+    write_atomic(path, b"".join([
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", CHECKPOINT_VERSION),
+        struct.pack("<I", len(header)),
+        header,
+        *(p.data.astype("<f8").tobytes() for _, p in model.named_parameters()),
+    ]))
 
 
 def _parse_header(text: str) -> dict:
@@ -392,7 +405,24 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# small CSV helpers shared by the CLI and tests
+# artifact writing and small CSV helpers shared by the CLI and tests
+
+
+def write_atomic(path, data) -> None:
+    """Write bytes (or str, as UTF-8) to a new file beside ``path``, then rename it over ``path``.
+
+    Readers see the old file or the new one, never a part; a failed write
+    leaves the old file as it was and removes the temporary one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:  # created with the usual mode, unlike mkstemp's 0600
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def loss_history_csv(history) -> str:
@@ -402,8 +432,11 @@ def loss_history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def forecast_csv(result: ForecastResult) -> str:
-    lines = ["time_h,true_V,pred_V"]
-    for t, y, p in zip(result.time, result.true, result.pred):
-        lines.append(f"{float(t)!r},{float(y)!r},{float(p)!r}")
+def series_csv(names, time, columns, marker: str | None = None) -> str:
+    """Series CSV: an optional marker line, the ``names`` header, then per row
+    the time and each of the row's ``columns`` values, all as ``repr`` floats."""
+    lines = [marker] if marker else []
+    lines.append(",".join(names))
+    rows = zip(np.asarray(time, dtype=np.float64).tolist(), np.asarray(columns, dtype=np.float64).tolist())
+    lines += [",".join([repr(t)] + [repr(v) for v in row]) for t, row in rows]
     return "\n".join(lines) + "\n"

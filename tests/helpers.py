@@ -5,7 +5,11 @@ library ops: plain numpy, written straight from the classic
 scaled-dot-product formulation, so the model's multi-scale path can be
 checked against it. ``per_head_attention_loop`` is the opposite: the
 model's former attention, op for op in taped primitives, kept so the
-fused ``autodiff.attention`` can be held to it bit for bit.
+fused ``autodiff.attention`` can be held to it bit for bit. In the same
+way ``full_multi_scale_attention`` keeps the attention sublayer that built
+q, k and the k reducer in every stage, and ``adam_step_per_parameter`` the
+optimizer that updated one parameter at a time, so the single-key stages
+and the flat Adam update can be held to them.
 """
 
 import math
@@ -34,6 +38,30 @@ def per_head_attention_loop(q, k, v, heads: int) -> list:
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_scale)
         outs.append(ad.matmul(ad.softmax_last(scores), vh))
     return outs
+
+
+def full_multi_scale_attention(model, tokens, stage: int):
+    """The attention sublayer with q, k, the k reducer and attention in every
+    stage, even where K/V reduce to one token."""
+    w = lambda name: model.param(f"stage{stage}.{name}.weight")
+    b = lambda name: model.param(f"stage{stage}.{name}.bias")
+    q = ad.affine(tokens, w("q"), b("q"))
+    k_r, v_r = model.reduce_kv(tokens, stage)
+    return ad.affine(ad.attention(q, k_r, v_r, model.config.heads), w("out"), b("out"))
+
+
+def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -> None:
+    """Adam as a loop over parameters; ``m`` and ``v`` hold one array per
+    parameter and ``step`` is the count including this update."""
+    c1 = 1.0 - config.beta1 ** step
+    c2 = 1.0 - config.beta2 ** step
+    for (_, p), mi, vi in zip(named_params, m, v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        mi *= config.beta1
+        mi += (1.0 - config.beta1) * g
+        vi *= config.beta2
+        vi += (1.0 - config.beta2) * g * g
+        p.data -= config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + config.adam_eps)
 
 
 def vanilla_attention_reference(x: np.ndarray, model, stage: int) -> np.ndarray:

@@ -80,6 +80,7 @@ def test_criterion_2_gradient_suite():
     k = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     cot3 = Tensor(rng.normal(size=(2, 6)))
     kv = [Tensor(rng.normal(size=(3, 6)), requires_grad=True) for _ in range(2)]
+    v1 = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
     primitives = {
         "matmul": (lambda: ad.sum_all(ad.mul(ad.matmul(x, w), cot)), [x, w]),
         "affine": (lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), cot)), [x, w, b]),
@@ -91,6 +92,9 @@ def test_criterion_2_gradient_suite():
             [x, k, b],
         ),
         "attention": (lambda: ad.sum_all(ad.mul(ad.attention(x, *kv, 2), cot)), [x, *kv]),
+        "single_key_attention": (
+            lambda: ad.sum_all(ad.mul(ad.single_key_attention(v1, 4, 2), cot)), [v1]
+        ),
     }
     for name, (f, params) in primitives.items():
         err = ad.gradient_check(f, params, h=1e-5)

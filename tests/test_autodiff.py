@@ -198,6 +198,36 @@ def test_attention_multi_head_batched_gradient():
     assert ad.gradient_check(f, [q, k, v], h=1e-5) <= 1e-6
 
 
+@pytest.mark.parametrize("d", [8, 16])  # a plain ones @ g sum differs in the last bit at d=8, heads=4
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
+    rng = np.random.default_rng(heads * 10 + n)
+    q_a, k_a, v_a = (rng.normal(size=lead + (rows, d)) for rows in (n, 1, 1))
+    cot = Tensor(rng.normal(size=lead + (n, d)) * 10.0 ** rng.uniform(-3, 3, size=lead + (n, d)))
+    q, k, v = (t(a, grad=True) for a in (q_a, k_a, v_a))
+    full = ad.attention(q, k, v, heads)
+    ad.backward(ad.sum_all(ad.mul(full, cot)))
+    v1 = t(v_a, grad=True)
+    one = ad.single_key_attention(v1, n, heads)
+    ad.backward(ad.sum_all(ad.mul(one, cot)))
+    assert np.array_equal(one.data, full.data)
+    assert np.array_equal(v1.grad, v.grad)
+    assert not q.grad.any() and not k.grad.any()  # what the one-key case leaves out
+
+
+@pytest.mark.parametrize("v_shape, n, heads", [
+    ((2, 6), 3, 1),  # two value rows
+    ((6,), 3, 1),  # not a token matrix
+    ((1, 6), 0, 1),
+    ((1, 6), 3, 4),  # heads does not divide D
+])
+def test_single_key_attention_rejects_bad_shapes(v_shape, n, heads):
+    with pytest.raises(DimensionError):
+        ad.single_key_attention(t(np.ones(v_shape)), n, heads)
+
+
 # ---------------------------------------------------------------------------
 # relu / affine
 
@@ -244,6 +274,26 @@ def test_backward_diamond_accumulates():
     x = t([2.0, -1.0], grad=True)
     ad.backward(ad.sum_all(ad.add(ad.mul(x, x), ad.scale(x, 3.0))))
     assert np.array_equal(x.grad, [7.0, 1.0])
+
+
+def test_backward_add_of_itself():
+    # add hands one gradient array to both inputs; the first write must copy it
+    x = t([1.0, -2.0], grad=True)
+    y = ad.add(x, x)
+    ad.backward(ad.sum_all(ad.mul(y, t([3.0, 5.0]))))
+    assert np.array_equal(x.grad, [6.0, 10.0])
+    assert np.array_equal(y.grad, [3.0, 5.0])
+
+
+def test_backward_second_consumer_leaves_the_other_add_input_alone():
+    # a also feeds mul, taped before add, so a.grad is written again after
+    # add's backward gave a and b the same array
+    a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
+    u = ad.mul(a, t([10.0, 20.0]))
+    s = ad.add(a, b)
+    ad.backward(ad.sum_all(ad.add(ad.mul(s, t([2.0, 3.0])), u)))
+    assert np.array_equal(b.grad, [2.0, 3.0])
+    assert np.array_equal(a.grad, [12.0, 23.0])
 
 
 def test_backward_requires_scalar():

@@ -237,6 +237,20 @@ def test_evaluate_threshold_crossed_at_origin_is_flagged(tmp_path, capsys):
     assert rows[-1].endswith(",1.0,,")  # the other four thresholds score 1
 
 
+def test_evaluate_forecast_crossing_no_threshold_writes_report(tmp_path, capsys):
+    forecast = tmp_path / "f.csv"
+    forecast.write_text("time_h,true_V,pred_V\n0.0,3.3,3.3\n1.0,3.3,3.3\n2.0,3.3,3.3\n")
+    out = tmp_path / "r.csv"
+    with pytest.warns(RulCoverageWarning):
+        assert run("evaluate", "--forecast", forecast, "--out", out,
+                   "--set", "rul_origin_hours=0") == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 7 and all(row.endswith(",,,,") for row in rows[1:-1])
+    assert rows[-1] == "summary,0.0,,,"
+    assert "Score_RUL n/a" in capsys.readouterr().out
+    assert ET.parse(tmp_path / "r.svg").getroot().tag.endswith("svg")
+
+
 @pytest.mark.parametrize("defect", ["repeated time", "nan", "inf"])
 def test_evaluate_forecast_breaking_series_rules_exit_2(perfect_forecast, tmp_path, defect):
     # Rows that the old private parser accepted, in a forecast that crosses

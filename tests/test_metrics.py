@@ -257,8 +257,15 @@ def test_evaluate_forecast_excludes_missing_crossings_and_warns():
     true = 3.31 - 1.0e-3 * (t - 500.0)  # crosses both
     pred = np.full_like(t, 3.30)  # crosses neither
     with pytest.warns(RulCoverageWarning):
-        with pytest.raises(ContractError):
-            evaluate_forecast(t, true, pred, thresholds, 500.0)
+        report = evaluate_forecast(t, true, pred, thresholds, 500.0)
+    # no threshold left to score: the report says so instead of failing
+    assert report.score_rul is None
+    assert all(e.accuracy is None and e.rul_pred is None for e in report.estimates)
+    assert report.lag_errors == (None, None)
+    assert report.rmse == pytest.approx(rmse(pred, true), abs=0.0)
+    assert report.to_csv().splitlines()[-1] == f"summary,{report.rmse!r},,,"
+    with pytest.raises(ContractError):
+        score_rul([None, None])
 
 
 def test_evaluate_forecast_flags_threshold_crossed_at_origin():

@@ -191,12 +191,13 @@ def test_attention_matches_per_head_loop_bit_for_bit(heads, j, lead):
 
 @pytest.mark.parametrize("heads", [1, 4])
 def test_recorded_forward_tape_nodes(heads):
-    # embed affine, 13 ops per stage over 4 stages, head affine, mean add
+    # embed affine, 13 ops in each of stages 0-1, 10 in each of the single-key
+    # stages 2-3 (M=5 tokens, r=16 and 32: no q, k or k reducer), head affine, mean add
     cfg = load_run_config(None, (f"heads={heads}",)).model_config(5)
     model = TSTransformerModel(cfg, seed=0)
     before = len(ad._state.tape)  # a forward left unconsumed elsewhere stays on the tape
     out = model.forward(np.random.default_rng(0).normal(size=(8, cfg.lookback, 5)))
-    assert len(ad._state.tape) - before == 55
+    assert len(ad._state.tape) - before == 49
     ad.backward(ad.sum_all(out))  # consumes the tape
 
 
@@ -274,6 +275,23 @@ def test_forward_batch_matches_single():
     assert out.shape == (4, 6, 3)
     for i in range(4):
         assert np.allclose(out[i], model.forward(batch[i]).data, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_forward_channel_is_the_full_forward_row_bit_for_bit(lead):
+    model = TSTransformerModel(toy_config(horizon=3), seed=15)
+    x = np.random.default_rng(12).normal(size=lead + (32, 6))
+    with ad.no_grad():
+        full = model.forward(x).data
+        for c in range(6):
+            assert np.array_equal(model.forward(x, channel=c).data, full[..., c : c + 1, :])
+
+
+@pytest.mark.parametrize("channel", [-1, 6])
+def test_forward_channel_out_of_range(channel):
+    model = TSTransformerModel(toy_config(), seed=15)
+    with pytest.raises(ParameterError):
+        model.forward(np.zeros((32, 6)), channel=channel)
 
 
 def test_vanilla_forward_permutation_equivariant():

@@ -2,14 +2,18 @@
 checkpoint round-trips, and the rolling forecast."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from helpers import adam_step_per_parameter, full_multi_scale_attention
 from tstransformer import autodiff as ad
+from tstransformer import training
 from tstransformer.autodiff import Tensor
 from tstransformer.data import (
     DegradationSpec,
+    NormStats,
     TimeSeries,
     make_windows,
     split_at,
@@ -25,13 +29,14 @@ from tstransformer.training import (
     adam_init,
     adam_step,
     clip_global_norm,
-    forecast_csv,
     load_checkpoint,
     loss_history_csv,
     mse_loss,
     rolling_forecast,
     save_checkpoint,
+    series_csv,
     train,
+    write_atomic,
 )
 
 
@@ -112,6 +117,89 @@ def test_adam_aborts_on_nan_grad():
     p.grad = np.array([np.nan])
     with pytest.raises(NumericalError, match="embedding"):
         adam_step([("embedding", p)], adam_init([p]), cfg)
+
+
+def test_adam_checks_every_gradient_before_updating():
+    cfg = TrainConfig()
+    a, b = Tensor([1.0], requires_grad=True), Tensor([2.0, 3.0], requires_grad=True)
+    a.grad, b.grad = np.array([0.5]), np.array([1.0, np.inf])
+    state = adam_init([a, b])
+    with pytest.raises(NumericalError, match="'b'"):
+        adam_step([("a", a), ("b", b)], state, cfg)
+    assert a.data[0] == 1.0 and state.step == 0 and not state.m.any()
+
+
+def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
+    cfg = TrainConfig(learning_rate=0.01)
+    shapes = [(3, 4), (5,), (2, 2, 2), (1,)]
+    rng = np.random.default_rng(31)
+    init = [rng.normal(size=s) for s in shapes]
+    grads = [[rng.normal(size=s) * 10.0 ** rng.uniform(-4, 2) for s in shapes] for _ in range(6)]
+
+    def run(flat):
+        params = [Tensor(x, requires_grad=True) for x in init]
+        named = [(f"p{i}", p) for i, p in enumerate(params)]
+        state = adam_init(params)
+        m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        for step, gs in enumerate(grads, start=1):
+            for i, (p, g) in enumerate(zip(params, gs)):
+                p.grad = None if (i + step) % 3 == 0 else g.copy()  # None counts as zero
+            if flat:
+                adam_step(named, state, cfg)
+            else:
+                adam_step_per_parameter(named, m, v, step, cfg)
+        return [p.data for p in params]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("loss_channels", ["target", "all"])
+@pytest.mark.parametrize("m", [4, 5, 6])  # single-key stages 1-3 at M=4, 2-3 at 5 and 6
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, monkeypatch):
+    # Single-key stages, the target-row forward and the flat Adam update
+    # against q/k/attention in every stage, the full forward's row and the
+    # per-parameter loop: every forward and the parameters after 5 clipped steps.
+    cfg = ModelConfig(n_variates=m, lookback=8, horizon=3, heads=heads)
+    tcfg = TrainConfig(learning_rate=0.05, clip_norm=0.5)
+    rng = np.random.default_rng(heads * 10 + m)
+    xs = rng.normal(size=(5, 8, 8, m))
+    ys = rng.normal(size=(5, 8, m, 3))
+    row = 2
+
+    def run(former):
+        model = TSTransformerModel(cfg, seed=4)
+        named = model.named_parameters()
+        params = [p for _, p in named]
+        state = adam_init(params)
+        moments = ([np.zeros_like(p.data) for p in params], [np.zeros_like(p.data) for p in params])
+        seen = []
+        for step, (x, y) in enumerate(zip(xs, ys), start=1):
+            if loss_channels == "all":
+                pred, truth = model.forward(x), y
+            elif former:
+                pred, truth = ad.slice_axis(model.forward(x), -2, row, row + 1), y[:, row : row + 1]
+            else:
+                pred, truth = model.forward(x, channel=row), y[:, row : row + 1]
+            seen.append(pred.data)
+            ad.backward(mse_loss(pred, truth))
+            if not former:
+                assert model.param("stage2.q.weight").grad is None  # the single-key path ran
+            clip_global_norm(params, tcfg.clip_norm)
+            if former:
+                adam_step_per_parameter(named, *moments, step, tcfg)
+            else:
+                adam_step(named, state, tcfg)
+            ad.zero_grad(params)
+        return seen + [p.data for p in params]
+
+    new = run(False)
+    monkeypatch.setattr(TSTransformerModel, "multi_scale_attention", full_multi_scale_attention)
+    old = run(True)
+    assert len(new) == len(old) == 5 + len(TSTransformerModel(cfg).parameters())
+    for got, want in zip(new, old):
+        assert np.array_equal(got, want)
 
 
 def test_clip_global_norm():
@@ -374,6 +462,37 @@ def test_rolling_forecast_non_finite_round_is_numerical_error():
 # csv helpers
 
 
+@pytest.mark.parametrize("failure", ["write", "rename"])
+def test_write_atomic_failure_keeps_the_old_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "model.ckpt"
+    model = TSTransformerModel(ModelConfig(n_variates=2, lookback=4, horizon=1), seed=1)
+    stats = NormStats(("a", "b"), np.zeros(2), np.ones(2), ())
+    save_checkpoint(path, model, stats)
+    before = path.read_bytes()
+    model.param("project.bias").data[...] = 1.0
+    if failure == "write":
+        with pytest.raises(TypeError):
+            write_atomic(path, 12345)  # the temporary file exists when write() fails
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(training.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_checkpoint(path, model, stats)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+
+
+def test_write_atomic_replaces_with_the_usual_file_mode(tmp_path):
+    plain, atomic = tmp_path / "plain.csv", tmp_path / "atomic.csv"
+    plain.write_text("old\n")
+    atomic.write_text("old\n")
+    write_atomic(atomic, "new\n")
+    assert atomic.read_text() == "new\n"
+    assert os.stat(atomic).st_mode == os.stat(plain).st_mode
+    assert sorted(os.listdir(tmp_path)) == ["atomic.csv", "plain.csv"]
+
+
 def test_loss_history_csv_shape():
     text = loss_history_csv([0.5, 0.25])
     assert text.splitlines() == ["epoch,mean_loss", "1,0.5", "2,0.25"]
@@ -386,6 +505,7 @@ def test_forecast_csv_round_trip_floats():
         time=np.array([500.05]), true=np.array([3.2987654321012345]),
         pred=np.array([3.2991]), target_channel="Utot_V",
     )
-    line = forecast_csv(fc).splitlines()[1]
+    text = series_csv(("time_h", "true_V", "pred_V"), fc.time, np.column_stack((fc.true, fc.pred)))
+    line = text.splitlines()[1]
     t, y, p = (float(v) for v in line.split(","))
     assert (t, y, p) == (500.05, 3.2987654321012345, 3.2991)
