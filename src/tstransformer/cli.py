@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -40,6 +40,7 @@ from .errors import (
 from .metrics import FaultThresholds, evaluate_forecast, lag_error, rmse
 from .model import ModelConfig, TSTransformerModel
 from .training import (
+    FIELD_CODECS,
     TrainConfig,
     load_checkpoint,
     loss_history_csv,
@@ -52,39 +53,41 @@ from .training import (
 
 PREPROCESSED_PREFIX = "#preprocessed"
 
+# A config key differs from the dataclass field it sets only here.
+_RENAMED = {
+    "eps": "layer_norm_eps", "beta1": "adam_beta1", "beta2": "adam_beta2", "loss_fractions": "thresholds",
+}
+
+# Config key -> field, per dataclass: every field with a default and a text codec.
+# CsvSchema.covariates ("tuple | None") has no codec; covariate_columns sets it.
+_FIELD_KEYS = {
+    cls: {
+        _RENAMED.get(f.name, f.name): f
+        for f in fields(cls) if f.default is not MISSING and f.type in FIELD_CODECS
+    }
+    for cls in (CsvSchema, ModelConfig, TrainConfig, FaultThresholds)
+}
+
 # Every configuration key with its documented default. Unknown keys in a
-# config file are rejected with their line number.
+# config file are rejected with their line number. The keys below belong to
+# the CLI; the others take their default from the field they set.
 DEFAULTS = {
-    "time_column": "time_h",
-    "target_column": "Utot_V",
     "covariate_columns": "auto",  # auto = every non-time column
     "interval_h": "0.1",
     "ma_window": "15",
     "split_hours": "500.0",
     "lookback": "32",
     "horizon": "1",
-    "width": "16",
-    "stages": "4",
-    "ratios": "1,0.25,0.0625,0.03125",
-    "heads": "1",
-    "mode": "multi_scale",
-    "layer_norm_eps": "1e-5",
-    "learning_rate": "0.001",
-    "epochs": "300",
-    "batch_size": "64",
-    "seed": "42",
-    "adam_beta1": "0.9",
-    "adam_beta2": "0.999",
-    "adam_eps": "1e-8",
-    "clip_norm": "1.0",
-    "patience": "0",
-    "loss_channels": "target",
-    "initial_voltage": "3.325",
-    "thresholds": "0.035,0.04,0.045,0.05,0.055",
     "rul_origin_hours": "split",  # split = use split_hours
     "covariate_mode": "oracle",
     "forecast_step": "0",  # 0 = horizon
+    **{key: FIELD_CODECS[f.type][0](f.default) for keys in _FIELD_KEYS.values() for key, f in keys.items()},
 }
+
+# The keys predict reads; the rest of its run comes from the checkpoint.
+_PREDICT_KEYS = ("split_hours", "covariate_mode", "forecast_step", "time_column")
+
+_KINDS = {"int": "an integer", "float": "a finite number", "tuple": "a list of finite numbers"}
 
 
 @dataclass
@@ -96,67 +99,55 @@ class RunConfig:
     def __getitem__(self, key: str) -> str:
         return self.raw[key]
 
-    def _typed(self, key: str, convert, kind: str):
+    def _decode(self, key: str, kind: str):
         value = self.raw[key]
         try:
-            return convert(value)
+            return FIELD_CODECS[kind][1](value)
         except ValueError:
-            raise ConfigError(f"config key {key!r}: expected {kind}, got {value!r}") from None
+            raise ConfigError(f"config key {key!r}: expected {_KINDS[kind]}, got {value!r}") from None
 
     def get_float(self, key: str) -> float:
-        return self._typed(key, float, "a number")
+        return self._decode(key, "float")
 
     def get_int(self, key: str) -> int:
-        return self._typed(key, int, "an integer")
+        return self._decode(key, "int")
 
-    def floats(self, key: str) -> tuple:
-        return self._typed(key, lambda v: tuple(map(float, v.split(","))), "a list of numbers")
+    def _fields(self, cls) -> dict:
+        """``cls``'s config keys, decoded, by field name."""
+        return {f.name: self._decode(key, f.type) for key, f in _FIELD_KEYS[cls].items()}
 
     def schema(self) -> CsvSchema:
         cov = self.raw["covariate_columns"]
         covariates = None if cov == "auto" else tuple(c for c in cov.split(",") if c)
-        return CsvSchema(
-            time_column=self.raw["time_column"],
-            target_column=self.raw["target_column"],
-            covariates=covariates,
-        )
+        return CsvSchema(covariates=covariates, **self._fields(CsvSchema))
 
     def model_config(self, n_variates: int, lookback: int | None = None) -> ModelConfig:
-        return ModelConfig(
-            n_variates=n_variates,
-            lookback=self.get_int("lookback") if lookback is None else lookback,
-            horizon=self.get_int("horizon"),
-            width=self.get_int("width"),
-            stages=self.get_int("stages"),
-            ratios=self.floats("ratios"),
-            heads=self.get_int("heads"),
-            mode=self.raw["mode"],
-            eps=self.get_float("layer_norm_eps"),
-        )
+        lookback = self.get_int("lookback") if lookback is None else lookback
+        return ModelConfig(n_variates, lookback, self.get_int("horizon"), **self._fields(ModelConfig))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.get_float("learning_rate"),
-            epochs=self.get_int("epochs"),
-            batch_size=self.get_int("batch_size"),
-            seed=self.get_int("seed"),
-            beta1=self.get_float("adam_beta1"),
-            beta2=self.get_float("adam_beta2"),
-            adam_eps=self.get_float("adam_eps"),
-            clip_norm=self.get_float("clip_norm"),
-            patience=self.get_int("patience"),
-            loss_channels=self.raw["loss_channels"],
-        )
+        return TrainConfig(**self._fields(TrainConfig))
 
     def thresholds(self) -> FaultThresholds:
-        return FaultThresholds(
-            initial_voltage=self.get_float("initial_voltage"),
-            loss_fractions=self.floats("thresholds"),
-        )
+        return FaultThresholds(**self._fields(FaultThresholds))
 
     def rul_origin(self) -> float:
         split = self.raw["rul_origin_hours"] == "split"
         return self.get_float("split_hours" if split else "rul_origin_hours")
+
+
+def _entry(item: str, where: str, strip: bool = False) -> tuple:
+    """Check one ``key=value`` entry (``where`` leads its errors); return (key, value)."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, _, value = item.partition("=")
+    if strip:
+        key, value = key.strip(), value.strip()
+    if key not in DEFAULTS:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    if "\n" in value or "\r" in value:
+        raise ConfigError(f"{where}: value of config key {key!r} contains a line break")
+    return key, value
 
 
 def load_run_config(path=None, overrides=()) -> RunConfig:
@@ -169,32 +160,11 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         for lineno, line in enumerate(text.split("\n"), start=1):
             entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            if "=" not in entry:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {entry!r}")
-            key, _, value = entry.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
-    values.update(_parse_overrides(overrides))
+            if entry and not entry.startswith("#"):
+                key, value = _entry(entry, f"{path}:{lineno}", strip=True)
+                values[key] = value
+    values.update(_entry(item, "--set") for item in overrides)
     return RunConfig(values)
-
-
-def _parse_overrides(items) -> dict:
-    """Validate ``--set key=value`` items against the known config keys."""
-    values = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        if key not in DEFAULTS:
-            raise ConfigError(f"--set: unknown config key {key!r}")
-        if "\n" in value or "\r" in value:
-            raise ConfigError(f"--set: value of config key {key!r} contains a line break")
-        values[key] = value
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +332,14 @@ def cmd_predict(args) -> int:
         raise CorruptionError(f"checkpoint not readable: {exc}") from exc
     # The run's train.* header values, overlaid by this call's --set values.
     trained = {k.removeprefix("train."): v for k, v in ckpt.header.items() if k.startswith("train.")}
-    cfg = RunConfig({**DEFAULTS, **trained, **_parse_overrides(args.set or ())})
+    overrides = dict(_entry(item, "--set") for item in args.set or ())
+    unread = [key for key in overrides if key not in _PREDICT_KEYS]
+    if unread:
+        raise ConfigError(
+            f"predict --set: config key {unread[0]!r} comes from the checkpoint; "
+            f"predict reads only {', '.join(_PREDICT_KEYS)}"
+        )
+    cfg = RunConfig({**DEFAULTS, **trained, **overrides})
     target = ckpt.header.get("stats.target", ckpt.stats.channel_names[0])
     schema = CsvSchema(
         time_column=cfg["time_column"],

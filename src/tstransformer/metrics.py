@@ -36,7 +36,7 @@ class FaultThresholds:
 
     def __post_init__(self):
         object.__setattr__(self, "loss_fractions", tuple(float(f) for f in self.loss_fractions))
-        if self.initial_voltage <= 0.0:
+        if not self.initial_voltage > 0.0:  # NaN fails too
             raise ParameterError(f"initial voltage must be positive, got {self.initial_voltage}")
         fr = self.loss_fractions
         if not fr:

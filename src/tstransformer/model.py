@@ -64,7 +64,7 @@ class ModelConfig:
             raise ParameterError(f"heads ({self.heads}) must divide width ({self.width})")
         if self.mode not in (MULTI_SCALE, VANILLA):
             raise ParameterError(f"mode must be '{MULTI_SCALE}' or '{VANILLA}', got {self.mode!r}")
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:  # NaN fails too
             raise ParameterError(f"eps must be positive, got {self.eps}")
 
     @property
@@ -100,8 +100,7 @@ class TSTransformerModel:
         self.config = config
         rng = np.random.default_rng(seed)
         d, tw, s = config.width, config.lookback, config.horizon
-        self._params: dict[str, Tensor] = {}
-        self._order: list[str] = []
+        self._params: dict[str, Tensor] = {}  # in declared (checkpoint) order
 
         self._add("embed.weight", self._uniform(rng, (tw, d), tw))
         self._add("embed.bias", np.zeros(d))
@@ -126,16 +125,15 @@ class TSTransformerModel:
 
     def _add(self, name: str, values: np.ndarray) -> None:
         self._params[name] = Tensor(values, requires_grad=True)
-        self._order.append(name)
 
     # -- parameter access ---------------------------------------------------
 
     def named_parameters(self) -> list:
         """(name, tensor) pairs in declared (checkpoint) order."""
-        return [(name, self._params[name]) for name in self._order]
+        return list(self._params.items())
 
     def parameters(self) -> list:
-        return [self._params[name] for name in self._order]
+        return list(self._params.values())
 
     def param(self, name: str) -> Tensor:
         return self._params[name]
@@ -146,12 +144,11 @@ class TSTransformerModel:
     def load_arrays(self, arrays) -> None:
         """Overwrite parameters from arrays given in declared order."""
         arrays = list(arrays)
-        if len(arrays) != len(self._order):
+        if len(arrays) != len(self._params):
             raise ParameterError(
-                f"expected {len(self._order)} parameter arrays, got {len(arrays)}"
+                f"expected {len(self._params)} parameter arrays, got {len(arrays)}"
             )
-        for name, arr in zip(self._order, arrays):
-            tensor = self._params[name]
+        for (name, tensor), arr in zip(self._params.items(), arrays):
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != tensor.shape:
                 raise ParameterError(
@@ -160,6 +157,17 @@ class TSTransformerModel:
             tensor.data[...] = arr
 
     # -- forward pieces -----------------------------------------------------
+
+    def _affine(self, x, prefix: str) -> Tensor:
+        return ad.affine(x, self.param(f"{prefix}.weight"), self.param(f"{prefix}.bias"))
+
+    def _reduced(self, tokens: Tensor, stage: int, name: str) -> Tensor:
+        """Project tokens to K or V (``name``) and shrink them along the token axis."""
+        p = f"stage{stage}.{name}"
+        return ad.depthwise_conv1d(
+            self._affine(tokens, p), self.param(f"{p}_reduce.kernel"), self.param(f"{p}_reduce.bias"),
+            self.config.reduction_factors[stage],
+        )
 
     def embed(self, window) -> Tensor:
         """Map a (lookback, n_variates) window to one token per variate.
@@ -174,21 +182,12 @@ class TSTransformerModel:
                 f"window shape {win.shape} does not end in "
                 f"(lookback={cfg.lookback}, n_variates={cfg.n_variates})"
             )
-        return ad.affine(ad.transpose(win), self.param("embed.weight"), self.param("embed.bias"))
+        return self._affine(ad.transpose(win), "embed")
 
     def reduce_kv(self, tokens: Tensor, stage: int) -> tuple:
         """Project tokens to K and V and shrink each along the token axis."""
         self._check_stage(stage)
-        k = ad.affine(tokens, self.param(f"stage{stage}.k.weight"), self.param(f"stage{stage}.k.bias"))
-        v = ad.affine(tokens, self.param(f"stage{stage}.v.weight"), self.param(f"stage{stage}.v.bias"))
-        r = self.config.reduction_factors[stage]
-        k_r = ad.depthwise_conv1d(
-            k, self.param(f"stage{stage}.k_reduce.kernel"), self.param(f"stage{stage}.k_reduce.bias"), r
-        )
-        v_r = ad.depthwise_conv1d(
-            v, self.param(f"stage{stage}.v_reduce.kernel"), self.param(f"stage{stage}.v_reduce.bias"), r
-        )
-        return k_r, v_r
+        return self._reduced(tokens, stage, "k"), self._reduced(tokens, stage, "v")
 
     def multi_scale_attention(self, tokens: Tensor, stage: int) -> Tensor:
         """Attention with full-resolution queries over reduced keys/values.
@@ -201,27 +200,19 @@ class TSTransformerModel:
         self._check_stage(stage)
         n, r = tokens.shape[-2], self.config.reduction_factors[stage]
         if n > r:
-            q = ad.affine(tokens, self.param(f"stage{stage}.q.weight"), self.param(f"stage{stage}.q.bias"))
+            q = self._affine(tokens, f"stage{stage}.q")
             k_r, v_r = self.reduce_kv(tokens, stage)
             attended = ad.attention(q, k_r, v_r, self.config.heads)
         else:
-            v = ad.affine(tokens, self.param(f"stage{stage}.v.weight"), self.param(f"stage{stage}.v.bias"))
-            v_r = ad.depthwise_conv1d(
-                v, self.param(f"stage{stage}.v_reduce.kernel"), self.param(f"stage{stage}.v_reduce.bias"), r
-            )
-            attended = ad.single_key_attention(v_r, n, self.config.heads)
-        return ad.affine(
-            attended, self.param(f"stage{stage}.out.weight"), self.param(f"stage{stage}.out.bias")
-        )
+            attended = ad.single_key_attention(self._reduced(tokens, stage, "v"), n, self.config.heads)
+        return self._affine(attended, f"stage{stage}.out")
 
     def trm_block(self, tokens: Tensor, stage: int) -> Tensor:
         """Residual attention and feed-forward sublayers, post-norm layout."""
         self._check_stage(stage)
         eps = self.config.eps
         normed = ad.layer_norm(ad.add(tokens, self.multi_scale_attention(tokens, stage)), eps)
-        ffn = ad.relu(
-            ad.affine(normed, self.param(f"stage{stage}.ffn.weight"), self.param(f"stage{stage}.ffn.bias"))
-        )
+        ffn = ad.relu(self._affine(normed, f"stage{stage}.ffn"))
         return ad.layer_norm(ad.add(normed, ffn), eps)
 
     def forward(self, window, channel: int | None = None) -> Tensor:
@@ -252,7 +243,7 @@ class TSTransformerModel:
         tokens = self.embed(centered)
         for stage in range(self.config.stages):
             tokens = self.trm_block(tokens, stage)
-        delta = ad.affine(tokens, self.param("project.weight"), self.param("project.bias"))
+        delta = self._affine(tokens, "project")
 
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
         if channel is not None:

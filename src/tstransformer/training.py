@@ -48,12 +48,22 @@ class TrainConfig:
     loss_channels: str = LOSS_TARGET
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
+        # Written as ``not x > 0`` so that NaN fails too.
+        if not self.learning_rate > 0.0:
+            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0.0:
+            raise ParameterError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not self.clip_norm >= 0.0 or self.patience < 0:
+            raise ParameterError(
+                f"clip_norm and patience must be >= 0, got {self.clip_norm}, {self.patience}"
+            )
         if self.loss_channels not in (LOSS_TARGET, LOSS_ALL):
             raise ParameterError(f"loss_channels must be 'target' or 'all', got {self.loss_channels!r}")
 
@@ -151,7 +161,13 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
     named = model.named_parameters()
     params = [p for _, p in named]
     state = adam_init(params)
-    target_row = windows.channel_names.index(windows.target_channel)
+    rank = 3 if config.loss_channels == LOSS_ALL else 2
+    if windows.targets.ndim != rank:
+        raise ContractError(
+            f"loss_channels={config.loss_channels!r} needs {rank}-d targets, got {windows.targets.ndim}-d"
+        )
+    # None scores every variate's row, else only the target's.
+    channel = None if config.loss_channels == LOSS_ALL else windows.channel_names.index(windows.target_channel)
 
     history = []
     best = math.inf
@@ -162,18 +178,9 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
         total = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            xb = windows.inputs[idx]
-            yb = windows.targets[idx]
-            if config.loss_channels == LOSS_ALL:
-                if yb.ndim != 3:
-                    raise ContractError("loss_channels='all' needs (n, horizon, channels) targets")
-                pred = model.forward(xb)  # (B, M, S)
-                loss = mse_loss(pred, np.ascontiguousarray(yb.transpose(0, 2, 1)))
-            else:
-                if yb.ndim != 2:
-                    raise ContractError("loss_channels='target' needs (n, horizon) targets")
-                pred = model.forward(xb, channel=target_row)  # (B, 1, S)
-                loss = mse_loss(pred, yb[:, None, :])
+            yb = windows.targets[idx]  # (B, S) or (B, S, M)
+            pred = model.forward(windows.inputs[idx], channel=channel)  # (B, 1 or M, S)
+            loss = mse_loss(pred, np.ascontiguousarray(yb.reshape(*yb.shape[:2], -1).transpose(0, 2, 1)))
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, batch {b}")
@@ -290,13 +297,21 @@ class Checkpoint:
         return model
 
 
-# (encode, decode) per ModelConfig field type, shared by the header's writer and
-# reader. Ints use str because numpy 2 reprs a numpy integer as "np.int64(16)".
-_FIELD_CODECS = {
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+# (encode, decode) per config dataclass field type, shared by the checkpoint
+# header and the CLI's config keys. Ints use str because numpy 2 reprs a numpy
+# integer as "np.int64(16)". Decoders raise ValueError, also on non-finite floats.
+FIELD_CODECS = {
     "int": (str, int),
-    "float": (repr, float),
+    "float": (repr, _finite_float),
     "str": (str, str),
-    "tuple": (lambda v: ",".join(map(repr, v)), lambda text: tuple(map(float, text.split(",")))),
+    "tuple": (lambda v: ",".join(map(repr, v)), lambda text: tuple(map(_finite_float, text.split(",")))),
 }
 
 
@@ -305,7 +320,7 @@ def _header_text(config: ModelConfig, stats: NormStats, extra: dict) -> str:
     if bad:
         raise ParameterError(f"checkpoint header entry {bad[0]!r} has '=' in its key or a line break")
     lines = [
-        f"model.{f.name}={_FIELD_CODECS[f.type][0](getattr(config, f.name))}"
+        f"model.{f.name}={FIELD_CODECS[f.type][0](getattr(config, f.name))}"
         for f in dataclasses.fields(ModelConfig)
     ]
     lines += [
@@ -352,7 +367,7 @@ def _parse_header(text: str) -> dict:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Validate magic, version, header encoding, scalar count and finiteness, then rebuild."""
+    """Validate magic, version, header encoding and stats, scalar count and finiteness, then rebuild."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12:
@@ -369,20 +384,30 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         fields = _parse_header(blob[12 : 12 + header_len].decode("utf-8"))
         config = ModelConfig(**{
-            f.name: _FIELD_CODECS[f.type][1](fields[f"model.{f.name}"])
+            f.name: FIELD_CODECS[f.type][1](fields[f"model.{f.name}"])
             for f in dataclasses.fields(ModelConfig)
         })
-        channels = tuple(fields["stats.channels"].split(","))
+        decode_floats = FIELD_CODECS["tuple"][1]
         stats = NormStats(
-            channel_names=channels,
-            mean=np.array([float(v) for v in fields["stats.mean"].split(",")]),
-            std=np.array([float(v) for v in fields["stats.std"].split(",")]),
+            channel_names=tuple(fields["stats.channels"].split(",")),
+            mean=decode_floats(fields["stats.mean"]),
+            std=decode_floats(fields["stats.std"]),
             constant_channels=tuple(
                 c for c in fields["stats.constant"].split(",") if c
             ),
         )
     except (KeyError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise CorruptionError(f"invalid checkpoint header: {exc}") from exc
+    counts = {len(stats.channel_names), len(stats.mean), len(stats.std), config.n_variates}
+    if len(counts) != 1:
+        raise CorruptionError(
+            f"checkpoint stats disagree: {len(stats.channel_names)} channels, {len(stats.mean)} means, "
+            f"{len(stats.std)} stds, model.n_variates={config.n_variates}"
+        )
+    if not np.all(stats.std > 0.0):
+        raise CorruptionError(f"checkpoint stats.std holds a value <= 0: {fields['stats.std']}")
+    if fields.get("stats.target", stats.channel_names[0]) not in stats.channel_names:
+        raise CorruptionError(f"checkpoint stats.target {fields['stats.target']!r} is not among stats.channels")
 
     payload = blob[12 + header_len :]
     if len(payload) % 8 != 0:

@@ -6,12 +6,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from helpers import edit_checkpoint_header
 from tstransformer import cli
 from tstransformer.cli import DEFAULTS, _write_series_csv, load_run_config, main
-from tstransformer.data import DegradationSpec, ingest_csv, synth_degradation
+from tstransformer.data import CsvSchema, DegradationSpec, ingest_csv, synth_degradation
 from tstransformer.errors import ConfigError
-from tstransformer.metrics import RulCoverageWarning, lag_error
-from tstransformer.training import load_checkpoint, save_checkpoint
+from tstransformer.metrics import FaultThresholds, RulCoverageWarning, lag_error
+from tstransformer.model import ModelConfig
+from tstransformer.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,25 @@ def test_defaults_cover_documented_keys():
     assert cfg.raw == DEFAULTS
     assert cfg.thresholds().loss_fractions == (0.035, 0.04, 0.045, 0.05, 0.055)
     assert cfg.rul_origin() == 500.0
+
+
+def test_default_config_builds_library_defaults():
+    cfg = load_run_config(None, ())
+    assert len(DEFAULTS) == 29
+    assert cfg.model_config(5) == ModelConfig(5, 32, 1)
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.thresholds() == FaultThresholds()
+    assert cfg.schema() == CsvSchema()
+
+
+def test_config_file_and_set_entries_share_one_check(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("  epochs = 7  \r\n\n# note\nseed=3\n")
+    cfg = load_run_config(p, ("learning_rate=0.5",))
+    assert (cfg["epochs"], cfg["seed"], cfg["learning_rate"]) == ("7", "3", "0.5")
+    for item, message in ((" epochs=3", "unknown config key ' epochs'"), ("epochs", "expected key=value")):
+        with pytest.raises(ConfigError, match=f"--set: {message}"):
+            load_run_config(None, (item,))
 
 
 def test_unknown_key_reports_line_number(tmp_path):
@@ -156,6 +177,39 @@ def test_predict_unknown_override_exit_2(workdir, tmp_path, capsys):
     assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", workdir / "model.ckpt",
                "--out", tmp_path / "f.csv", "--set", "bogus_key=1") == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+def test_predict_rejects_keys_it_does_not_read(workdir, tmp_path, capsys):
+    for key in ("lookback=64", "epochs=5", "width=8"):
+        assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", workdir / "model.ckpt",
+                   "--out", tmp_path / "f.csv", "--set", key) == 2
+        assert repr(key.split("=")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_predict_honours_its_overrides(workdir, tmp_path):
+    sets = ("split_hours=30", "covariate_mode=hold_last", "forecast_step=2", "time_column=time_h")
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", workdir / "model.ckpt",
+               "--out", tmp_path / "f.csv", *[a for s in sets for a in ("--set", s)]) == 0
+    ts = ingest_csv(workdir / "pre.csv")
+    assert len((tmp_path / "f.csv").read_text().splitlines()) - 1 == int(np.sum(ts.time >= 30.0))
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("stats.mean", lambda v: v.rsplit(",", 1)[0]),
+    ("stats.std", lambda v: ",".join("0.0" for _ in v.split(","))),
+    ("stats.mean", lambda v: "nan," + v.split(",", 1)[1]),
+    ("model.n_variates", lambda v: str(int(v) + 1)),
+    ("stats.target", lambda v: "missing"),
+], ids=["short-mean", "zero-std", "nan-mean", "n-variates", "target"])
+def test_predict_checkpoint_with_bad_stats_exit_3(workdir, tmp_path, capsys, key, edit):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes((workdir / "model.ckpt").read_bytes())
+    edit_checkpoint_header(bad, key, edit)
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", bad,
+               "--out", tmp_path / "f.csv") == 3
+    assert "checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_predict_missing_checkpoint_exit_3(workdir, tmp_path):
@@ -351,6 +405,16 @@ def test_lag_scan_failure_names_window_size(workdir, tmp_path, capsys):
     ("preprocess", "ma_window", "x"),
     ("evaluate", "thresholds", "abc"),
     ("predict", "forecast_step", "abc"),
+    ("train", "learning_rate", "nan"),
+    ("train", "layer_norm_eps", "nan"),
+    ("train", "adam_beta1", "nan"),
+    ("train", "clip_norm", "nan"),
+    ("train", "ratios", "1,0.25,inf,0.03125"),
+    ("preprocess", "interval_h", "nan"),
+    ("evaluate", "initial_voltage", "nan"),
+    ("evaluate", "rul_origin_hours", "nan"),
+    ("evaluate", "thresholds", "0.035,nan"),
+    ("predict", "split_hours", "-inf"),
 ])
 def test_untyped_value_exit_2_names_key(workdir, tmp_path, capsys, command, key, value):
     inputs = {
@@ -364,6 +428,21 @@ def test_untyped_value_exit_2_names_key(workdir, tmp_path, capsys, command, key,
     assert run(command, *inputs, "--set", f"{key}={value}") == 2
     err = capsys.readouterr().err
     assert key in err and repr(value) in err
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("adam_beta1", "2", "beta1"),
+    ("adam_beta2", "1", "beta2"),
+    ("adam_eps", "-1", "adam_eps"),
+    ("clip_norm", "-1", "clip_norm"),
+    ("patience", "-1", "patience"),
+])
+def test_out_of_range_train_value_exit_2(workdir, tmp_path, capsys, key, value, field):
+    ckpt = tmp_path / "x.ckpt"
+    assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--set", f"{key}={value}", "--out-checkpoint", ckpt) == 2
+    assert field in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 # ---------------------------------------------------------------------------

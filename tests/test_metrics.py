@@ -292,6 +292,8 @@ def test_fault_threshold_validation():
     with pytest.raises(ParameterError):
         FaultThresholds(initial_voltage=-1.0)
     with pytest.raises(ParameterError):
+        FaultThresholds(initial_voltage=float("nan"))
+    with pytest.raises(ParameterError):
         FaultThresholds(loss_fractions=(0.05, 0.04))
     with pytest.raises(ParameterError):
         FaultThresholds(loss_fractions=(0.0, 0.5))

@@ -47,6 +47,9 @@ def test_config_validation():
         toy_config(heads=3)  # must divide 16
     with pytest.raises(ParameterError):
         toy_config(mode="bidirectional")
+    for eps in (0.0, float("nan")):
+        with pytest.raises(ParameterError, match="eps"):
+            toy_config(eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import adam_step_per_parameter, full_multi_scale_attention
+from helpers import adam_step_per_parameter, edit_checkpoint_header, full_multi_scale_attention
 from tstransformer import autodiff as ad
 from tstransformer import training
 from tstransformer.autodiff import Tensor
@@ -257,6 +257,31 @@ def test_train_config_validation():
         TrainConfig(loss_channels="some")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan),
+    ("beta1", math.nan), ("beta1", 1.0), ("beta1", 2.0), ("beta1", -0.1),
+    ("beta2", math.nan), ("beta2", 1.0),
+    ("adam_eps", math.nan), ("adam_eps", 0.0), ("adam_eps", -1.0),
+    ("clip_norm", math.nan), ("clip_norm", -1.0),
+    ("patience", -1),
+])
+def test_train_config_rejects_nan_and_out_of_range(field, value):
+    with pytest.raises(ParameterError, match=field):
+        TrainConfig(**{field: value})
+    TrainConfig(beta1=0.0, clip_norm=0.0, patience=0)  # the bounds that stay allowed
+
+
+@pytest.mark.parametrize("loss_channels, all_channels", [("target", True), ("all", False)])
+def test_train_checks_target_rank_once_before_any_forward(monkeypatch, loss_channels, all_channels):
+    series, stats, _, model, cfg = tiny_setup(epochs=3)
+    windows = make_windows(zscore_apply(series, stats), 16, 1, all_channels=all_channels)
+    calls = []
+    monkeypatch.setattr(model, "forward", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ContractError, match=f"loss_channels={loss_channels!r} needs"):
+        train(model, windows, TrainConfig(epochs=3, loss_channels=loss_channels))
+    assert calls == []
+
+
 def test_train_all_channels_mode():
     series, stats, _, model, cfg = tiny_setup(epochs=2)
     train_ts, _ = split_at(series, 20.0)
@@ -418,6 +443,40 @@ def test_checkpoint_non_finite_scalar_is_corruption(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptionError, match="non-finite"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("stats.mean", lambda v: v.rsplit(",", 1)[0], "2 means"),
+    ("stats.std", lambda v: v + ",1.0", "4 stds"),
+    ("stats.channels", lambda v: v + ",extra", "4 channels"),
+    ("model.n_variates", lambda v: "4", "model.n_variates=4"),
+    ("stats.std", lambda v: "0.0," + v.split(",", 1)[1], "<= 0"),
+    ("stats.std", lambda v: "-1.0," + v.split(",", 1)[1], "<= 0"),
+    ("stats.std", lambda v: "inf," + v.split(",", 1)[1], "finite"),
+    ("stats.mean", lambda v: "nan," + v.split(",", 1)[1], "finite"),
+    ("stats.target", lambda v: "missing", "'missing'"),
+    ("model.eps", lambda v: "nan", "finite"),
+    ("model.ratios", lambda v: "1.0,inf", "finite"),
+], ids=["short-mean", "long-std", "long-channels", "n-variates", "zero-std", "negative-std",
+        "inf-std", "nan-mean", "target", "nan-eps", "inf-ratio"])
+def test_checkpoint_inconsistent_stats_or_non_finite_header_is_corruption(tmp_path, key, edit, message):
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, {"target_channel": "Utot_V"})
+    load_checkpoint(path)
+    edit_checkpoint_header(path, key, edit)
+    with pytest.raises(CorruptionError, match=message):
+        load_checkpoint(path)
+
+
+def test_field_codec_floats_reject_non_finite_text():
+    decode_float, decode_floats = training.FIELD_CODECS["float"][1], training.FIELD_CODECS["tuple"][1]
+    for text in ("nan", "inf", "-inf", "NaN", "1e999"):
+        with pytest.raises(ValueError):
+            decode_float(text)
+        with pytest.raises(ValueError):
+            decode_floats(f"1.0,{text}")
+    assert decode_float("1e-05") == 1e-05 and decode_floats("1.0,0.25") == (1.0, 0.25)
 
 
 def test_checkpoint_header_model_lines_follow_config_fields(tmp_path):
