@@ -45,6 +45,7 @@ from .training import (
     load_checkpoint,
     loss_history_csv,
     rolling_forecast,
+    rollout_step,
     save_checkpoint,
     series_csv,
     train,
@@ -189,16 +190,28 @@ def _load_for_training(args, cfg: RunConfig):
     return series, zscore_apply(train_ts, stats), stats
 
 
-def _fit(cfg: RunConfig, series: TimeSeries, train_norm: TimeSeries, lookback: int):
-    """Window the normalized training side, then build and train a model."""
-    windows = make_windows(
-        train_norm, lookback, cfg.get_int("horizon"), all_channels=cfg["loss_channels"] == "all"
-    )
-    model = TSTransformerModel(
-        cfg.model_config(len(series.channel_names), lookback), seed=cfg.get_int("seed")
-    )
-    history = train(model, windows, cfg.train_config())
-    return model, history
+def _windows(cfg: RunConfig, train_norm: TimeSeries, lookback: int):
+    """Windows over the normalized training side, as views of it."""
+    return make_windows(train_norm, lookback, cfg.get_int("horizon"), all_channels=cfg["loss_channels"] == "all")
+
+
+def _fit(cfg: RunConfig, windows):
+    """Build a model for the windows' variates and lookback, and train it on them."""
+    model = TSTransformerModel(cfg.model_config(len(windows.channel_names), windows.lookback), seed=cfg.get_int("seed"))
+    return model, train(model, windows, cfg.train_config())
+
+
+def _check_rollout(cfg: RunConfig) -> None:
+    """Reject a bad ``forecast_step`` or ``covariate_mode`` before any model is trained."""
+    rollout_step(cfg.get_int("horizon"), cfg.get_int("forecast_step") or None, cfg["covariate_mode"])
+
+
+def _for_size(size: int, fn, *args):
+    """``fn(*args)``; a failure is re-raised as its own type, naming the lag-scan window size."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise type(exc)(f"lag-scan failed for window size {size}: {exc}") from exc
 
 
 def _rollout(cfg: RunConfig, model: TSTransformerModel, series: TimeSeries, stats):
@@ -298,7 +311,9 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
     series, train_norm, stats = _load_for_training(args, cfg)
-    model, history = _fit(cfg, series, train_norm, cfg.get_int("lookback"))
+    windows = _windows(cfg, train_norm, cfg.get_int("lookback"))
+    _check_rollout(cfg)
+    model, history = _fit(cfg, windows)
     tcfg = cfg.train_config()
     extra = {
         "target_channel": series.target_channel,
@@ -387,13 +402,13 @@ def cmd_lag_scan(args) -> int:
     thresholds = cfg.thresholds()
     origin = cfg.rul_origin()
     series, train_norm, stats = _load_for_training(args, cfg)
+    # Every size's windows first: views cost nothing, and a bad size fails before any training.
+    built = [_for_size(size, _windows, cfg, train_norm, size) for size in sizes]
+    _check_rollout(cfg)
     lines = ["window," + ",".join(f"lag_h_ft_{f:g}" for f in thresholds.loss_fractions)]
-    for size in sizes:
-        try:
-            model, _ = _fit(cfg, series, train_norm, size)
-            result = _rollout(cfg, model, series, stats)
-        except Exception as exc:
-            raise type(exc)(f"lag-scan failed for window size {size}: {exc}") from exc
+    for size, windows in zip(sizes, built):
+        model, _ = _for_size(size, _fit, cfg, windows)
+        result = _for_size(size, _rollout, cfg, model, series, stats)
         lags = [lag_error(result.time, result.pred, result.true, thr, origin) for thr in thresholds.voltages]
         lines.append(f"{size}," + ",".join("" if v is None else repr(v) for v in lags))
     write_atomic(args.out, "\n".join(lines) + "\n")

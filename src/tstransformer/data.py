@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError, SchemaError
 
@@ -111,7 +112,7 @@ class NormStats:
 
 @dataclass
 class WindowedDataset:
-    """Sliding (input window, target) pairs with source timestamps."""
+    """Sliding (input window, target) pairs with source timestamps: read-only views that keep the series alive."""
 
     inputs: np.ndarray  # (n, lookback, n_channels)
     targets: np.ndarray  # (n, horizon) or (n, horizon, n_channels)
@@ -299,7 +300,8 @@ def make_windows(
 
     Targets hold the target channel by default; ``all_channels`` emits
     (horizon, n_channels) targets instead. With stride 1 the count is
-    ``len(ts) - lookback - horizon + 1``.
+    ``len(ts) - lookback - horizon + 1``. No window is copied: every
+    array is a read-only view of ``ts``, and a batch is one gather.
     """
     tw, s, step = int(lookback), int(horizon), int(stride)
     if tw < 1 or s < 1:
@@ -312,17 +314,16 @@ def make_windows(
             f"series too short for windows: need at least lookback + horizon = {tw + s} "
             f"rows, got {n}"
         )
-    starts = np.arange(0, n - tw - s + 1, step)
-    inputs = np.stack([ts.features[i : i + tw] for i in starts])
+    # A window view holds its rows on the last axis; swapaxes puts them before the channels.
+    inputs = sliding_window_view(ts.features[: n - s], tw, axis=0)[::step].swapaxes(1, 2)
     if all_channels:
-        targets = np.stack([ts.features[i + tw : i + tw + s] for i in starts])
+        targets = sliding_window_view(ts.features[tw:], s, axis=0)[::step].swapaxes(1, 2)
     else:
-        col = ts.target_index
-        targets = np.stack([ts.features[i + tw : i + tw + s, col] for i in starts])
+        targets = sliding_window_view(ts.features[tw:, ts.target_index], s)[::step]
     return WindowedDataset(
         inputs=inputs,
         targets=targets,
-        start_times=ts.time[starts].copy(),
+        start_times=sliding_window_view(ts.time[: n - s], tw)[::step, 0],
         lookback=tw,
         horizon=s,
         stride=step,

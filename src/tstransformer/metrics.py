@@ -214,7 +214,8 @@ def evaluate_forecast(
         estimates.append(RulEstimate(frac, r_true, r_pred, pe, accuracy_ft(pe)))
         accs.append(estimates[-1].accuracy)
         lags.append(r_true - r_pred)
-    score = score_rul(accs, expected=len(thresholds.loss_fractions)) if accs else None
+    # Each excluded threshold has warned above; score_rul's own coverage warning would repeat it.
+    score = score_rul(accs, expected=len(accs)) if accs else None
     return MetricsReport(
         rmse=rmse(pred, true),
         estimates=tuple(estimates),

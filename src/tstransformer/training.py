@@ -166,8 +166,9 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
         raise ContractError(
             f"loss_channels={config.loss_channels!r} needs {rank}-d targets, got {windows.targets.ndim}-d"
         )
-    # None scores every variate's row, else only the target's.
+    # None scores every variate's row, else only the target's; truth holds those rows, (n, 1 or M, S).
     channel = None if config.loss_channels == LOSS_ALL else windows.channel_names.index(windows.target_channel)
+    truth = (windows.targets if channel is None else windows.targets[:, :, None]).swapaxes(1, 2)
 
     history = []
     best = math.inf
@@ -178,9 +179,8 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
         total = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            yb = windows.targets[idx]  # (B, S) or (B, S, M)
             pred = model.forward(windows.inputs[idx], channel=channel)  # (B, 1 or M, S)
-            loss = mse_loss(pred, np.ascontiguousarray(yb.reshape(*yb.shape[:2], -1).transpose(0, 2, 1)))
+            loss = mse_loss(pred, truth[idx])
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, batch {b}")
@@ -207,6 +207,16 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
 # rolling forecast
 
 
+def rollout_step(horizon: int, step: int | None, covariate_mode: str) -> int:
+    """Check a rollout's covariate mode and step; return the step, the horizon when ``step`` is None."""
+    if covariate_mode not in (COVARIATE_ORACLE, COVARIATE_HOLD_LAST):
+        raise ParameterError(f"unknown covariate mode {covariate_mode!r}")
+    s = horizon if step is None else int(step)
+    if not 1 <= s <= horizon:
+        raise ParameterError(f"step must lie in [1, horizon={horizon}], got {step}")
+    return s
+
+
 def rolling_forecast(
     model: TSTransformerModel,
     series: TimeSeries,
@@ -224,12 +234,8 @@ def rolling_forecast(
     repeat the last pre-boundary row (``hold_last``). Output is
     denormalized and aligned exactly with the test timestamps.
     """
-    if covariate_mode not in (COVARIATE_ORACLE, COVARIATE_HOLD_LAST):
-        raise ParameterError(f"unknown covariate mode {covariate_mode!r}")
     cfg = model.config
-    s = cfg.horizon if step is None else int(step)
-    if not 1 <= s <= cfg.horizon:
-        raise ParameterError(f"step must lie in [1, horizon={cfg.horizon}], got {step}")
+    s = rollout_step(cfg.horizon, step, covariate_mode)
     if len(series.channel_names) != cfg.n_variates:
         raise ContractError(
             f"series has {len(series.channel_names)} channels, model expects {cfg.n_variates}"

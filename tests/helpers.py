@@ -9,7 +9,9 @@ fused ``autodiff.attention`` can be held to it bit for bit. In the same
 way ``full_multi_scale_attention`` keeps the attention sublayer that built
 q, k and the k reducer in every stage, and ``adam_step_per_parameter`` the
 optimizer that updated one parameter at a time, so the single-key stages
-and the flat Adam update can be held to them.
+and the flat Adam update can be held to them. ``stacked_windows`` is the
+former ``make_windows``, which copied every window into stacked arrays, so
+the strided views can be held to it.
 """
 
 import math
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from tstransformer import autodiff as ad
-from tstransformer.data import DegradationSpec
+from tstransformer.data import DegradationSpec, WindowedDataset
 
 
 def per_head_attention_loop(q, k, v, heads: int) -> list:
@@ -62,6 +64,28 @@ def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -
         vi *= config.beta2
         vi += (1.0 - config.beta2) * g * g
         p.data -= config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + config.adam_eps)
+
+
+def stacked_windows(ts, lookback: int, horizon: int, stride: int = 1, all_channels: bool = False):
+    """``make_windows`` as a loop that stacks a copy of every window; no argument checks."""
+    tw, s = lookback, horizon
+    starts = np.arange(0, len(ts) - tw - s + 1, stride)
+    inputs = np.stack([ts.features[i : i + tw] for i in starts])
+    if all_channels:
+        targets = np.stack([ts.features[i + tw : i + tw + s] for i in starts])
+    else:
+        col = ts.target_index
+        targets = np.stack([ts.features[i + tw : i + tw + s, col] for i in starts])
+    return WindowedDataset(
+        inputs=inputs,
+        targets=targets,
+        start_times=ts.time[starts].copy(),
+        lookback=tw,
+        horizon=s,
+        stride=stride,
+        channel_names=ts.channel_names,
+        target_channel=ts.target_channel,
+    )
 
 
 def vanilla_attention_reference(x: np.ndarray, model, stage: int) -> np.ndarray:

@@ -201,8 +201,9 @@ def test_criterion_7_determinism(chain_dir, tmp_path):
     outs = []
     for name in ("one", "two"):
         ckpt = tmp_path / f"{name}.ckpt"
+        # forecast_step=0 (the horizon): train rejects run.cfg's 500, beyond horizon 64, as predict would.
         rc = main(["train", "--data", str(root / "pre.csv"), "--config", str(root / "run.cfg"),
-                   "--set", "epochs=8", "--set", "horizon=64",
+                   "--set", "epochs=8", "--set", "horizon=64", "--set", "forecast_step=0",
                    "--out-checkpoint", str(ckpt)])
         assert rc == 0
         outs.append((ckpt.read_bytes(), (tmp_path / f"{name}.ckpt.loss.csv").read_bytes()))

@@ -396,6 +396,40 @@ def test_lag_scan_failure_names_window_size(workdir, tmp_path, capsys):
         assert entry in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("covariate_mode", "bogus"),
+    ("forecast_step", "abc"),
+    ("forecast_step", "5"),  # beyond horizon=4
+    ("forecast_step", "-1"),
+])
+def test_bad_rollout_key_exits_2_before_any_training(workdir, tmp_path, monkeypatch, capsys, key, value):
+    def no_training(*a, **kw):
+        raise AssertionError("trained despite a bad rollout key")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    ckpt, out = tmp_path / "x.ckpt", tmp_path / "lag.csv"
+    assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--set", f"{key}={value}", "--out-checkpoint", ckpt) == 2
+    assert not ckpt.exists() and not ckpt.with_suffix(".ckpt.loss.csv").exists()
+    assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--set", f"{key}={value}", "--windows", "8,16", "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count(value) == 2 and "window size" not in err
+
+
+def test_lag_scan_bad_window_size_fails_before_any_training(workdir, tmp_path, monkeypatch, capsys):
+    def no_training(*a, **kw):
+        raise AssertionError("trained a window size before checking all of them")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "lag.csv"
+    assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--windows", "32,0", "--out", out) == 2
+    assert "lag-scan failed for window size 0: lookback and horizon must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # typed config values (uses the files the tests above wrote)
 

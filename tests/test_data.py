@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import first_crossing_by_bisection
+from helpers import first_crossing_by_bisection, stacked_windows
 from tstransformer.data import (
     CsvSchema,
     DegradationSpec,
@@ -279,6 +279,32 @@ def test_window_count_property(n, tw, s, stride):
         return
     ds = make_windows(ts, tw, s, stride)
     assert len(ds) == len(range(0, n - tw - s + 1, stride))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spare=st.integers(0, 50),
+    m=st.integers(1, 4),
+    tw=st.integers(1, 12),
+    s=st.integers(1, 6),
+    stride=st.integers(1, 7),
+    all_channels=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_windows_are_read_only_views_equal_to_stacked_copies(spare, m, tw, s, stride, all_channels, seed):
+    n = tw + s + spare
+    names = ("Utot_V", "I_A", "TinH2_C", "PinAIR_mbara")[:m]
+    ts = TimeSeries(np.arange(float(n)), np.random.default_rng(seed).normal(size=(n, m)), names)
+    ds = make_windows(ts, tw, s, stride, all_channels)
+    ref = stacked_windows(ts, tw, s, stride, all_channels)
+    for name in ("inputs", "targets", "start_times"):
+        got, want = getattr(ds, name), getattr(ref, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+        assert np.shares_memory(got, ts.time if name == "start_times" else ts.features), name
+        assert not got.flags.writeable, name
+    batch = ds.inputs[np.random.default_rng(seed).permutation(len(ds))]
+    assert batch.flags.c_contiguous and not np.shares_memory(batch, ts.features)
+    assert (ds.lookback, ds.horizon, ds.stride) == (tw, s, stride)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke tests: the demos that tour the tensor core, the attention and
-the RUL metrics run to completion and leave no forwards on the tape."""
+the RUL metrics run to completion and leave no forwards on the tape; the
+data pipeline demo runs and writes its two CSVs."""
 
 import runpy
 from pathlib import Path
@@ -19,3 +20,10 @@ def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out
     assert len(ad._state.tape) <= before  # inference forwards run under no_grad
+
+
+def test_pipeline_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the demo writes demo_out/ under the working directory
+    runpy.run_path(str(DEMOS / "03_synthetic_pipeline.py"), run_name="__main__")
+    assert "sliding windows:" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "demo_out").iterdir()) == ["preprocessed.csv", "raw.csv"]

@@ -288,6 +288,16 @@ def test_evaluate_forecast_flags_threshold_crossed_at_origin():
     )
 
 
+def test_evaluate_forecast_warns_once_per_excluded_threshold():
+    # Only the 3.5 % threshold is excluded (crossed at the origin): one
+    # warning names it, and the score adds no second coverage warning.
+    t = np.linspace(0.0, 600.0, 3001)
+    true = 3.2 - 1.0e-4 * t
+    with pytest.warns(RulCoverageWarning) as caught:
+        evaluate_forecast(t, true, true - 1e-4, FaultThresholds(), 0.0)
+    assert [str(w.message).split(":")[0] for w in caught] == ["threshold 0.035"]
+
+
 def test_fault_threshold_validation():
     with pytest.raises(ParameterError):
         FaultThresholds(initial_voltage=-1.0)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import adam_step_per_parameter, edit_checkpoint_header, full_multi_scale_attention
+from helpers import adam_step_per_parameter, edit_checkpoint_header, full_multi_scale_attention, stacked_windows
 from tstransformer import autodiff as ad
 from tstransformer import training
 from tstransformer.autodiff import Tensor
@@ -229,6 +229,23 @@ def test_train_deterministic_history():
     for (_, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
         assert np.array_equal(p1.data, p2.data)
         assert np.all(np.isfinite(p1.data))  # parameters finite after every step
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("loss_channels", ["target", "all"])
+def test_train_on_window_views_matches_stacked_copies_bit_for_bit(loss_channels, stride):
+    series, stats, _, _, _ = tiny_setup(noise=0.002)
+    train_norm = zscore_apply(split_at(series, 20.0)[0], stats)
+    args = (train_norm, 16, 2, stride, loss_channels == "all")
+    cfg = ModelConfig(n_variates=3, lookback=16, horizon=2, width=8, stages=2, ratios=(1.0, 0.25))
+    tcfg = TrainConfig(epochs=2, seed=3, batch_size=7, loss_channels=loss_channels)
+    runs = []
+    for windows in (make_windows(*args), stacked_windows(*args)):
+        model = TSTransformerModel(cfg, seed=1)
+        runs.append((train(model, windows, tcfg), [p.data for p in model.parameters()]))
+    (history, params), (ref_history, ref_params) = runs
+    assert history == ref_history and len(history) == 2
+    assert all(np.array_equal(got, want) for got, want in zip(params, ref_params, strict=True))
 
 
 def test_train_empty_dataset_contract():
