@@ -5,7 +5,9 @@ can be held to tight tolerances. The op set is exactly what the
 forecasting model needs: matrix products, affine maps, ReLU, last-axis
 softmax, multi-head scaled dot-product attention and its one-key case,
 per-slice layer normalization, strided depthwise 1-D convolution,
-elementwise arithmetic, slicing and scalar reductions.
+elementwise arithmetic, slicing and scalar reductions, plus
+:func:`encoder_stage`, one node for a whole encoder stage built from the
+same private numpy forward and backward helpers as those primitives.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -243,6 +245,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, (a, b), grad_fn)
 
 
+def _affine_grads(g, x, w, want_x, want_w, want_b):
+    """Gradients of x @ w + b for an output gradient g; None where not wanted."""
+    k, n = w.shape
+    gx = g @ w.T if want_x else None
+    gw = x.reshape(-1, k).T @ g.reshape(-1, n) if want_w else None
+    gb = g.reshape(-1, n).sum(axis=0) if want_b else None
+    return gx, gw, gb
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[..., k] @ w[k, n] + b[n], broadcast over leading axes of x."""
     if w.data.ndim != 2 or b.data.ndim != 1:
@@ -251,18 +262,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"affine inner extents differ: x {x.shape} vs w {w.shape}")
     if w.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"affine bias width {b.shape} does not match weight {w.shape}")
-
-    def grad_fn(g):
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = g @ w.data.T
-        if w.requires_grad:
-            gw = x.data.reshape(-1, w.data.shape[0]).T @ g.reshape(-1, w.data.shape[1])
-        if b.requires_grad:
-            gb = g.reshape(-1, b.data.shape[0]).sum(axis=0)
-        return gx, gw, gb
-
-    return _result(x.data @ w.data + b.data, (x, w, b), grad_fn)
+    return _result(
+        x.data @ w.data + b.data,
+        (x, w, b),
+        lambda g: _affine_grads(g, x.data, w.data, x.requires_grad, w.requires_grad, b.requires_grad),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +288,37 @@ def softmax_last(x: Tensor) -> Tensor:
     return _result(y, (x,), lambda g: (_softmax_grad(y, g),))
 
 
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., rows, D) -> (..., H, rows, D / H)."""
+    *lead, rows, d = a.shape
+    return a.reshape(*lead, rows, heads, d // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., H, rows, hd) -> (..., rows, H * hd), the inverse of _split_heads."""
+    *lead, heads, rows, hd = a.shape
+    return a.swapaxes(-3, -2).reshape(*lead, rows, heads * hd)
+
+
+def _attention(q, k, v, heads):
+    """Forward of :func:`attention` on arrays: the output and what its backward needs."""
+    qh, vh = _split_heads(q, heads), _split_heads(v, heads)
+    # contiguous like transpose()'s output, so scores equal matmul(q, transpose(k)) bit for bit
+    kt = np.ascontiguousarray(_split_heads(k, heads).swapaxes(-1, -2))
+    c = 1.0 / math.sqrt(q.shape[-1] // heads)
+    p = _softmax((qh @ kt) * c)
+    return _merge_heads(p @ vh), (qh, kt, vh, p, c)
+
+
+def _attention_grads(g, qh, kt, vh, p, c):
+    gh = _split_heads(g, p.shape[-3])
+    gs = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
+    gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
+    gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+    gv = _merge_heads(p.swapaxes(-1, -2) @ gh)
+    return gq, gk, gv
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """softmax(q k^T / sqrt(hd)) v per head, for q (..., N, D) and k, v (..., J, D).
 
@@ -294,33 +329,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1]):
         raise DimensionError(f"attention expects q (..., N, D) and k, v (..., J, D), "
                              f"got {q.shape}, {k.shape}, {v.shape}")
-    *lead, n, d = q.shape
-    j = k.shape[-2]
+    d = q.shape[-1]
     if heads < 1 or d % heads:
         raise DimensionError(f"heads ({heads}) must divide the model width ({d})")
-    hd = d // heads
-    c = 1.0 / math.sqrt(hd)
+    out, saved = _attention(q.data, k.data, v.data, heads)
+    return _result(out, (q, k, v), lambda g: _attention_grads(g, *saved))
 
-    def split(a, rows):  # (..., rows, D) -> (..., H, rows, hd)
-        return a.reshape(*lead, rows, heads, hd).swapaxes(-3, -2)
 
-    def merge(a, rows):  # (..., H, rows, hd) -> (..., rows, D)
-        return a.swapaxes(-3, -2).reshape(*lead, rows, d)
-
-    qh, vh = split(q.data, n), split(v.data, j)
-    # contiguous like transpose()'s output, so scores equal matmul(q, transpose(k)) bit for bit
-    kt = np.ascontiguousarray(split(k.data, j).swapaxes(-1, -2))
-    p = _softmax((qh @ kt) * c)
-
-    def grad_fn(g):
-        gh = split(g, n)
-        gs = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
-        gq = merge(gs @ kt.swapaxes(-1, -2), n)
-        gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), j)
-        gv = merge(p.swapaxes(-1, -2) @ gh, j)
-        return gq, gk, gv
-
-    return _result(merge(p @ vh, n), (q, k, v), grad_fn)
+def _single_key_grads(g, heads):
+    """Gradient of v for :func:`single_key_attention`: each head's n row gradients summed."""
+    n = g.shape[-2]
+    return _merge_heads(np.ones((heads, 1, n)) @ _split_heads(g, heads))
 
 
 def single_key_attention(v: Tensor, n: int, heads: int) -> Tensor:
@@ -332,16 +351,28 @@ def single_key_attention(v: Tensor, n: int, heads: int) -> Tensor:
     """
     if v.data.ndim < 2 or v.shape[-2] != 1:
         raise DimensionError(f"single_key_attention expects v (..., 1, D), got {v.shape}")
-    *lead, _, d = v.shape
+    d = v.shape[-1]
     if n < 1 or heads < 1 or d % heads:
         raise DimensionError(f"need n >= 1 and heads ({heads}) dividing the model width ({d})")
-    ones = np.ones((heads, 1, n))
+    return _result(np.repeat(v.data, n, axis=-2), (v,), lambda g: (_single_key_grads(g, heads),))
 
-    def grad_fn(g):
-        gh = g.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
-        return ((ones @ gh).swapaxes(-3, -2).reshape(*lead, 1, d),)
 
-    return _result(np.repeat(v.data, n, axis=-2), (v,), grad_fn)
+def _layer_norm(z, eps):
+    """Forward of :func:`layer_norm` on arrays: the output and what its backward needs."""
+    n = z.shape[-1]
+    c = z - z.sum(axis=-1, keepdims=True) / n
+    sigma = np.sqrt((c * c).sum(axis=-1, keepdims=True) / n)
+    s = sigma + eps
+    return c / s, (c, sigma, s)
+
+
+def _layer_norm_grads(g, c, sigma, s):
+    n = c.shape[-1]
+    inv_s = 1.0 / s
+    # d sigma / d c_j = c_j / (n * sigma); zero at exactly-constant slices
+    coef = np.where(sigma > 0.0, inv_s * inv_s / (n * np.where(sigma > 0.0, sigma, 1.0)), 0.0)
+    gc = g * inv_s - c * ((g * c).sum(axis=-1, keepdims=True) * coef)
+    return gc - gc.sum(axis=-1, keepdims=True) / n
 
 
 def layer_norm(z: Tensor, eps: float = 1e-5) -> Tensor:
@@ -353,21 +384,35 @@ def layer_norm(z: Tensor, eps: float = 1e-5) -> Tensor:
     eps = float(eps)
     if eps <= 0.0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
-    n = z.data.shape[-1]
-    mu = z.data.mean(axis=-1, keepdims=True)
-    c = z.data - mu
-    sigma = np.sqrt((c * c).mean(axis=-1, keepdims=True))
-    s = sigma + eps
-    y = c / s
+    y, saved = _layer_norm(z.data, eps)
+    return _result(y, (z,), lambda g: (_layer_norm_grads(g, *saved),))
 
-    def grad_fn(g):
-        inv_s = 1.0 / s
-        # d sigma / d c_j = c_j / (n * sigma); zero at exactly-constant slices
-        coef = np.where(sigma > 0.0, inv_s * inv_s / (n * np.where(sigma > 0.0, sigma, 1.0)), 0.0)
-        gc = g * inv_s - c * ((g * c).sum(axis=-1, keepdims=True) * coef)
-        return (gc - gc.mean(axis=-1, keepdims=True),)
 
-    return _result(y, (z,), grad_fn)
+def _depthwise_conv1d(x, kernel, bias):
+    """Forward of :func:`depthwise_conv1d` on arrays: the output and the
+    edge-padded input as (..., J, r, D) blocks, which the backward needs."""
+    r, d = kernel.shape
+    n = x.shape[-2]
+    j = -(-n // r)  # ceil
+    if j * r > n:
+        x = np.concatenate([x, np.repeat(x[..., -1:, :], j * r - n, axis=-2)], axis=-2)
+    xr = x.reshape(x.shape[:-2] + (j, r, d))
+    return (xr * kernel).sum(axis=-2) + bias, xr
+
+
+def _depthwise_conv1d_grads(g, xr, kernel, n, want_x, want_k, want_b):
+    *lead, j, r, d = xr.shape
+    gx = gk = gb = None
+    if want_k:
+        gk = (xr * g[..., :, None, :]).reshape(-1, r, d).sum(axis=0)
+    if want_b:
+        gb = g.reshape(-1, d).sum(axis=0)
+    if want_x:
+        gxp = (g[..., :, None, :] * kernel).reshape(*lead, j * r, d)
+        gx = np.ascontiguousarray(gxp[..., :n, :])
+        if j * r > n:
+            gx[..., n - 1, :] += gxp[..., n:, :].sum(axis=-2)
+    return gx, gk, gb
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) -> Tensor:
@@ -389,33 +434,90 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
         raise DimensionError(f"kernel shape {kernel.shape} does not match (r={r}, D={d})")
     if bias.shape != (d,):
         raise DimensionError(f"bias shape {bias.shape} does not match (D={d},)")
-
+    out, xr = _depthwise_conv1d(x.data, kernel.data, bias.data)
     n = x.data.shape[-2]
-    j = -(-n // r)  # ceil
-    pad = j * r - n
-    if pad:
-        edge = np.repeat(x.data[..., -1:, :], pad, axis=-2)
-        xp = np.concatenate([x.data, edge], axis=-2)
+    return _result(out, (x, kernel, bias), lambda g: _depthwise_conv1d_grads(
+        g, xr, kernel.data, n, x.requires_grad, kernel.requires_grad, bias.requires_grad))
+
+
+# ---------------------------------------------------------------------------
+# encoder stage
+
+
+def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float) -> Tensor:
+    """One post-norm encoder stage over tokens (..., N, D) as a single taped node.
+
+    ``params`` holds the stage's 14 tensors in checkpoint order: q, k and v
+    weight and bias, the k and v reducers' kernel and bias, then out and ffn
+    weight and bias. The stage computes
+
+        a = affine(attention(affine(x, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
+        normed = layer_norm(x + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
+
+    where reduce is the stride-``reduction`` :func:`depthwise_conv1d`. When
+    N <= reduction the keys and values reduce to one token and
+    :func:`single_key_attention` takes the place of attention: q, k and the
+    k reducer are neither computed nor given a gradient (their gradients stay
+    None). Forward and backward reuse the primitives' own numpy code and
+    replay the composed primitives' accumulation order, so the output and
+    every gradient equal those of the chain of primitives bit for bit.
+    """
+    x = tokens.data
+    if x.ndim < 2:
+        raise DimensionError(f"encoder_stage expects tokens (..., N, D), got shape {tokens.shape}")
+    n, d = x.shape[-2:]
+    r = int(reduction)
+    if r < 1:
+        raise ParameterError(f"reduction factor must be >= 1, got {reduction}")
+    if heads < 1 or d % heads:
+        raise DimensionError(f"heads ({heads}) must divide the model width ({d})")
+    eps = float(eps)
+    if eps <= 0.0:
+        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
+    arrays = [p.data for p in params]
+    shapes = [(d, d), (d,)] * 3 + [(r, d), (d,)] * 2 + [(d, d), (d,)] * 2
+    if [a.shape for a in arrays] != shapes:
+        raise DimensionError(f"encoder_stage expects parameters shaped {shapes} for width {d} "
+                             f"and reduction {r}, got {[a.shape for a in arrays]}")
+    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
+
+    v_red, v_blocks = _depthwise_conv1d(x @ wv + bv, vk, vb)
+    one_key = n <= r
+    if one_key:
+        att = v_red.repeat(n, axis=-2)
     else:
-        xp = x.data
-    lead = xp.shape[:-2]
-    xr = xp.reshape(lead + (j, r, d))
-    out = (xr * kernel.data).sum(axis=-2) + bias.data
+        k_red, k_blocks = _depthwise_conv1d(x @ wk + bk, kk, kb)
+        att, att_saved = _attention(x @ wq + bq, k_red, v_red, heads)
+    normed, ln1 = _layer_norm(x + (att @ wo + bo), eps)
+    f = normed @ wf + bf
+    mask = f > 0.0
+    out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
 
     def grad_fn(g):
-        gx = gk = gb = None
-        if kernel.requires_grad:
-            gk = (xr * g[..., :, None, :]).reshape(-1, r, d).sum(axis=0)
-        if bias.requires_grad:
-            gb = g.reshape(-1, d).sum(axis=0)
-        if x.requires_grad:
-            gxp = (g[..., :, None, :] * kernel.data).reshape(lead + (j * r, d))
-            gx = np.ascontiguousarray(gxp[..., :n, :])
-            if pad:
-                gx[..., n - 1, :] += gxp[..., n:, :].sum(axis=-2)
-        return gx, gk, gb
+        want = [p.requires_grad for p in params]
+        g2 = _layer_norm_grads(g, *ln2)
+        gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True, *want[12:14])
+        g1 = _layer_norm_grads(g2 + gn, *ln1)
+        ga, gwo, gbo = _affine_grads(g1, att, wo, True, *want[10:12])
+        # composed primitives pass gradients on as contiguous copies (_accumulate);
+        # a strided view can make matmul sum in another order
+        if one_key:
+            gv = _single_key_grads(ga, heads)
+        else:
+            gq, gk, gv = (np.ascontiguousarray(a) for a in _attention_grads(ga, *att_saved))
+        gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_blocks, vk, n, True, *want[8:10])
+        gx, gwv, gbv = _affine_grads(gvp, x, wv, tokens.requires_grad, *want[4:6])
+        gx = g1 + gx if tokens.requires_grad else None
+        if one_key:
+            return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
+        gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_blocks, kk, n, True, *want[6:8])
+        gxk, gwk, gbk = _affine_grads(gkp, x, wk, tokens.requires_grad, *want[2:4])
+        gxq, gwq, gbq = _affine_grads(gq, x, wq, tokens.requires_grad, *want[0:2])
+        if gx is not None:
+            gx = (gx + gxk) + gxq
+        return gx, gwq, gbq, gwk, gbk, gwv, gbv, gkk, gkb, gvk, gvb, gwo, gbo, gwf, gbf
 
-    return _result(out, (x, kernel, bias), grad_fn)
+    return _result(out, (tokens, *params), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,11 @@ class TSTransformerModel:
         rng = np.random.default_rng(seed)
         d, tw, s = config.width, config.lookback, config.horizon
         self._params: dict[str, Tensor] = {}  # in declared (checkpoint) order
+        self._factors = config.reduction_factors
 
         self._add("embed.weight", self._uniform(rng, (tw, d), tw))
         self._add("embed.bias", np.zeros(d))
-        for i, r in enumerate(config.reduction_factors):
+        for i, r in enumerate(self._factors):
             for name in ("q", "k", "v"):
                 self._add(f"stage{i}.{name}.weight", self._uniform(rng, (d, d), d))
                 self._add(f"stage{i}.{name}.bias", np.zeros(d))
@@ -117,6 +118,12 @@ class TSTransformerModel:
             self._add(f"stage{i}.ffn.bias", np.zeros(d))
         self._add("project.weight", self._uniform(rng, (d, s), d))
         self._add("project.bias", np.zeros(s))
+        # the stage's tensors in encoder_stage's (checkpoint) order; load_arrays
+        # and the optimizer update them in place, so the tuples stay current
+        self._stage_params = tuple(
+            tuple(t for name, t in self._params.items() if name.startswith(f"stage{i}."))
+            for i in range(config.stages)
+        )
 
     @staticmethod
     def _uniform(rng, shape, fan_in):
@@ -166,7 +173,7 @@ class TSTransformerModel:
         p = f"stage{stage}.{name}"
         return ad.depthwise_conv1d(
             self._affine(tokens, p), self.param(f"{p}_reduce.kernel"), self.param(f"{p}_reduce.bias"),
-            self.config.reduction_factors[stage],
+            self._factors[stage],
         )
 
     def embed(self, window) -> Tensor:
@@ -198,7 +205,7 @@ class TSTransformerModel:
         and the k reducer cannot change the output and are skipped.
         """
         self._check_stage(stage)
-        n, r = tokens.shape[-2], self.config.reduction_factors[stage]
+        n, r = tokens.shape[-2], self._factors[stage]
         if n > r:
             q = self._affine(tokens, f"stage{stage}.q")
             k_r, v_r = self.reduce_kv(tokens, stage)
@@ -208,12 +215,14 @@ class TSTransformerModel:
         return self._affine(attended, f"stage{stage}.out")
 
     def trm_block(self, tokens: Tensor, stage: int) -> Tensor:
-        """Residual attention and feed-forward sublayers, post-norm layout."""
+        """Residual attention and feed-forward sublayers, post-norm layout.
+
+        One taped node (:func:`autodiff.encoder_stage`) whose attention
+        sublayer equals :meth:`multi_scale_attention` bit for bit.
+        """
         self._check_stage(stage)
-        eps = self.config.eps
-        normed = ad.layer_norm(ad.add(tokens, self.multi_scale_attention(tokens, stage)), eps)
-        ffn = ad.relu(self._affine(normed, f"stage{stage}.ffn"))
-        return ad.layer_norm(ad.add(normed, ffn), eps)
+        cfg = self.config
+        return ad.encoder_stage(tokens, self._stage_params[stage], self._factors[stage], cfg.heads, cfg.eps)
 
     def forward(self, window, channel: int | None = None) -> Tensor:
         """(lookback, n_variates) -> (n_variates, horizon) forecast.
@@ -237,7 +246,7 @@ class TSTransformerModel:
         arr = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
         if channel is not None and not 0 <= channel < self.config.n_variates:
             raise ParameterError(f"channel {channel} out of range [0, {self.config.n_variates})")
-        mu = arr.mean(axis=-2, keepdims=True)  # (..., 1, M)
+        mu = arr.sum(axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
         centered = arr - mu
 
         tokens = self.embed(centered)

@@ -7,9 +7,11 @@ checked against it. ``per_head_attention_loop`` is the opposite: the
 model's former attention, op for op in taped primitives, kept so the
 fused ``autodiff.attention`` can be held to it bit for bit. In the same
 way ``full_multi_scale_attention`` keeps the attention sublayer that built
-q, k and the k reducer in every stage, and ``adam_step_per_parameter`` the
-optimizer that updated one parameter at a time, so the single-key stages
-and the flat Adam update can be held to them. ``stacked_windows`` is the
+q, k and the k reducer in every stage, ``composed_trm_block`` the encoder
+stage as a chain of taped primitives, and ``adam_step_per_parameter`` the
+optimizer that updated one parameter at a time, so the single-key stages,
+the one-node ``autodiff.encoder_stage`` and the flat Adam update can be held
+to them. ``stacked_windows`` is the
 former ``make_windows``, which copied every window into stacked arrays, so
 the strided views can be held to it.
 """
@@ -50,6 +52,16 @@ def full_multi_scale_attention(model, tokens, stage: int):
     q = ad.affine(tokens, w("q"), b("q"))
     k_r, v_r = model.reduce_kv(tokens, stage)
     return ad.affine(ad.attention(q, k_r, v_r, model.config.heads), w("out"), b("out"))
+
+
+def composed_trm_block(model, tokens, stage: int):
+    """The encoder stage as a chain of taped primitives, before
+    ``autodiff.encoder_stage`` made it one node."""
+    eps = model.config.eps
+    w = model.param(f"stage{stage}.ffn.weight")
+    b = model.param(f"stage{stage}.ffn.bias")
+    normed = ad.layer_norm(ad.add(tokens, model.multi_scale_attention(tokens, stage)), eps)
+    return ad.layer_norm(ad.add(normed, ad.relu(ad.affine(normed, w, b))), eps)
 
 
 def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -> None:

@@ -81,6 +81,14 @@ def test_criterion_2_gradient_suite():
     cot3 = Tensor(rng.normal(size=(2, 6)))
     kv = [Tensor(rng.normal(size=(3, 6)), requires_grad=True) for _ in range(2)]
     v1 = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+    # a stage with reduction 2 (N > r: attention) and 4 (N <= r: one key); the
+    # k and k-reducer biases get zero gradient by softmax shift invariance, so a
+    # small cotangent keeps the loss ulp, and their FD noise, small
+    cot_stage = Tensor(1e-3 * rng.normal(size=(4, 6)))
+    stage = {r: [Tensor(0.5 * rng.normal(size=shape), requires_grad=True)
+                 for shape in [(6, 6), (6,)] * 3 + [(r, 6), (6,)] * 2 + [(6, 6), (6,)] * 2]
+             for r in (2, 4)}
+    encoder_stage = lambda r: ad.sum_all(ad.mul(ad.encoder_stage(x, stage[r], r, 2, 1e-5), cot_stage))
     primitives = {
         "matmul": (lambda: ad.sum_all(ad.mul(ad.matmul(x, w), cot)), [x, w]),
         "affine": (lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), cot)), [x, w, b]),
@@ -95,6 +103,8 @@ def test_criterion_2_gradient_suite():
         "single_key_attention": (
             lambda: ad.sum_all(ad.mul(ad.single_key_attention(v1, 4, 2), cot)), [v1]
         ),
+        "encoder_stage (N > r)": (lambda: encoder_stage(2), [x, *stage[2]]),
+        "encoder_stage (N <= r)": (lambda: encoder_stage(4), [x, *stage[4]]),
     }
     for name, (f, params) in primitives.items():
         err = ad.gradient_check(f, params, h=1e-5)

@@ -121,6 +121,26 @@ def test_layer_norm_output_statistics():
     assert np.max(np.abs(sigma - 1.0)) <= eps  # sigma/(sigma+eps) with sigma ~ O(1)
 
 
+@pytest.mark.parametrize("shape", [(5, 16), (8, 5, 16), (3, 7)])
+def test_layer_norm_sum_over_n_means_match_np_mean_bit_for_bit(shape):
+    # the former layer_norm, whose means went through np.mean
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    z_a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[:-1] + (1,))
+    g = rng.normal(size=shape)
+    eps = 1e-5
+    c = z_a - z_a.mean(axis=-1, keepdims=True)
+    sigma = np.sqrt((c * c).mean(axis=-1, keepdims=True))
+    s = sigma + eps
+    inv_s = 1.0 / s
+    coef = inv_s * inv_s / (shape[-1] * sigma)
+    gc = g * inv_s - c * ((g * c).sum(axis=-1, keepdims=True) * coef)
+    z = t(z_a, grad=True)
+    out = ad.layer_norm(z, eps)
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    assert np.array_equal(out.data, c / s)
+    assert np.array_equal(z.grad, gc - gc.mean(axis=-1, keepdims=True))
+
+
 def test_layer_norm_eps_validation():
     with pytest.raises(ParameterError):
         ad.layer_norm(t([1.0, 2.0]), eps=0.0)
@@ -226,6 +246,37 @@ def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
 def test_single_key_attention_rejects_bad_shapes(v_shape, n, heads):
     with pytest.raises(DimensionError):
         ad.single_key_attention(t(np.ones(v_shape)), n, heads)
+
+
+def stage_params(d=6, r=2, swap=()):
+    """encoder_stage's 14 tensors for width d and reduction r; ``swap`` is
+    (index, shape) pairs that replace shapes."""
+    shapes = [(d, d), (d,)] * 3 + [(r, d), (d,)] * 2 + [(d, d), (d,)] * 2
+    for i, shape in swap:
+        shapes[i] = shape
+    return [t(np.ones(shape)) for shape in shapes]
+
+
+@pytest.mark.parametrize("tokens_shape, params, heads", [
+    ((6,), stage_params(), 1),  # not a token matrix
+    ((4, 6), stage_params(), 4),  # heads does not divide D
+    ((4, 6), stage_params(), 0),
+    ((4, 6), stage_params(d=5), 1),  # width differs from the tokens'
+    ((4, 6), stage_params(r=3), 1),  # reducer length is not the reduction
+    ((4, 6), stage_params(swap=[(13, (5,))]), 1),  # ffn bias
+    ((4, 6), stage_params()[:12], 1),  # no ffn
+])
+def test_encoder_stage_rejects_bad_shapes(tokens_shape, params, heads):
+    with pytest.raises(DimensionError):
+        ad.encoder_stage(t(np.ones(tokens_shape)), params, 2, heads, 1e-5)
+
+
+def test_encoder_stage_rejects_bad_reduction_and_eps():
+    x = t(np.ones((4, 6)))
+    with pytest.raises(ParameterError):
+        ad.encoder_stage(x, stage_params(r=1), 0, 1, 1e-5)
+    with pytest.raises(ParameterError):
+        ad.encoder_stage(x, stage_params(), 2, 1, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ permutation equivariance, parameter accounting, block gradients."""
 import numpy as np
 import pytest
 
-from helpers import per_head_attention_loop, vanilla_attention_reference
+from helpers import composed_trm_block, per_head_attention_loop, vanilla_attention_reference
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.cli import load_run_config
@@ -194,18 +194,48 @@ def test_attention_matches_per_head_loop_bit_for_bit(heads, j, lead):
 
 @pytest.mark.parametrize("heads", [1, 4])
 def test_recorded_forward_tape_nodes(heads):
-    # embed affine, 13 ops in each of stages 0-1, 10 in each of the single-key
-    # stages 2-3 (M=5 tokens, r=16 and 32: no q, k or k reducer), head affine, mean add
+    # embed affine, one encoder_stage node per stage, head affine, mean add
     cfg = load_run_config(None, (f"heads={heads}",)).model_config(5)
     model = TSTransformerModel(cfg, seed=0)
     before = len(ad._state.tape)  # a forward left unconsumed elsewhere stays on the tape
     out = model.forward(np.random.default_rng(0).normal(size=(8, cfg.lookback, 5)))
-    assert len(ad._state.tape) - before == 49
+    assert len(ad._state.tape) - before == 7
     ad.backward(ad.sum_all(out))  # consumes the tape
 
 
 # ---------------------------------------------------------------------------
 # encoder block
+
+
+@pytest.mark.parametrize("lead", [(), (8,)])
+@pytest.mark.parametrize("mode", ["multi_scale", "vanilla"])
+@pytest.mark.parametrize("m", [4, 5, 6])  # single-key stages 1-3 at M=4, 2-3 at 5 and 6
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_encoder_stage_matches_composed_block_bit_for_bit(heads, m, mode, lead):
+    cfg = toy_config(n_variates=m, heads=heads, mode=mode)
+    rng = np.random.default_rng(heads * 10 + m)
+    x0, cot = rng.normal(size=lead + (m, 16)), Tensor(rng.normal(size=lead + (m, 16)))
+    for stage, r in enumerate(cfg.reduction_factors):
+        prefix = f"stage{stage}."
+
+        def run(block):
+            model = TSTransformerModel(cfg, seed=3)
+            for p in model.parameters():  # move reducers off their averaging init
+                p.data[...] += 0.3 * np.random.default_rng(p.size).normal(size=p.shape)
+            x = Tensor(x0, requires_grad=True)
+            out = block(model, x, stage)
+            ad.backward(ad.sum_all(ad.mul(out, cot)))
+            named = [(n, p.grad) for n, p in model.named_parameters() if n.startswith(prefix)]
+            return [out.data, x.grad] + [g for _, g in named], [n for n, _ in named]
+
+        got, names = run(TSTransformerModel.trm_block)
+        want, _ = run(composed_trm_block)
+        for name, a, b in zip(["out", "tokens"] + names, got, want):
+            if m <= r and name.removeprefix(prefix) in (
+                    "q.weight", "q.bias", "k.weight", "k.bias", "k_reduce.kernel", "k_reduce.bias"):
+                assert a is None and b is None, name
+            else:
+                assert np.array_equal(a, b), name
 
 
 def test_trm_block_preserves_shape():

@@ -7,7 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from helpers import adam_step_per_parameter, edit_checkpoint_header, full_multi_scale_attention, stacked_windows
+from helpers import (
+    adam_step_per_parameter,
+    composed_trm_block,
+    edit_checkpoint_header,
+    full_multi_scale_attention,
+    stacked_windows,
+)
 from tstransformer import autodiff as ad
 from tstransformer import training
 from tstransformer.autodiff import Tensor
@@ -158,9 +164,10 @@ def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
 @pytest.mark.parametrize("m", [4, 5, 6])  # single-key stages 1-3 at M=4, 2-3 at 5 and 6
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, monkeypatch):
-    # Single-key stages, the target-row forward and the flat Adam update
-    # against q/k/attention in every stage, the full forward's row and the
-    # per-parameter loop: every forward and the parameters after 5 clipped steps.
+    # One-node single-key stages, the target-row forward and the flat Adam
+    # update against composed stages with q/k/attention in every stage, the
+    # full forward's row and the per-parameter loop: every forward and the
+    # parameters after 5 clipped steps.
     cfg = ModelConfig(n_variates=m, lookback=8, horizon=3, heads=heads)
     tcfg = TrainConfig(learning_rate=0.05, clip_norm=0.5)
     rng = np.random.default_rng(heads * 10 + m)
@@ -195,6 +202,7 @@ def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, 
         return seen + [p.data for p in params]
 
     new = run(False)
+    monkeypatch.setattr(TSTransformerModel, "trm_block", composed_trm_block)
     monkeypatch.setattr(TSTransformerModel, "multi_scale_attention", full_multi_scale_attention)
     old = run(True)
     assert len(new) == len(old) == 5 + len(TSTransformerModel(cfg).parameters())
