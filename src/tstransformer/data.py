@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,17 +145,51 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> TimeSeries:
     """Parse hours plus selected channels from a headered CSV.
 
     Rows with unparseable cells are dropped and counted in
-    ``TimeSeries.dropped_rows``; ``#``-prefixed lines are skipped.
+    ``TimeSeries.dropped_rows``; ``#``-prefixed lines are skipped. Rows are
+    parsed as they are read into flat float64 buffers, so memory holds the
+    numbers and never the file's cells.
     """
     schema = schema or CsvSchema()
+    times, values, dropped = array("d"), array("d"), 0
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(line for line in fh if not line.startswith("#")) if row]
+            rows = filter(None, csv.reader(line for line in fh if not line.startswith("#")))
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: no rows")
+            try:
+                channels, time_idx, col_idx = _columns(path, [name.strip() for name in header], schema)
+            except SchemaError:
+                for _ in fh:  # a file that is not UTF-8 text is reported as such first
+                    pass
+                raise
+            for row in rows:
+                try:
+                    t = float(row[time_idx])
+                    vals = [float(row[i]) for i in col_idx]
+                except (ValueError, IndexError):
+                    dropped += 1
+                    continue
+                if not math.isfinite(t) or not all(math.isfinite(v) for v in vals):
+                    dropped += 1
+                    continue
+                times.append(t)
+                values.extend(vals)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    if not rows:
-        raise DataError(f"{path}: no rows")
-    header = [name.strip() for name in rows[0]]
+    if not times:
+        raise DataError(f"{path}: no parseable data rows")
+    return TimeSeries(
+        np.array(times),
+        np.array(values).reshape(len(times), len(channels)),
+        tuple(channels),
+        target_channel=schema.target_column,
+        dropped_rows=dropped,
+    )
+
+
+def _columns(path, header: list, schema: CsvSchema) -> tuple:
+    """(channel names, time column index, channel column indices) of a CSV header."""
     wanted = (schema.target_column, *(schema.covariates or ()))
     missing = [name for name in (schema.time_column, *wanted) if name not in header]
     if missing:
@@ -166,31 +201,7 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> TimeSeries:
     for name in (schema.time_column, *channels):
         if any(ch in name for ch in ",\n\r"):
             raise SchemaError(f"{path}: column name {name!r} contains a comma or line break")
-    col_idx = [header.index(name) for name in channels]
-    time_idx = header.index(schema.time_column)
-
-    times, values, dropped = [], [], 0
-    for row in rows[1:]:
-        try:
-            t = float(row[time_idx])
-            vals = [float(row[i]) for i in col_idx]
-        except (ValueError, IndexError):
-            dropped += 1
-            continue
-        if not math.isfinite(t) or not all(math.isfinite(v) for v in vals):
-            dropped += 1
-            continue
-        times.append(t)
-        values.append(vals)
-    if not times:
-        raise DataError(f"{path}: no parseable data rows")
-    return TimeSeries(
-        np.array(times),
-        np.array(values),
-        tuple(channels),
-        target_channel=schema.target_column,
-        dropped_rows=dropped,
-    )
+    return channels, header.index(schema.time_column), [header.index(name) for name in channels]
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,17 @@ def test_ingest_undecodable_text_is_data_error(tmp_path):
         ingest_csv(p)
 
 
+def test_ingest_undecodable_text_is_reported_before_a_bad_header(tmp_path):
+    # Rows are parsed as they are read, after the header; the rest of the
+    # file is still decoded, so the encoding fault wins over the schema one
+    # even past the first read buffer.
+    p = tmp_path / "latin1.csv"
+    rows = "".join(f"{i},70\n" for i in range(4000))
+    p.write_bytes(f"time_h,I_A\n{rows}# °C\n".encode("latin-1"))
+    with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
+        ingest_csv(p)
+
+
 def test_ingest_explicit_covariates(tmp_path):
     p = tmp_path / "cols.csv"
     p.write_text("time_h,Utot_V,I_A,T_C\n0.0,3.3,70,55\n1.0,3.2,71,56\n")
