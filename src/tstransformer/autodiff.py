@@ -3,11 +3,11 @@
 Everything runs at 64-bit precision so finite-difference gradient checks
 can be held to tight tolerances. The op set is exactly what the
 forecasting model needs: matrix products, affine maps, ReLU, last-axis
-softmax, multi-head scaled dot-product attention and its one-key case,
-per-slice layer normalization, strided depthwise 1-D convolution,
-elementwise arithmetic, slicing and scalar reductions, plus
-:func:`encoder_stage`, one node for a whole encoder stage built from the
-same private numpy forward and backward helpers as those primitives.
+softmax, multi-head scaled dot-product attention, per-slice layer
+normalization, strided depthwise 1-D convolution, elementwise arithmetic,
+slicing and scalar reductions, plus :func:`encoder_stage`, one node for a
+whole encoder stage (the only code that skips work for a one-key stage),
+built from the same private numpy helpers as those primitives.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -337,24 +337,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 
 def _single_key_grads(g, heads):
-    """Gradient of v for :func:`single_key_attention`: each head's n row gradients summed."""
+    """:func:`attention`'s v gradient for one key (softmax weight exactly 1):
+    each head's n row gradients summed in attention's order, bit for bit."""
     n = g.shape[-2]
     return _merge_heads(np.ones((heads, 1, n)) @ _split_heads(g, heads))
-
-
-def single_key_attention(v: Tensor, n: int, heads: int) -> Tensor:
-    """:func:`attention` for one key and value: v (..., 1, D) repeated to n rows.
-
-    Softmax over one key is exactly 1, so the output ignores q and k and
-    their gradients are exact zeros; neither is an input. The backward sums
-    the n row gradients per head in attention's order, so both agree bit for bit.
-    """
-    if v.data.ndim < 2 or v.shape[-2] != 1:
-        raise DimensionError(f"single_key_attention expects v (..., 1, D), got {v.shape}")
-    d = v.shape[-1]
-    if n < 1 or heads < 1 or d % heads:
-        raise DimensionError(f"need n >= 1 and heads ({heads}) dividing the model width ({d})")
-    return _result(np.repeat(v.data, n, axis=-2), (v,), lambda g: (_single_key_grads(g, heads),))
 
 
 def _layer_norm(z, eps):
@@ -455,12 +441,12 @@ def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float
         normed = layer_norm(x + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
 
     where reduce is the stride-``reduction`` :func:`depthwise_conv1d`. When
-    N <= reduction the keys and values reduce to one token and
-    :func:`single_key_attention` takes the place of attention: q, k and the
-    k reducer are neither computed nor given a gradient (their gradients stay
-    None). Forward and backward reuse the primitives' own numpy code and
-    replay the composed primitives' accumulation order, so the output and
-    every gradient equal those of the chain of primitives bit for bit.
+    N <= reduction K/V reduce to one key, whose softmax weight is exactly 1, so
+    q, k and the k reducer get exact zero gradients: the node, the one place
+    this shortcut is taken, neither computes them nor gives them a gradient
+    (theirs stay None). Forward and backward reuse the primitives' own numpy
+    code and replay the composed primitives' accumulation order, so the output
+    and every other gradient equal those of the chain of primitives bit for bit.
     """
     x = tokens.data
     if x.ndim < 2:
@@ -588,12 +574,3 @@ def gradient_check(f, params, h: float = 1e-5) -> float:
                 max_rel = max(max_rel, abs(aflat[i] - numeric) / denom)
     zero_grad(params)
     return max_rel
-
-
-def global_grad_norm(tensors) -> float:
-    """Euclidean norm over all gradients (None counts as zero)."""
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float(np.dot(t.grad.reshape(-1), t.grad.reshape(-1)))
-    return math.sqrt(total)

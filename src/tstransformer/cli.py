@@ -195,10 +195,10 @@ def _windows(cfg: RunConfig, train_norm: TimeSeries, lookback: int):
     return make_windows(train_norm, lookback, cfg.get_int("horizon"), all_channels=cfg["loss_channels"] == "all")
 
 
-def _fit(cfg: RunConfig, windows):
-    """Build a model for the windows' variates and lookback, and train it on them."""
-    model = TSTransformerModel(cfg.model_config(len(windows.channel_names), windows.lookback), seed=cfg.get_int("seed"))
-    return model, train(model, windows, cfg.train_config())
+def _fit(cfg: RunConfig, windows, tcfg: TrainConfig):
+    """Build a model for the windows' variates and lookback, seeded by ``tcfg``, and train it on them."""
+    model = TSTransformerModel(cfg.model_config(len(windows.channel_names), windows.lookback), seed=tcfg.seed)
+    return model, train(model, windows, tcfg)
 
 
 def _check_rollout(cfg: RunConfig) -> None:
@@ -313,8 +313,8 @@ def cmd_train(args) -> int:
     series, train_norm, stats = _load_for_training(args, cfg)
     windows = _windows(cfg, train_norm, cfg.get_int("lookback"))
     _check_rollout(cfg)
-    model, history = _fit(cfg, windows)
     tcfg = cfg.train_config()
+    model, history = _fit(cfg, windows, tcfg)
     extra = {
         "target_channel": series.target_channel,
         "train.split_hours": repr(cfg.get_float("split_hours")),
@@ -405,9 +405,10 @@ def cmd_lag_scan(args) -> int:
     # Every size's windows first: views cost nothing, and a bad size fails before any training.
     built = [_for_size(size, _windows, cfg, train_norm, size) for size in sizes]
     _check_rollout(cfg)
+    tcfg = cfg.train_config()
     lines = ["window," + ",".join(f"lag_h_ft_{f:g}" for f in thresholds.loss_fractions)]
     for size, windows in zip(sizes, built):
-        model, _ = _for_size(size, _fit, cfg, windows)
+        model, _ = _for_size(size, _fit, cfg, windows, tcfg)
         result = _for_size(size, _rollout, cfg, model, series, stats)
         lags = [lag_error(result.time, result.pred, result.true, thr, origin) for thr in thresholds.voltages]
         lines.append(f"{size}," + ",".join("" if v is None else repr(v) for v in lags))

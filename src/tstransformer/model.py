@@ -75,16 +75,25 @@ class ModelConfig:
         return tuple(max(1, round(1.0 / r)) for r in self.ratios)
 
 
+def param_shapes(config: ModelConfig) -> list:
+    """(name, shape) of every parameter in declared (checkpoint) order: the one
+    layout table, which the model is built from and checkpoints are split by."""
+    d = config.width
+    layers = [("embed.weight", config.lookback, d)]
+    for i, r in enumerate(config.reduction_factors):
+        layers += [(f"stage{i}.{name}.weight", d, d) for name in ("q", "k", "v")]
+        layers += [(f"stage{i}.{name}.kernel", r, d) for name in ("k_reduce", "v_reduce")]
+        layers += [(f"stage{i}.{name}.weight", d, d) for name in ("out", "ffn")]
+    layers.append(("project.weight", d, config.horizon))
+    shapes = []
+    for name, rows, cols in layers:
+        shapes += [(name, (rows, cols)), (name.rpartition(".")[0] + ".bias", (cols,))]
+    return shapes
+
+
 def param_count(config: ModelConfig) -> int:
-    """Closed-form scalar count; must equal any checkpoint payload."""
-    d, tw, s = config.width, config.lookback, config.horizon
-    total = tw * d + d  # embedding
-    for r in config.reduction_factors:
-        total += 4 * (d * d + d)  # q, k, v, output projections
-        total += 2 * (r * d + d)  # k and v reducers
-        total += d * d + d  # feed-forward
-    total += d * s + s  # projection head
-    return total
+    """Scalar count of :func:`param_shapes`; must equal any checkpoint payload."""
+    return sum(math.prod(shape) for _, shape in param_shapes(config))
 
 
 class TSTransformerModel:
@@ -99,39 +108,21 @@ class TSTransformerModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        d, tw, s = config.width, config.lookback, config.horizon
         self._params: dict[str, Tensor] = {}  # in declared (checkpoint) order
         self._factors = config.reduction_factors
-
-        self._add("embed.weight", self._uniform(rng, (tw, d), tw))
-        self._add("embed.bias", np.zeros(d))
-        for i, r in enumerate(self._factors):
-            for name in ("q", "k", "v"):
-                self._add(f"stage{i}.{name}.weight", self._uniform(rng, (d, d), d))
-                self._add(f"stage{i}.{name}.bias", np.zeros(d))
-            for name in ("k_reduce", "v_reduce"):
-                self._add(f"stage{i}.{name}.kernel", np.full((r, d), 1.0 / r))
-                self._add(f"stage{i}.{name}.bias", np.zeros(d))
-            self._add(f"stage{i}.out.weight", self._uniform(rng, (d, d), d))
-            self._add(f"stage{i}.out.bias", np.zeros(d))
-            self._add(f"stage{i}.ffn.weight", self._uniform(rng, (d, d), d))
-            self._add(f"stage{i}.ffn.bias", np.zeros(d))
-        self._add("project.weight", self._uniform(rng, (d, s), d))
-        self._add("project.bias", np.zeros(s))
+        for name, shape in param_shapes(config):  # weights draw from rng in table order
+            if name.endswith(".weight"):
+                bound = math.sqrt(1.0 / shape[0])  # shape[0] is the fan-in
+                values = rng.uniform(-bound, bound, size=shape)
+            else:  # reducer kernels average over their r rows; biases are zero
+                values = np.full(shape, 1.0 / shape[0] if name.endswith(".kernel") else 0.0)
+            self._params[name] = Tensor(values, requires_grad=True)
         # the stage's tensors in encoder_stage's (checkpoint) order; load_arrays
         # and the optimizer update them in place, so the tuples stay current
         self._stage_params = tuple(
             tuple(t for name, t in self._params.items() if name.startswith(f"stage{i}."))
             for i in range(config.stages)
         )
-
-    @staticmethod
-    def _uniform(rng, shape, fan_in):
-        bound = math.sqrt(1.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    def _add(self, name: str, values: np.ndarray) -> None:
-        self._params[name] = Tensor(values, requires_grad=True)
 
     # -- parameter access ---------------------------------------------------
 
@@ -168,14 +159,6 @@ class TSTransformerModel:
     def _affine(self, x, prefix: str) -> Tensor:
         return ad.affine(x, self.param(f"{prefix}.weight"), self.param(f"{prefix}.bias"))
 
-    def _reduced(self, tokens: Tensor, stage: int, name: str) -> Tensor:
-        """Project tokens to K or V (``name``) and shrink them along the token axis."""
-        p = f"stage{stage}.{name}"
-        return ad.depthwise_conv1d(
-            self._affine(tokens, p), self.param(f"{p}_reduce.kernel"), self.param(f"{p}_reduce.bias"),
-            self._factors[stage],
-        )
-
     def embed(self, window) -> Tensor:
         """Map a (lookback, n_variates) window to one token per variate.
 
@@ -194,24 +177,21 @@ class TSTransformerModel:
     def reduce_kv(self, tokens: Tensor, stage: int) -> tuple:
         """Project tokens to K and V and shrink each along the token axis."""
         self._check_stage(stage)
-        return self._reduced(tokens, stage, "k"), self._reduced(tokens, stage, "v")
+        p = f"stage{stage}."
+        return tuple(ad.depthwise_conv1d(self._affine(tokens, p + name), self.param(f"{p}{name}_reduce.kernel"),
+                                         self.param(f"{p}{name}_reduce.bias"), self._factors[stage])
+                     for name in ("k", "v"))
 
     def multi_scale_attention(self, tokens: Tensor, stage: int) -> Tensor:
         """Attention with full-resolution queries over reduced keys/values.
 
         Output token count always matches the input, whatever the
-        stage's reduction factor. A stage that reduces K/V to one token
-        (N <= r) builds only V: softmax over one key is exactly 1, so q, k
-        and the k reducer cannot change the output and are skipped.
+        stage's reduction factor. Built from the generic primitives, with q,
+        k and attention in every stage, as the reference for :meth:`trm_block`.
         """
         self._check_stage(stage)
-        n, r = tokens.shape[-2], self._factors[stage]
-        if n > r:
-            q = self._affine(tokens, f"stage{stage}.q")
-            k_r, v_r = self.reduce_kv(tokens, stage)
-            attended = ad.attention(q, k_r, v_r, self.config.heads)
-        else:
-            attended = ad.single_key_attention(self._reduced(tokens, stage, "v"), n, self.config.heads)
+        q = self._affine(tokens, f"stage{stage}.q")
+        attended = ad.attention(q, *self.reduce_kv(tokens, stage), self.config.heads)
         return self._affine(attended, f"stage{stage}.out")
 
     def trm_block(self, tokens: Tensor, stage: int) -> Tensor:

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import NormStats, TimeSeries, WindowedDataset, zscore_apply
 from .errors import ContractError, CorruptionError, NumericalError, ParameterError
-from .model import ModelConfig, TSTransformerModel, param_count
+from .model import ModelConfig, TSTransformerModel, param_count, param_shapes
 
 CHECKPOINT_MAGIC = b"TSTC"
 CHECKPOINT_VERSION = 1
@@ -55,6 +55,8 @@ class TrainConfig:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ParameterError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
@@ -135,8 +137,13 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
 
 
 def clip_global_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint norm is at most ``max_norm``."""
-    norm = ad.global_grad_norm(params)
+    """Scale all gradients so their joint norm is at most ``max_norm``; return the
+    norm before scaling (None counts as zero)."""
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float(np.dot(p.grad.reshape(-1), p.grad.reshape(-1)))
+    norm = math.sqrt(total)
     if max_norm > 0.0 and norm > max_norm:
         factor = max_norm / norm
         for p in params:
@@ -410,6 +417,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint stats disagree: {len(stats.channel_names)} channels, {len(stats.mean)} means, "
             f"{len(stats.std)} stds, model.n_variates={config.n_variates}"
         )
+    if len(set(stats.channel_names)) != len(stats.channel_names):
+        raise CorruptionError(f"checkpoint stats.channels names a channel twice: {fields['stats.channels']}")
     if not np.all(stats.std > 0.0):
         raise CorruptionError(f"checkpoint stats.std holds a value <= 0: {fields['stats.std']}")
     if fields.get("stats.target", stats.channel_names[0]) not in stats.channel_names:
@@ -427,11 +436,11 @@ def load_checkpoint(path) -> Checkpoint:
     if not np.all(np.isfinite(scalars)):
         raise CorruptionError("checkpoint payload holds non-finite scalars")
 
-    reference = TSTransformerModel(config, seed=0)
     arrays, pos = [], 0
-    for _, p in reference.named_parameters():
-        arrays.append(scalars[pos : pos + p.size].reshape(p.shape).copy())
-        pos += p.size
+    for _, shape in param_shapes(config):
+        size = math.prod(shape)
+        arrays.append(scalars[pos : pos + size].reshape(shape).copy())
+        pos += size
     return Checkpoint(version=version, config=config, stats=stats, header=fields, arrays=tuple(arrays))
 
 

@@ -6,12 +6,12 @@ scaled-dot-product formulation, so the model's multi-scale path can be
 checked against it. ``per_head_attention_loop`` is the opposite: the
 model's former attention, op for op in taped primitives, kept so the
 fused ``autodiff.attention`` can be held to it bit for bit. In the same
-way ``full_multi_scale_attention`` keeps the attention sublayer that built
-q, k and the k reducer in every stage, ``composed_trm_block`` the encoder
-stage as a chain of taped primitives, and ``adam_step_per_parameter`` the
-optimizer that updated one parameter at a time, so the single-key stages,
-the one-node ``autodiff.encoder_stage`` and the flat Adam update can be held
-to them. ``stacked_windows`` is the
+way ``composed_trm_block`` keeps the encoder stage as a chain of taped
+primitives, whose attention sublayer (the model's ``multi_scale_attention``)
+runs q, k, the k reducer and attention in every stage, and
+``adam_step_per_parameter`` the optimizer that updated one parameter at a
+time, so the one-node ``autodiff.encoder_stage``, with its one-key shortcut,
+and the flat Adam update can be held to them. ``stacked_windows`` is the
 former ``make_windows``, which copied every window into stacked arrays, so
 the strided views can be held to it.
 """
@@ -42,16 +42,6 @@ def per_head_attention_loop(q, k, v, heads: int) -> list:
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_scale)
         outs.append(ad.matmul(ad.softmax_last(scores), vh))
     return outs
-
-
-def full_multi_scale_attention(model, tokens, stage: int):
-    """The attention sublayer with q, k, the k reducer and attention in every
-    stage, even where K/V reduce to one token."""
-    w = lambda name: model.param(f"stage{stage}.{name}.weight")
-    b = lambda name: model.param(f"stage{stage}.{name}.bias")
-    q = ad.affine(tokens, w("q"), b("q"))
-    k_r, v_r = model.reduce_kv(tokens, stage)
-    return ad.affine(ad.attention(q, k_r, v_r, model.config.heads), w("out"), b("out"))
 
 
 def composed_trm_block(model, tokens, stage: int):

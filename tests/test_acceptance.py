@@ -80,7 +80,7 @@ def test_criterion_2_gradient_suite():
     k = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     cot3 = Tensor(rng.normal(size=(2, 6)))
     kv = [Tensor(rng.normal(size=(3, 6)), requires_grad=True) for _ in range(2)]
-    v1 = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+    rng.normal(size=(1, 6))  # drawn for a removed entry, so the inputs below stay the same
     # a stage with reduction 2 (N > r: attention) and 4 (N <= r: one key); the
     # k and k-reducer biases get zero gradient by softmax shift invariance, so a
     # small cotangent keeps the loss ulp, and their FD noise, small
@@ -100,9 +100,6 @@ def test_criterion_2_gradient_suite():
             [x, k, b],
         ),
         "attention": (lambda: ad.sum_all(ad.mul(ad.attention(x, *kv, 2), cot)), [x, *kv]),
-        "single_key_attention": (
-            lambda: ad.sum_all(ad.mul(ad.single_key_attention(v1, 4, 2), cot)), [v1]
-        ),
         "encoder_stage (N > r)": (lambda: encoder_stage(2), [x, *stage[2]]),
         "encoder_stage (N <= r)": (lambda: encoder_stage(4), [x, *stage[4]]),
     }

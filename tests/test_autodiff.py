@@ -223,29 +223,17 @@ def test_attention_multi_head_batched_gradient():
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
+    # encoder_stage's one-key shortcut against full attention over one key:
+    # v repeated to n rows, _single_key_grads for v, and no q or k gradient
     rng = np.random.default_rng(heads * 10 + n)
     q_a, k_a, v_a = (rng.normal(size=lead + (rows, d)) for rows in (n, 1, 1))
     cot = Tensor(rng.normal(size=lead + (n, d)) * 10.0 ** rng.uniform(-3, 3, size=lead + (n, d)))
     q, k, v = (t(a, grad=True) for a in (q_a, k_a, v_a))
     full = ad.attention(q, k, v, heads)
     ad.backward(ad.sum_all(ad.mul(full, cot)))
-    v1 = t(v_a, grad=True)
-    one = ad.single_key_attention(v1, n, heads)
-    ad.backward(ad.sum_all(ad.mul(one, cot)))
-    assert np.array_equal(one.data, full.data)
-    assert np.array_equal(v1.grad, v.grad)
-    assert not q.grad.any() and not k.grad.any()  # what the one-key case leaves out
-
-
-@pytest.mark.parametrize("v_shape, n, heads", [
-    ((2, 6), 3, 1),  # two value rows
-    ((6,), 3, 1),  # not a token matrix
-    ((1, 6), 0, 1),
-    ((1, 6), 3, 4),  # heads does not divide D
-])
-def test_single_key_attention_rejects_bad_shapes(v_shape, n, heads):
-    with pytest.raises(DimensionError):
-        ad.single_key_attention(t(np.ones(v_shape)), n, heads)
+    assert np.array_equal(np.repeat(v_a, n, axis=-2), full.data)
+    assert np.array_equal(ad._single_key_grads(cot.data, heads), v.grad)
+    assert not q.grad.any() and not k.grad.any()  # what the shortcut leaves out
 
 
 def stage_params(d=6, r=2, swap=()):

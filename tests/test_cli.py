@@ -201,7 +201,8 @@ def test_predict_honours_its_overrides(workdir, tmp_path):
     ("stats.mean", lambda v: "nan," + v.split(",", 1)[1]),
     ("model.n_variates", lambda v: str(int(v) + 1)),
     ("stats.target", lambda v: "missing"),
-], ids=["short-mean", "zero-std", "nan-mean", "n-variates", "target"])
+    ("stats.channels", lambda v: ",".join(v.split(",")[:1] * 2 + v.split(",")[2:])),
+], ids=["short-mean", "zero-std", "nan-mean", "n-variates", "target", "duplicate-channel"])
 def test_predict_checkpoint_with_bad_stats_exit_3(workdir, tmp_path, capsys, key, edit):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes((workdir / "model.ckpt").read_bytes())
@@ -470,13 +471,23 @@ def test_untyped_value_exit_2_names_key(workdir, tmp_path, capsys, command, key,
     ("adam_eps", "-1", "adam_eps"),
     ("clip_norm", "-1", "clip_norm"),
     ("patience", "-1", "patience"),
+    ("seed", "-1", "seed"),
 ])
-def test_out_of_range_train_value_exit_2(workdir, tmp_path, capsys, key, value, field):
-    ckpt = tmp_path / "x.ckpt"
+def test_out_of_range_train_value_exit_2(workdir, tmp_path, monkeypatch, capsys, key, value, field):
+    def no_training(*a, **kw):
+        raise AssertionError("trained despite an out-of-range training value")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    ckpt, out = tmp_path / "x.ckpt", tmp_path / "lag.csv"
     assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
                "--set", f"{key}={value}", "--out-checkpoint", ckpt) == 2
     assert field in capsys.readouterr().err
     assert not ckpt.exists()
+    assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--set", f"{key}={value}", "--windows", "8,16", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert field in err and "window size" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from helpers import (
     adam_step_per_parameter,
     composed_trm_block,
     edit_checkpoint_header,
-    full_multi_scale_attention,
     stacked_windows,
 )
 from tstransformer import autodiff as ad
@@ -203,7 +202,6 @@ def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, 
 
     new = run(False)
     monkeypatch.setattr(TSTransformerModel, "trm_block", composed_trm_block)
-    monkeypatch.setattr(TSTransformerModel, "multi_scale_attention", full_multi_scale_attention)
     old = run(True)
     assert len(new) == len(old) == 5 + len(TSTransformerModel(cfg).parameters())
     for got, want in zip(new, old):
@@ -289,6 +287,7 @@ def test_train_config_validation():
     ("adam_eps", math.nan), ("adam_eps", 0.0), ("adam_eps", -1.0),
     ("clip_norm", math.nan), ("clip_norm", -1.0),
     ("patience", -1),
+    ("seed", -1),
 ])
 def test_train_config_rejects_nan_and_out_of_range(field, value):
     with pytest.raises(ParameterError, match=field):
@@ -482,8 +481,9 @@ def test_checkpoint_non_finite_scalar_is_corruption(tmp_path):
     ("stats.target", lambda v: "missing", "'missing'"),
     ("model.eps", lambda v: "nan", "finite"),
     ("model.ratios", lambda v: "1.0,inf", "finite"),
+    ("stats.channels", lambda v: ",".join(v.split(",")[:1] * 2 + v.split(",")[2:]), "twice"),
 ], ids=["short-mean", "long-std", "long-channels", "n-variates", "zero-std", "negative-std",
-        "inf-std", "nan-mean", "target", "nan-eps", "inf-ratio"])
+        "inf-std", "nan-mean", "target", "nan-eps", "inf-ratio", "duplicate-channel"])
 def test_checkpoint_inconsistent_stats_or_non_finite_header_is_corruption(tmp_path, key, edit, message):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
