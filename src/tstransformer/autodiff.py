@@ -157,13 +157,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"sub requires equal shapes, got {a.shape} and {b.shape}")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
+    return _result(a.data - b.data, (a, b),
+                   lambda g: (g if a.requires_grad else None, -g if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
-    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    return _result(a.data * b.data, (a, b),
+                   lambda g: (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -245,6 +247,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, (a, b), grad_fn)
 
 
+def _affine(x, w, b):
+    """Forward of :func:`affine` on arrays: x @ w, then b added in place, which
+    is the same IEEE add as ``x @ w + b`` without a second full-size array."""
+    out = x @ w
+    out += b
+    return out
+
+
 def _affine_grads(g, x, w, want_x, want_w, want_b):
     """Gradients of x @ w + b for an output gradient g; None where not wanted."""
     k, n = w.shape
@@ -263,7 +273,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"affine bias width {b.shape} does not match weight {w.shape}")
     return _result(
-        x.data @ w.data + b.data,
+        _affine(x.data, w.data, b.data),
         (x, w, b),
         lambda g: _affine_grads(g, x.data, w.data, x.requires_grad, w.requires_grad, b.requires_grad),
     )
@@ -467,15 +477,15 @@ def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float
                              f"and reduction {r}, got {[a.shape for a in arrays]}")
     wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
 
-    v_red, v_blocks = _depthwise_conv1d(x @ wv + bv, vk, vb)
+    v_red, v_blocks = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
     one_key = n <= r
     if one_key:
         att = v_red.repeat(n, axis=-2)
     else:
-        k_red, k_blocks = _depthwise_conv1d(x @ wk + bk, kk, kb)
-        att, att_saved = _attention(x @ wq + bq, k_red, v_red, heads)
-    normed, ln1 = _layer_norm(x + (att @ wo + bo), eps)
-    f = normed @ wf + bf
+        k_red, k_blocks = _depthwise_conv1d(_affine(x, wk, bk), kk, kb)
+        att, att_saved = _attention(_affine(x, wq, bq), k_red, v_red, heads)
+    normed, ln1 = _layer_norm(x + _affine(att, wo, bo), eps)
+    f = _affine(normed, wf, bf)
     mask = f > 0.0
     out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
 

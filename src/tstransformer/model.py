@@ -102,21 +102,42 @@ class TSTransformerModel:
     Parameters are created from a seeded generator: affine weights are
     uniform in +-sqrt(1/fan_in) with zero biases, and reducer kernels
     start as averaging filters (entries 1/r, zero bias) so a stage with
-    factor 1 begins as an exact identity on K/V.
+    factor 1 begins as an exact identity on K/V. :meth:`from_arrays` builds a
+    model from given parameter values instead, drawing nothing.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
         rng = np.random.default_rng(seed)
-        self._params: dict[str, Tensor] = {}  # in declared (checkpoint) order
-        self._factors = config.reduction_factors
+        values = []
         for name, shape in param_shapes(config):  # weights draw from rng in table order
             if name.endswith(".weight"):
                 bound = math.sqrt(1.0 / shape[0])  # shape[0] is the fan-in
-                values = rng.uniform(-bound, bound, size=shape)
+                values.append(rng.uniform(-bound, bound, size=shape))
             else:  # reducer kernels average over their r rows; biases are zero
-                values = np.full(shape, 1.0 / shape[0] if name.endswith(".kernel") else 0.0)
-            self._params[name] = Tensor(values, requires_grad=True)
+                values.append(np.full(shape, 1.0 / shape[0] if name.endswith(".kernel") else 0.0))
+        self._adopt(config, values)
+
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays) -> "TSTransformerModel":
+        """A model whose parameters are copies of ``arrays`` (declared order),
+        built without a random initialisation."""
+        model = object.__new__(cls)
+        model._adopt(config, arrays)
+        return model
+
+    def _adopt(self, config: ModelConfig, arrays) -> None:
+        self.config = config
+        self._factors = config.reduction_factors
+        shapes = param_shapes(config)
+        arrays = list(arrays)
+        if len(arrays) != len(shapes):
+            raise ParameterError(f"expected {len(shapes)} parameter arrays, got {len(arrays)}")
+        self._params: dict[str, Tensor] = {}  # in declared (checkpoint) order
+        for (name, shape), arr in zip(shapes, arrays):
+            arr = np.array(arr, dtype=np.float64, order="C")  # a copy: callers keep their arrays
+            if arr.shape != shape:
+                raise ParameterError(f"parameter {name!r} expects shape {shape}, got {arr.shape}")
+            self._params[name] = Tensor._wrap(arr, True)
         # the stage's tensors in encoder_stage's (checkpoint) order; load_arrays
         # and the optimizer update them in place, so the tuples stay current
         self._stage_params = tuple(
@@ -141,18 +162,8 @@ class TSTransformerModel:
 
     def load_arrays(self, arrays) -> None:
         """Overwrite parameters from arrays given in declared order."""
-        arrays = list(arrays)
-        if len(arrays) != len(self._params):
-            raise ParameterError(
-                f"expected {len(self._params)} parameter arrays, got {len(arrays)}"
-            )
-        for (name, tensor), arr in zip(self._params.items(), arrays):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != tensor.shape:
-                raise ParameterError(
-                    f"parameter {name!r} expects shape {tensor.shape}, got {arr.shape}"
-                )
-            tensor.data[...] = arr
+        for tensor, new in zip(self.parameters(), self.from_arrays(self.config, arrays).parameters()):
+            tensor.data[...] = new.data
 
     # -- forward pieces -----------------------------------------------------
 

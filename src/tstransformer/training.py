@@ -305,9 +305,7 @@ class Checkpoint:
     arrays: tuple
 
     def to_model(self) -> TSTransformerModel:
-        model = TSTransformerModel(self.config, seed=0)
-        model.load_arrays(self.arrays)
-        return model
+        return TSTransformerModel.from_arrays(self.config, self.arrays)
 
 
 def _finite_float(text: str) -> float:

@@ -335,6 +335,17 @@ def test_backward_second_consumer_leaves_the_other_add_input_alone():
     assert np.array_equal(a.grad, [12.0, 23.0])
 
 
+@pytest.mark.parametrize("op", [ad.sub, ad.mul])
+def test_backward_gives_no_gradient_to_a_constant_operand(op):
+    # mse_loss subtracts a constant truth each step; its gradient would be dropped
+    x, c = t([1.0, 2.0], grad=True), t([3.0, 5.0])
+    for a, b in ((x, c), (c, x)):
+        op(a, b)
+        _, _, grad_fn = ad._state.tape.pop()
+        grads = grad_fn(np.ones(2))
+        assert [g is not None for g in grads] == [a is x, b is x]
+
+
 def test_backward_requires_scalar():
     x = t([1.0, 2.0], grad=True)
     y = ad.mul(x, x)

@@ -1,6 +1,8 @@
 """CLI tests: subcommand behavior, exit codes, config parsing, and the
 emitted CSV/SVG artifacts."""
 
+import ctypes
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from helpers import edit_checkpoint_header
 from tstransformer import cli
 from tstransformer.cli import DEFAULTS, _write_series_csv, load_run_config, main
-from tstransformer.data import CsvSchema, DegradationSpec, ingest_csv, synth_degradation
+from tstransformer.data import CsvSchema, DegradationSpec, TimeSeries, ingest_csv, make_windows, synth_degradation
 from tstransformer.errors import ConfigError
 from tstransformer.metrics import FaultThresholds, RulCoverageWarning, lag_error
-from tstransformer.model import ModelConfig
-from tstransformer.training import TrainConfig, load_checkpoint, save_checkpoint
+from tstransformer.model import ModelConfig, TSTransformerModel
+from tstransformer.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 @pytest.fixture(scope="module")
@@ -546,3 +548,46 @@ def test_predict_non_finite_forecast_exit_4(workdir, tmp_path, capsys):
                "--out", tmp_path / "f.csv") == 4
     assert "non-finite forecast" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# allocator
+
+
+def test_warm_training_step_page_faults_nothing():
+    # glibc's default trims the freed heap top after every step, and the next
+    # step faults it back in: thousands of minor faults per step at horizon 2000
+    resource = pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    cli._keep_heap_resident()
+    m, lookback, horizon, batch, steps = 5, 32, 2000, 64, 20
+    n = batch + lookback + horizon - 1  # exactly one batch of windows, so an epoch is one step
+    names = tuple(f"c{i}" for i in range(m))
+    series = TimeSeries(np.arange(n) * 0.1, np.random.default_rng(0).normal(size=(n, m)), names, names[0])
+    windows = make_windows(series, lookback, horizon)
+    model = TSTransformerModel(ModelConfig(m, lookback, horizon), seed=0)
+    tcfg = TrainConfig(epochs=5, batch_size=batch)
+    train(model, windows, tcfg)  # warm
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, windows, dataclasses.replace(tcfg, epochs=steps))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / steps <= 50
+
+
+# None: a C library without mallopt (macOS); OSError, TypeError: none to load (Windows)
+@pytest.mark.parametrize("failure", [None, OSError, TypeError])
+def test_main_runs_where_mallopt_is_missing(workdir, tmp_path, monkeypatch, failure):
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        if failure is not None:
+            raise failure("no C library")
+        return object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert run("preprocess", "--in", workdir / "raw.csv", "--out", tmp_path / "pre.csv") == 0
+    assert opened == [None]

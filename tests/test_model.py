@@ -109,6 +109,16 @@ def test_initial_parameters_are_pinned():
     assert digest.hexdigest() == "40e7915ffd9c48d8fedb0bb12ab1a071f114a4438c004d45d47d97ee7145acf7"
 
 
+def test_from_arrays_and_load_arrays_reject_a_wrong_count_or_shape():
+    cfg = toy_config()
+    arrays = [np.zeros(shape) for _, shape in param_shapes(cfg)]
+    with pytest.raises(ParameterError, match="expected 60 parameter arrays, got 59"):
+        TSTransformerModel.from_arrays(cfg, arrays[:-1])
+    arrays[3] = np.zeros((2, 2))
+    with pytest.raises(ParameterError, match="parameter 'stage0.q.bias' expects shape"):
+        TSTransformerModel(cfg, seed=0).load_arrays(arrays)
+
+
 # ---------------------------------------------------------------------------
 # embed
 

@@ -413,6 +413,27 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert np.array_equal(ckpt.stats.mean, stats.mean)
 
 
+def test_checkpoint_to_model_draws_no_random_init(tmp_path, monkeypatch):
+    series, stats, windows, model, cfg = tiny_setup(epochs=2)
+    train(model, windows, cfg)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, {})
+    ckpt = load_checkpoint(path)
+    former = TSTransformerModel(ckpt.config, seed=0)  # the former to_model: an init, then overwritten
+    former.load_arrays(ckpt.arrays)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("to_model drew a random initialisation")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    restored = ckpt.to_model()
+    monkeypatch.undo()
+    assert not any(np.shares_memory(p.data, a) for p, a in zip(restored.parameters(), ckpt.arrays))
+    w = np.random.default_rng(2).normal(size=(8, 16, 3))
+    with ad.no_grad():
+        assert np.array_equal(former.forward(w).data, restored.forward(w).data)
+
+
 def test_checkpoint_truncation_detected(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
