@@ -47,11 +47,7 @@ class Tensor:
         arr = np.array(data, dtype=np.float64, order="C")
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if arr.size == 0:
-            raise DimensionError(f"tensor extents must be positive, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor data must be finite (no NaN/Inf)")
-        self.data = arr
+        self.data = _check_data(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -81,6 +77,15 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+def _check_data(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is valid tensor data: positive extents, all finite."""
+    if arr.size == 0:
+        raise DimensionError(f"tensor extents must be positive, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tensor data must be finite (no NaN/Inf)")
+    return arr
 
 
 class _State(threading.local):
@@ -125,16 +130,17 @@ def _result(arr, inputs, grad_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g) -> None:
+def _accumulate(t: Tensor, g, shared: bool) -> None:
     if g is None or not t.requires_grad:
         return
-    if t.grad is None:
-        # a fresh buffer, never g itself: add() hands one g to both of its
-        # inputs, and later writes accumulate into grad in place
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif shared or g.base is not None or not g.flags.c_contiguous:
+        # a copy in t's C layout, since later writes accumulate into grad in
+        # place: a shared array or a view would carry them to its other holders
+        t.grad = g.copy()
+    else:
+        t.grad = g  # a fresh array no one else holds
 
 
 def _reduce_leading(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -440,6 +446,26 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
 # encoder stage
 
 
+def _stage_forward(x, arrays, r, heads, eps):
+    """Forward of :func:`encoder_stage` on arrays: the output and what its
+    backward needs. ``arrays`` are the stage's 14 parameter arrays; in a
+    one-key stage (N <= r) no attention is computed and its saved entries
+    (k blocks, attention state) are None."""
+    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
+    n = x.shape[-2]
+    v_red, v_blocks = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
+    if n <= r:
+        att, k_blocks, att_saved = v_red.repeat(n, axis=-2), None, None
+    else:
+        k_red, k_blocks = _depthwise_conv1d(_affine(x, wk, bk), kk, kb)
+        att, att_saved = _attention(_affine(x, wq, bq), k_red, v_red, heads)
+    normed, ln1 = _layer_norm(x + _affine(att, wo, bo), eps)
+    f = _affine(normed, wf, bf)
+    mask = f > 0.0
+    out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
+    return out, (v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2)
+
+
 def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float) -> Tensor:
     """One post-norm encoder stage over tokens (..., N, D) as a single taped node.
 
@@ -454,7 +480,8 @@ def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float
     N <= reduction K/V reduce to one key, whose softmax weight is exactly 1, so
     q, k and the k reducer get exact zero gradients: the node, the one place
     this shortcut is taken, neither computes them nor gives them a gradient
-    (theirs stay None). Forward and backward reuse the primitives' own numpy
+    (theirs stay None). Forward (:func:`_stage_forward`, which the model's
+    untaped forward runs too) and backward reuse the primitives' own numpy
     code and replay the composed primitives' accumulation order, so the output
     and every other gradient equal those of the chain of primitives bit for bit.
     """
@@ -475,19 +502,10 @@ def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float
     if [a.shape for a in arrays] != shapes:
         raise DimensionError(f"encoder_stage expects parameters shaped {shapes} for width {d} "
                              f"and reduction {r}, got {[a.shape for a in arrays]}")
-    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
-
-    v_red, v_blocks = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
+    out, (v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2) = _stage_forward(
+        x, arrays, r, heads, eps)
     one_key = n <= r
-    if one_key:
-        att = v_red.repeat(n, axis=-2)
-    else:
-        k_red, k_blocks = _depthwise_conv1d(_affine(x, wk, bk), kk, kb)
-        att, att_saved = _attention(_affine(x, wq, bq), k_red, v_red, heads)
-    normed, ln1 = _layer_norm(x + _affine(att, wo, bo), eps)
-    f = _affine(normed, wf, bf)
-    mask = f > 0.0
-    out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
+    wq, _, wk, _, wv, _, kk, _, vk, _, wo, _, wf, _ = arrays
 
     def grad_fn(g):
         want = [p.requires_grad for p in params]
@@ -495,7 +513,7 @@ def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float
         gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True, *want[12:14])
         g1 = _layer_norm_grads(g2 + gn, *ln1)
         ga, gwo, gbo = _affine_grads(g1, att, wo, True, *want[10:12])
-        # composed primitives pass gradients on as contiguous copies (_accumulate);
+        # composed primitives hand gradients on C-contiguous (_accumulate);
         # a strided view can make matmul sum in another order
         if one_key:
             gv = _single_key_grads(ga, heads)
@@ -544,8 +562,14 @@ def backward(loss: Tensor) -> None:
         for out, inputs, grad_fn in reversed(tape):
             if out.grad is None:
                 continue
-            for t, gi in zip(inputs, grad_fn(out.grad)):
-                _accumulate(t, gi)
+            g = out.grad
+            grads = grad_fn(g)
+            # the upstream gradient itself (add, sub) and an array handed to
+            # two inputs are shared: copied on first write, never stored
+            ids = [id(gi) for gi in grads if gi is not None]
+            repeated = len(set(ids)) < len(ids)
+            for t, gi in zip(inputs, grads):
+                _accumulate(t, gi, repeated or gi is g)
     finally:
         _state.tape = []
 

@@ -138,12 +138,14 @@ class TSTransformerModel:
             if arr.shape != shape:
                 raise ParameterError(f"parameter {name!r} expects shape {shape}, got {arr.shape}")
             self._params[name] = Tensor._wrap(arr, True)
-        # the stage's tensors in encoder_stage's (checkpoint) order; load_arrays
-        # and the optimizer update them in place, so the tuples stay current
+        # the stage's tensors in encoder_stage's (checkpoint) order, and their
+        # arrays for the untaped forward; load_arrays and the optimizer update
+        # the arrays in place, so the tuples stay current
         self._stage_params = tuple(
             tuple(t for name, t in self._params.items() if name.startswith(f"stage{i}."))
             for i in range(config.stages)
         )
+        self._stage_arrays = tuple(tuple(t.data for t in params) for params in self._stage_params)
 
     # -- parameter access ---------------------------------------------------
 
@@ -176,13 +178,8 @@ class TSTransformerModel:
         Every variate's full history passes through the same affine, so
         the output row f depends only on input column f.
         """
-        cfg = self.config
         win = window if isinstance(window, Tensor) else Tensor(window)
-        if win.data.ndim < 2 or win.data.shape[-2:] != (cfg.lookback, cfg.n_variates):
-            raise DimensionError(
-                f"window shape {win.shape} does not end in "
-                f"(lookback={cfg.lookback}, n_variates={cfg.n_variates})"
-            )
+        self._check_window(win.shape)
         return self._affine(ad.transpose(win), "embed")
 
     def reduce_kv(self, tokens: Tensor, stage: int) -> tuple:
@@ -225,7 +222,10 @@ class TSTransformerModel:
         row alone.
 
         Outside ``ad.no_grad()`` the forward is recorded: its nodes stay on
-        the thread-local tape until a ``backward``. Run inference under it.
+        the thread-local tape until a ``backward``. Run inference under it:
+        there the forward runs on plain arrays through the encoder stage
+        node's own forward, tapes nothing and equals the recorded output
+        bit for bit.
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -234,23 +234,48 @@ class TSTransformerModel:
         to the training range, and monotone degradation, which always
         exits that range, cannot be tracked over long rollouts.
         """
+        cfg = self.config
         arr = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
-        if channel is not None and not 0 <= channel < self.config.n_variates:
-            raise ParameterError(f"channel {channel} out of range [0, {self.config.n_variates})")
+        self._check_window(arr.shape)
+        if channel is not None and not 0 <= channel < cfg.n_variates:
+            raise ParameterError(f"channel {channel} out of range [0, {cfg.n_variates})")
         mu = arr.sum(axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
         centered = arr - mu
-
-        tokens = self.embed(centered)
-        for stage in range(self.config.stages):
-            tokens = self.trm_block(tokens, stage)
-        delta = self._affine(tokens, "project")
-
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
         if channel is not None:
-            delta = ad.slice_axis(delta, -2, channel, channel + 1)
             mu_rows = mu_rows[..., channel : channel + 1, :]
-        mu_rows = np.repeat(mu_rows, self.config.horizon, axis=-1)  # (..., rows, S)
-        return ad.add(delta, Tensor._wrap(mu_rows, False))
+        if not ad._state.recording:
+            return Tensor._wrap(self._untaped_forward(centered, mu_rows, channel), False)
+
+        tokens = self.embed(centered)
+        for stage in range(cfg.stages):
+            tokens = self.trm_block(tokens, stage)
+        delta = self._affine(tokens, "project")
+        if channel is not None:
+            delta = ad.slice_axis(delta, -2, channel, channel + 1)
+        return ad.add(delta, Tensor._wrap(np.repeat(mu_rows, cfg.horizon, axis=-1), False))
+
+    def _untaped_forward(self, centered, mu_rows, channel):
+        """:meth:`forward`'s arithmetic on plain arrays, bit for bit: the
+        primitives' and the stage node's own numpy forwards, nothing taped."""
+        cfg = self.config
+        p = self._params
+        ad._check_data(centered)  # what Tensor(centered) checks in embed
+        # embed's transpose hands affine a C-contiguous copy
+        x = ad._affine(np.ascontiguousarray(centered.swapaxes(-1, -2)),
+                       p["embed.weight"].data, p["embed.bias"].data)
+        for arrays, r in zip(self._stage_arrays, self._factors):
+            x, _ = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps)
+        delta = ad._affine(x, p["project.weight"].data, p["project.bias"].data)
+        if channel is not None:
+            delta = delta[..., channel : channel + 1, :]
+        return delta + mu_rows  # the same adds as ad.add over the repeated mean
+
+    def _check_window(self, shape: tuple) -> None:
+        cfg = self.config
+        if len(shape) < 2 or shape[-2:] != (cfg.lookback, cfg.n_variates):
+            raise DimensionError(f"window shape {shape} does not end in "
+                                 f"(lookback={cfg.lookback}, n_variates={cfg.n_variates})")
 
     def _check_stage(self, stage: int) -> None:
         if not 0 <= stage < self.config.stages:

@@ -335,6 +335,32 @@ def test_backward_second_consumer_leaves_the_other_add_input_alone():
     assert np.array_equal(a.grad, [12.0, 23.0])
 
 
+@pytest.mark.parametrize("op", [
+    lambda x: ad.sub(x, t([[5.0, 7.0]])),  # hands on the upstream gradient itself
+    ad.transpose,  # hands on a view of it, C-contiguous for one row
+])
+def test_backward_first_write_keeps_the_upstream_gradient_intact(op):
+    # x's first gradient comes from op (taped last); mul's then accumulates into it
+    x = t([[1.0, 2.0]], grad=True)
+    u = ad.sum_all(ad.mul(x, t([[10.0, 20.0]])))
+    y = op(x)
+    w = t(np.arange(2.0).reshape(y.shape) + 3.0)
+    ad.backward(ad.add(ad.sum_all(ad.mul(y, w)), u))
+    assert np.array_equal(y.grad, w.data)
+    assert np.array_equal(x.grad, [[13.0, 24.0]])
+
+
+def test_backward_copies_one_fresh_gradient_handed_to_two_inputs():
+    # a node whose backward returns one new array for both inputs; a's
+    # second consumer (mul, taped first) accumulates into a.grad afterwards
+    a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
+    u = ad.sum_all(ad.mul(a, t([10.0, 20.0])))
+    y = ad._result(a.data + b.data, (a, b), lambda g: (g * 2.0,) * 2)
+    ad.backward(ad.add(ad.sum_all(y), u))
+    assert np.array_equal(b.grad, [2.0, 2.0])
+    assert np.array_equal(a.grad, [12.0, 22.0])
+
+
 @pytest.mark.parametrize("op", [ad.sub, ad.mul])
 def test_backward_gives_no_gradient_to_a_constant_operand(op):
     # mse_loss subtracts a constant truth each step; its gradient would be dropped

@@ -367,6 +367,61 @@ def test_forward_channel_out_of_range(channel):
         model.forward(np.zeros((32, 6)), channel=channel)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("horizon", [1, 7])
+@pytest.mark.parametrize("m", [1, 5, 9])  # every stage one-key at M=1; stages 2-3 at 5, 9
+@pytest.mark.parametrize("mode", ["multi_scale", "vanilla"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_untaped_forward_matches_recorded_bit_for_bit(heads, mode, m, horizon, lead):
+    model = TSTransformerModel(toy_config(n_variates=m, horizon=horizon, heads=heads, mode=mode), seed=m)
+    rng = np.random.default_rng(heads * 100 + m * 10 + horizon)
+    model.load_arrays([0.5 * rng.normal(size=p.shape) for p in model.parameters()])  # nonzero biases
+    x = rng.normal(size=lead + (32, m))
+    for channel in (None, m - 1):
+        recorded = model.forward(x, channel=channel)
+        ad.backward(ad.sum_all(recorded))  # consumes the tape
+        ad.zero_grad(model.parameters())
+        with ad.no_grad():
+            untaped = model.forward(x, channel=channel)
+        assert not untaped.requires_grad
+        assert untaped.shape == recorded.shape
+        assert np.array_equal(untaped.data, recorded.data)
+
+
+def test_untaped_forward_tapes_nothing_and_calls_no_primitive(monkeypatch):
+    model = TSTransformerModel(toy_config(horizon=3), seed=15)
+    x = np.random.default_rng(12).normal(size=(4, 32, 6))
+
+    def no_primitive(*args):
+        raise AssertionError("a taped primitive ran under no_grad")
+
+    monkeypatch.setattr(ad, "_result", no_primitive)
+    before = len(ad._state.tape)
+    with ad.no_grad():
+        model.forward(x)
+        model.forward(x[0], channel=2)
+    assert len(ad._state.tape) == before
+
+
+@pytest.mark.parametrize("window, channel, error", [
+    (np.zeros((30, 6)), None, DimensionError),  # wrong lookback
+    (np.zeros((32, 5)), None, DimensionError),  # wrong variate count
+    (np.zeros(32), None, DimensionError),  # no variate axis
+    (np.zeros((0, 32, 6)), None, DimensionError),  # empty batch
+    (np.where(np.eye(32, 6) > 0, np.nan, 0.0), None, ValueError),
+    (np.full((32, 6), np.inf), None, ValueError),
+    (np.zeros((32, 6)), 6, ParameterError),
+])
+def test_forward_rejects_bad_input_alike_recorded_and_untaped(window, channel, error):
+    model = TSTransformerModel(toy_config(), seed=15)
+    before = len(ad._state.tape)
+    with pytest.raises(error):
+        model.forward(window, channel=channel)
+    with ad.no_grad(), pytest.raises(error):
+        model.forward(window, channel=channel)
+    assert len(ad._state.tape) == before
+
+
 def test_vanilla_forward_permutation_equivariant():
     model = TSTransformerModel(toy_config(mode="vanilla"), seed=16)
     rng = np.random.default_rng(13)

@@ -344,6 +344,24 @@ def test_rolling_covers_test_span_exactly():
     assert len(fc.pred) == len(expected_times)
 
 
+@pytest.mark.parametrize("step", [1, 4])
+def test_rolling_calls_forward_once_per_round(step, monkeypatch):
+    # the benchmark's tracer counts rollout rounds as model.forward calls
+    series, stats, _, model, _ = tiny_setup(horizon=4)
+    calls = []
+    forward = TSTransformerModel.forward
+
+    def counted(self, window, channel=None):
+        calls.append(window.shape)
+        return forward(self, window, channel)
+
+    monkeypatch.setattr(TSTransformerModel, "forward", counted)
+    boundary = 20.0
+    fc = rolling_forecast(model, series, stats, boundary, step=step)
+    assert len(calls) == math.ceil(len(fc.pred) / step)
+    assert set(calls) == {(16, 3)}
+
+
 def test_rolling_perfect_on_constant_series():
     # constant series: a freshly initialized model (zero biases) predicts
     # the window mean exactly, so the rollout reproduces the series
