@@ -5,9 +5,9 @@ can be held to tight tolerances. The op set is exactly what the
 forecasting model needs: matrix products, affine maps, ReLU, last-axis
 softmax, multi-head scaled dot-product attention, per-slice layer
 normalization, strided depthwise 1-D convolution, elementwise arithmetic,
-slicing and scalar reductions, plus :func:`encoder_stage`, one node for a
-whole encoder stage (the only code that skips work for a one-key stage),
-built from the same private numpy helpers as those primitives.
+slicing and scalar reductions. For the model's one-node forward,
+``_stage_forward`` and ``_stage_backward`` run a whole encoder stage on arrays
+from those primitives' numpy helpers; only they skip work for a one-key stage.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -83,7 +83,7 @@ def _check_data(arr: np.ndarray) -> np.ndarray:
     """``arr`` if it is valid tensor data: positive extents, all finite."""
     if arr.size == 0:
         raise DimensionError(f"tensor extents must be positive, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor data must be finite (no NaN/Inf)")
     return arr
 
@@ -443,14 +443,20 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
 
 
 # ---------------------------------------------------------------------------
-# encoder stage
+# encoder stage (array helpers for the model's forward node)
 
 
 def _stage_forward(x, arrays, r, heads, eps):
-    """Forward of :func:`encoder_stage` on arrays: the output and what its
-    backward needs. ``arrays`` are the stage's 14 parameter arrays; in a
-    one-key stage (N <= r) no attention is computed and its saved entries
-    (k blocks, attention state) are None."""
+    """A post-norm encoder stage on tokens x (..., N, D): y and what
+    :func:`_stage_backward` needs. ``arrays`` are the stage's 14 parameters in
+    checkpoint order (q, k, v, k and v reducers, out, ffn); reduce is the
+    stride-r :func:`depthwise_conv1d`. y equals the primitives' chain bit for bit:
+
+        a = affine(attention(affine(x, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
+        normed = layer_norm(x + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
+
+    When N <= r K/V reduce to one key, whose softmax weight is exactly 1: q, k
+    and the k reducer are skipped and their saved entries are None."""
     wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
     n = x.shape[-2]
     v_red, v_blocks = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
@@ -466,72 +472,33 @@ def _stage_forward(x, arrays, r, heads, eps):
     return out, (v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2)
 
 
-def encoder_stage(tokens: Tensor, params, reduction: int, heads: int, eps: float) -> Tensor:
-    """One post-norm encoder stage over tokens (..., N, D) as a single taped node.
-
-    ``params`` holds the stage's 14 tensors in checkpoint order: q, k and v
-    weight and bias, the k and v reducers' kernel and bias, then out and ffn
-    weight and bias. The stage computes
-
-        a = affine(attention(affine(x, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
-        normed = layer_norm(x + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
-
-    where reduce is the stride-``reduction`` :func:`depthwise_conv1d`. When
-    N <= reduction K/V reduce to one key, whose softmax weight is exactly 1, so
-    q, k and the k reducer get exact zero gradients: the node, the one place
-    this shortcut is taken, neither computes them nor gives them a gradient
-    (theirs stay None). Forward (:func:`_stage_forward`, which the model's
-    untaped forward runs too) and backward reuse the primitives' own numpy
-    code and replay the composed primitives' accumulation order, so the output
-    and every other gradient equal those of the chain of primitives bit for bit.
-    """
-    x = tokens.data
-    if x.ndim < 2:
-        raise DimensionError(f"encoder_stage expects tokens (..., N, D), got shape {tokens.shape}")
-    n, d = x.shape[-2:]
-    r = int(reduction)
-    if r < 1:
-        raise ParameterError(f"reduction factor must be >= 1, got {reduction}")
-    if heads < 1 or d % heads:
-        raise DimensionError(f"heads ({heads}) must divide the model width ({d})")
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
-    arrays = [p.data for p in params]
-    shapes = [(d, d), (d,)] * 3 + [(r, d), (d,)] * 2 + [(d, d), (d,)] * 2
-    if [a.shape for a in arrays] != shapes:
-        raise DimensionError(f"encoder_stage expects parameters shaped {shapes} for width {d} "
-                             f"and reduction {r}, got {[a.shape for a in arrays]}")
-    out, (v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2) = _stage_forward(
-        x, arrays, r, heads, eps)
-    one_key = n <= r
+def _stage_backward(g, x, arrays, saved, heads, want):
+    """Gradients of :func:`_stage_forward` for an output gradient g: x's, then
+    the 14 arrays'. An array's is None where its ``want`` flag is False and for
+    a one-key stage's q, k and k reducer (exact zeros in the primitives'
+    chain); the rest equal that chain's bit for bit."""
     wq, _, wk, _, wv, _, kk, _, vk, _, wo, _, wf, _ = arrays
-
-    def grad_fn(g):
-        want = [p.requires_grad for p in params]
-        g2 = _layer_norm_grads(g, *ln2)
-        gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True, *want[12:14])
-        g1 = _layer_norm_grads(g2 + gn, *ln1)
-        ga, gwo, gbo = _affine_grads(g1, att, wo, True, *want[10:12])
-        # composed primitives hand gradients on C-contiguous (_accumulate);
-        # a strided view can make matmul sum in another order
-        if one_key:
-            gv = _single_key_grads(ga, heads)
-        else:
-            gq, gk, gv = (np.ascontiguousarray(a) for a in _attention_grads(ga, *att_saved))
-        gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_blocks, vk, n, True, *want[8:10])
-        gx, gwv, gbv = _affine_grads(gvp, x, wv, tokens.requires_grad, *want[4:6])
-        gx = g1 + gx if tokens.requires_grad else None
-        if one_key:
-            return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
-        gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_blocks, kk, n, True, *want[6:8])
-        gxk, gwk, gbk = _affine_grads(gkp, x, wk, tokens.requires_grad, *want[2:4])
-        gxq, gwq, gbq = _affine_grads(gq, x, wq, tokens.requires_grad, *want[0:2])
-        if gx is not None:
-            gx = (gx + gxk) + gxq
-        return gx, gwq, gbq, gwk, gbk, gwv, gbv, gkk, gkb, gvk, gvb, gwo, gbo, gwf, gbf
-
-    return _result(out, (tokens, *params), grad_fn)
+    v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2 = saved
+    n = x.shape[-2]
+    g2 = _layer_norm_grads(g, *ln2)
+    gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True, *want[12:14])
+    g1 = _layer_norm_grads(g2 + gn, *ln1)
+    ga, gwo, gbo = _affine_grads(g1, att, wo, True, *want[10:12])
+    # composed primitives hand gradients on C-contiguous (_accumulate);
+    # a strided view can make matmul sum in another order
+    if k_blocks is None:
+        gv = _single_key_grads(ga, heads)
+    else:
+        gq, gk, gv = (np.ascontiguousarray(a) for a in _attention_grads(ga, *att_saved))
+    gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_blocks, vk, n, True, *want[8:10])
+    gx, gwv, gbv = _affine_grads(gvp, x, wv, True, *want[4:6])
+    gx = g1 + gx
+    if k_blocks is None:
+        return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
+    gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_blocks, kk, n, True, *want[6:8])
+    gxk, gwk, gbk = _affine_grads(gkp, x, wk, True, *want[2:4])
+    gxq, gwq, gbq = _affine_grads(gq, x, wq, True, *want[0:2])
+    return (gx + gxk) + gxq, gwq, gbq, gwk, gbk, gwv, gbv, gkk, gkb, gvk, gvb, gwo, gbo, gwf, gbf
 
 
 # ---------------------------------------------------------------------------

@@ -138,14 +138,11 @@ class TSTransformerModel:
             if arr.shape != shape:
                 raise ParameterError(f"parameter {name!r} expects shape {shape}, got {arr.shape}")
             self._params[name] = Tensor._wrap(arr, True)
-        # the stage's tensors in encoder_stage's (checkpoint) order, and their
-        # arrays for the untaped forward; load_arrays and the optimizer update
-        # the arrays in place, so the tuples stay current
-        self._stage_params = tuple(
-            tuple(t for name, t in self._params.items() if name.startswith(f"stage{i}."))
+        # forward's per-stage arrays, kept current by in-place updates
+        self._stage_arrays = tuple(
+            tuple(t.data for name, t in self._params.items() if name.startswith(f"stage{i}."))
             for i in range(config.stages)
         )
-        self._stage_arrays = tuple(tuple(t.data for t in params) for params in self._stage_params)
 
     # -- parameter access ---------------------------------------------------
 
@@ -195,22 +192,12 @@ class TSTransformerModel:
 
         Output token count always matches the input, whatever the
         stage's reduction factor. Built from the generic primitives, with q,
-        k and attention in every stage, as the reference for :meth:`trm_block`.
+        k and attention in every stage, as the reference for :meth:`forward`.
         """
         self._check_stage(stage)
         q = self._affine(tokens, f"stage{stage}.q")
         attended = ad.attention(q, *self.reduce_kv(tokens, stage), self.config.heads)
         return self._affine(attended, f"stage{stage}.out")
-
-    def trm_block(self, tokens: Tensor, stage: int) -> Tensor:
-        """Residual attention and feed-forward sublayers, post-norm layout.
-
-        One taped node (:func:`autodiff.encoder_stage`) whose attention
-        sublayer equals :meth:`multi_scale_attention` bit for bit.
-        """
-        self._check_stage(stage)
-        cfg = self.config
-        return ad.encoder_stage(tokens, self._stage_params[stage], self._factors[stage], cfg.heads, cfg.eps)
 
     def forward(self, window, channel: int | None = None) -> Tensor:
         """(lookback, n_variates) -> (n_variates, horizon) forecast.
@@ -221,11 +208,11 @@ class TSTransformerModel:
         bit to that row of the full output; the mean is added back to that
         row alone.
 
-        Outside ``ad.no_grad()`` the forward is recorded: its nodes stay on
-        the thread-local tape until a ``backward``. Run inference under it:
-        there the forward runs on plain arrays through the encoder stage
-        node's own forward, tapes nothing and equals the recorded output
-        bit for bit.
+        It runs on arrays and tapes nothing under ``ad.no_grad()``; outside
+        it tapes one node over every parameter. Outputs and gradients equal
+        the chain of primitives' (``embed``, post-norm stages over
+        :meth:`multi_scale_attention`, head affine, row slice, mean add) bit
+        for bit, but a one-key stage's q, k and k reducer get None, not zeros.
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -239,37 +226,46 @@ class TSTransformerModel:
         self._check_window(arr.shape)
         if channel is not None and not 0 <= channel < cfg.n_variates:
             raise ParameterError(f"channel {channel} out of range [0, {cfg.n_variates})")
+        ad._check_data(arr)  # before centring, which would compute inf - inf
         mu = arr.sum(axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
-        centered = arr - mu
+        centered = ad._check_data(arr - mu)  # a sum can still overflow
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
-        if channel is not None:
-            mu_rows = mu_rows[..., channel : channel + 1, :]
-        if not ad._state.recording:
-            return Tensor._wrap(self._untaped_forward(centered, mu_rows, channel), False)
-
-        tokens = self.embed(centered)
-        for stage in range(cfg.stages):
-            tokens = self.trm_block(tokens, stage)
-        delta = self._affine(tokens, "project")
-        if channel is not None:
-            delta = ad.slice_axis(delta, -2, channel, channel + 1)
-        return ad.add(delta, Tensor._wrap(np.repeat(mu_rows, cfg.horizon, axis=-1), False))
-
-    def _untaped_forward(self, centered, mu_rows, channel):
-        """:meth:`forward`'s arithmetic on plain arrays, bit for bit: the
-        primitives' and the stage node's own numpy forwards, nothing taped."""
-        cfg = self.config
         p = self._params
-        ad._check_data(centered)  # what Tensor(centered) checks in embed
-        # embed's transpose hands affine a C-contiguous copy
-        x = ad._affine(np.ascontiguousarray(centered.swapaxes(-1, -2)),
-                       p["embed.weight"].data, p["embed.bias"].data)
+        we, be = p["embed.weight"].data, p["embed.bias"].data
+        wp, bp = p["project.weight"].data, p["project.bias"].data
+        xt = np.ascontiguousarray(centered.swapaxes(-1, -2))  # (..., M, lookback)
+        x = ad._affine(xt, we, be)
+        recording = ad._state.recording
+        stages = []  # each stage's input and saved state, kept only for the backward
         for arrays, r in zip(self._stage_arrays, self._factors):
-            x, _ = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps)
-        delta = ad._affine(x, p["project.weight"].data, p["project.bias"].data)
+            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps)
+            if recording:
+                stages.append((x, saved))
+            x = y
+        delta = ad._affine(x, wp, bp)
         if channel is not None:
             delta = delta[..., channel : channel + 1, :]
-        return delta + mu_rows  # the same adds as ad.add over the repeated mean
+            mu_rows = mu_rows[..., channel : channel + 1, :]
+        out = delta + mu_rows  # the same adds as the mean repeated to (..., M, horizon)
+        if not recording:
+            return Tensor._wrap(out, False)
+        params = self.parameters()
+
+        def grad_fn(g):
+            want = [t.requires_grad for t in params]
+            if channel is not None:  # the row slice's backward: zeros off the row
+                g, row = np.zeros(x.shape[:-1] + (cfg.horizon,)), g
+                g[..., channel : channel + 1, :] = row
+            end = len(want) - 2
+            g, *grads = ad._affine_grads(g, x, wp, True, *want[end:])
+            for (xi, saved), arrays in zip(stages[::-1], self._stage_arrays[::-1]):
+                start = end - len(arrays)
+                g, *stage_grads = ad._stage_backward(g, xi, arrays, saved, cfg.heads, want[start:end])
+                grads[:0] = stage_grads
+                end = start
+            return [*ad._affine_grads(g, xt, we, False, *want[:2])[1:], *grads]
+
+        return ad._result(out, params, grad_fn)
 
     def _check_window(self, shape: tuple) -> None:
         cfg = self.config

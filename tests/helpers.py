@@ -6,14 +6,14 @@ scaled-dot-product formulation, so the model's multi-scale path can be
 checked against it. ``per_head_attention_loop`` is the opposite: the
 model's former attention, op for op in taped primitives, kept so the
 fused ``autodiff.attention`` can be held to it bit for bit. In the same
-way ``composed_trm_block`` keeps the encoder stage as a chain of taped
-primitives, whose attention sublayer (the model's ``multi_scale_attention``)
-runs q, k, the k reducer and attention in every stage, and
-``adam_step_per_parameter`` the optimizer that updated one parameter at a
-time, so the one-node ``autodiff.encoder_stage``, with its one-key shortcut,
-and the flat Adam update can be held to them. ``stacked_windows`` is the
-former ``make_windows``, which copied every window into stacked arrays, so
-the strided views can be held to it.
+way ``composed_forward`` keeps the recorded forward as a chain of taped
+primitives (``composed_trm_block`` per encoder stage, whose attention
+sublayer, the model's ``multi_scale_attention``, runs q, k, the k reducer and
+attention in every stage), and ``adam_step_per_parameter`` the optimizer
+that updated one parameter at a time, so the model's one-node forward, with
+its one-key shortcut, and the flat Adam update can be held to them.
+``stacked_windows`` is the former ``make_windows``, which copied every window
+into stacked arrays, so the strided views can be held to it.
 """
 
 import math
@@ -45,13 +45,30 @@ def per_head_attention_loop(q, k, v, heads: int) -> list:
 
 
 def composed_trm_block(model, tokens, stage: int):
-    """The encoder stage as a chain of taped primitives, before
-    ``autodiff.encoder_stage`` made it one node."""
+    """One encoder stage as a chain of taped primitives: residual attention
+    and feed-forward sublayers, post-norm layout."""
     eps = model.config.eps
     w = model.param(f"stage{stage}.ffn.weight")
     b = model.param(f"stage{stage}.ffn.bias")
     normed = ad.layer_norm(ad.add(tokens, model.multi_scale_attention(tokens, stage)), eps)
     return ad.layer_norm(ad.add(normed, ad.relu(ad.affine(normed, w, b))), eps)
+
+
+def composed_forward(model, window, channel=None):
+    """``model.forward`` as a chain of taped primitives, before it became one
+    node: embed, a composed stage per stage, the head affine, the row slice and
+    the add of the window mean repeated over the horizon."""
+    cfg = model.config
+    mu = window.sum(axis=-2, keepdims=True) / window.shape[-2]
+    mu_rows = mu.swapaxes(-1, -2)
+    tokens = model.embed(window - mu)
+    for stage in range(cfg.stages):
+        tokens = composed_trm_block(model, tokens, stage)
+    delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
+    if channel is not None:
+        delta = ad.slice_axis(delta, -2, channel, channel + 1)
+        mu_rows = mu_rows[..., channel : channel + 1, :]
+    return ad.add(delta, ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))
 
 
 def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -> None:

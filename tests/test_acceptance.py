@@ -81,14 +81,20 @@ def test_criterion_2_gradient_suite():
     cot3 = Tensor(rng.normal(size=(2, 6)))
     kv = [Tensor(rng.normal(size=(3, 6)), requires_grad=True) for _ in range(2)]
     rng.normal(size=(1, 6))  # drawn for a removed entry, so the inputs below stay the same
-    # a stage with reduction 2 (N > r: attention) and 4 (N <= r: one key); the
-    # k and k-reducer biases get zero gradient by softmax shift invariance, so a
-    # small cotangent keeps the loss ulp, and their FD noise, small
+    # a heads=2 model whose stages have reduction 2 (N > r: attention) and 4
+    # (N <= r: one key); the k and k-reducer biases get zero gradient by
+    # softmax shift invariance, so a small cotangent keeps the loss ulp, and
+    # their FD noise, small
     cot_stage = Tensor(1e-3 * rng.normal(size=(4, 6)))
-    stage = {r: [Tensor(0.5 * rng.normal(size=shape), requires_grad=True)
-                 for shape in [(6, 6), (6,)] * 3 + [(r, 6), (6,)] * 2 + [(6, 6), (6,)] * 2]
+    stage = {r: [0.5 * rng.normal(size=shape) for shape in [(6, 6), (6,)] * 3 + [(r, 6), (6,)] * 2
+                 + [(6, 6), (6,)] * 2]
              for r in (2, 4)}
-    encoder_stage = lambda r: ad.sum_all(ad.mul(ad.encoder_stage(x, stage[r], r, 2, 1e-5), cot_stage))
+    stage_cfg = ModelConfig(n_variates=4, lookback=5, horizon=6, width=6, stages=2,
+                            ratios=(0.5, 0.25), heads=2)
+    init = [p.data for p in TSTransformerModel(stage_cfg, seed=20).parameters()]
+    stage_model = TSTransformerModel.from_arrays(stage_cfg, init[:2] + stage[2] + stage[4] + init[-2:])
+    stage_window = np.random.default_rng(21).normal(size=(5, 4))
+    two_stages = lambda: ad.sum_all(ad.mul(stage_model.forward(stage_window), cot_stage))
     primitives = {
         "matmul": (lambda: ad.sum_all(ad.mul(ad.matmul(x, w), cot)), [x, w]),
         "affine": (lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), cot)), [x, w, b]),
@@ -100,8 +106,7 @@ def test_criterion_2_gradient_suite():
             [x, k, b],
         ),
         "attention": (lambda: ad.sum_all(ad.mul(ad.attention(x, *kv, 2), cot)), [x, *kv]),
-        "encoder_stage (N > r)": (lambda: encoder_stage(2), [x, *stage[2]]),
-        "encoder_stage (N <= r)": (lambda: encoder_stage(4), [x, *stage[4]]),
+        "model with N > r and N <= r stages": (two_stages, stage_model.parameters()),
     }
     for name, (f, params) in primitives.items():
         err = ad.gradient_check(f, params, h=1e-5)
@@ -148,7 +153,8 @@ def test_criterion_4_shape_and_clamp():
             k, v = model.reduce_kv(tokens, stage)
             expected = max(1, -(-n // r))
             assert k.shape == (expected, 16) and v.shape == (expected, 16)
-            assert model.trm_block(tokens, stage).shape == (n, 16)
+            out, _ = ad._stage_forward(tokens.data, model._stage_arrays[stage], r, cfg.heads, cfg.eps)
+            assert out.shape == (n, 16)
     _report(4, "shape/clamp suite", time.perf_counter() - t0, 5.0)
 
 

@@ -223,7 +223,7 @@ def test_attention_multi_head_batched_gradient():
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
-    # encoder_stage's one-key shortcut against full attention over one key:
+    # _stage_forward's one-key shortcut against full attention over one key:
     # v repeated to n rows, _single_key_grads for v, and no q or k gradient
     rng = np.random.default_rng(heads * 10 + n)
     q_a, k_a, v_a = (rng.normal(size=lead + (rows, d)) for rows in (n, 1, 1))
@@ -234,37 +234,6 @@ def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
     assert np.array_equal(np.repeat(v_a, n, axis=-2), full.data)
     assert np.array_equal(ad._single_key_grads(cot.data, heads), v.grad)
     assert not q.grad.any() and not k.grad.any()  # what the shortcut leaves out
-
-
-def stage_params(d=6, r=2, swap=()):
-    """encoder_stage's 14 tensors for width d and reduction r; ``swap`` is
-    (index, shape) pairs that replace shapes."""
-    shapes = [(d, d), (d,)] * 3 + [(r, d), (d,)] * 2 + [(d, d), (d,)] * 2
-    for i, shape in swap:
-        shapes[i] = shape
-    return [t(np.ones(shape)) for shape in shapes]
-
-
-@pytest.mark.parametrize("tokens_shape, params, heads", [
-    ((6,), stage_params(), 1),  # not a token matrix
-    ((4, 6), stage_params(), 4),  # heads does not divide D
-    ((4, 6), stage_params(), 0),
-    ((4, 6), stage_params(d=5), 1),  # width differs from the tokens'
-    ((4, 6), stage_params(r=3), 1),  # reducer length is not the reduction
-    ((4, 6), stage_params(swap=[(13, (5,))]), 1),  # ffn bias
-    ((4, 6), stage_params()[:12], 1),  # no ffn
-])
-def test_encoder_stage_rejects_bad_shapes(tokens_shape, params, heads):
-    with pytest.raises(DimensionError):
-        ad.encoder_stage(t(np.ones(tokens_shape)), params, 2, heads, 1e-5)
-
-
-def test_encoder_stage_rejects_bad_reduction_and_eps():
-    x = t(np.ones((4, 6)))
-    with pytest.raises(ParameterError):
-        ad.encoder_stage(x, stage_params(r=1), 0, 1, 1e-5)
-    with pytest.raises(ParameterError):
-        ad.encoder_stage(x, stage_params(), 2, 1, 0.0)
 
 
 # ---------------------------------------------------------------------------

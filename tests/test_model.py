@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import composed_trm_block, per_head_attention_loop, vanilla_attention_reference
+from helpers import composed_forward, per_head_attention_loop, vanilla_attention_reference
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.cli import load_run_config
@@ -233,17 +233,56 @@ def test_attention_matches_per_head_loop_bit_for_bit(heads, j, lead):
 
 @pytest.mark.parametrize("heads", [1, 4])
 def test_recorded_forward_tape_nodes(heads):
-    # embed affine, one encoder_stage node per stage, head affine, mean add
+    # the forward is one node; a training step adds mse_loss's sub, mul, mean_all
     cfg = load_run_config(None, (f"heads={heads}",)).model_config(5)
     model = TSTransformerModel(cfg, seed=0)
+    x = np.random.default_rng(0).normal(size=(8, cfg.lookback, 5))
     before = len(ad._state.tape)  # a forward left unconsumed elsewhere stays on the tape
-    out = model.forward(np.random.default_rng(0).normal(size=(8, cfg.lookback, 5)))
-    assert len(ad._state.tape) - before == 7
+    out = model.forward(x)
+    assert len(ad._state.tape) - before == 1
     ad.backward(ad.sum_all(out))  # consumes the tape
+    loss = mse_loss(model.forward(x, channel=0), np.zeros((8, 1, cfg.horizon)))
+    assert len(ad._state.tape) == 4
+    ad.backward(loss)
 
 
 # ---------------------------------------------------------------------------
 # encoder block
+
+
+def perturbed_model(cfg, seed):
+    model = TSTransformerModel(cfg, seed=seed)
+    for p in model.parameters():  # move reducers off their averaging init
+        p.data[...] += 0.3 * np.random.default_rng(p.size).normal(size=p.shape)
+    return model
+
+
+ONE_KEY_SKIPS = ("q.weight", "q.bias", "k.weight", "k.bias", "k_reduce.kernel", "k_reduce.bias")
+
+
+def assert_forward_matches_composed(model, window, cot, channel=None):
+    """The one-node forward against the chain of primitives: the output and
+    every parameter gradient bit for bit, except that a one-key stage's q, k
+    and k reducer get None where the chain gives exact zeros. A parameter
+    that does not require a gradient gets none from either."""
+    cfg = model.config
+    outs, grads = [], []
+    for forward in (TSTransformerModel.forward, composed_forward):
+        out = forward(model, window, channel)
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(cot))))
+        outs.append(out.data)
+        grads.append([p.grad for p in model.parameters()])
+        ad.zero_grad(model.parameters())
+    assert np.array_equal(*outs)
+    for (name, p), got, want in zip(model.named_parameters(), *grads):
+        stage, _, rest = name.partition(".")
+        if not p.requires_grad:
+            assert got is None and want is None, name
+        elif (stage.startswith("stage") and cfg.n_variates <= cfg.reduction_factors[int(stage[5:])]
+                and rest in ONE_KEY_SKIPS):
+            assert got is None and not want.any(), name
+        else:
+            assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("lead", [(), (8,)])
@@ -251,38 +290,30 @@ def test_recorded_forward_tape_nodes(heads):
 @pytest.mark.parametrize("m", [4, 5, 6])  # single-key stages 1-3 at M=4, 2-3 at 5 and 6
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_encoder_stage_matches_composed_block_bit_for_bit(heads, m, mode, lead):
-    cfg = toy_config(n_variates=m, heads=heads, mode=mode)
+    # the stages inside the one-node forward against composed stages,
+    # reducers off their averaging init
+    model = perturbed_model(toy_config(n_variates=m, heads=heads, mode=mode), seed=3)
     rng = np.random.default_rng(heads * 10 + m)
-    x0, cot = rng.normal(size=lead + (m, 16)), Tensor(rng.normal(size=lead + (m, 16)))
-    for stage, r in enumerate(cfg.reduction_factors):
-        prefix = f"stage{stage}."
+    x, cot = rng.normal(size=lead + (32, m)), rng.normal(size=lead + (m, 1))
+    assert_forward_matches_composed(model, x, cot)
 
-        def run(block):
-            model = TSTransformerModel(cfg, seed=3)
-            for p in model.parameters():  # move reducers off their averaging init
-                p.data[...] += 0.3 * np.random.default_rng(p.size).normal(size=p.shape)
-            x = Tensor(x0, requires_grad=True)
-            out = block(model, x, stage)
-            ad.backward(ad.sum_all(ad.mul(out, cot)))
-            named = [(n, p.grad) for n, p in model.named_parameters() if n.startswith(prefix)]
-            return [out.data, x.grad] + [g for _, g in named], [n for n, _ in named]
 
-        got, names = run(TSTransformerModel.trm_block)
-        want, _ = run(composed_trm_block)
-        for name, a, b in zip(["out", "tokens"] + names, got, want):
-            if m <= r and name.removeprefix(prefix) in (
-                    "q.weight", "q.bias", "k.weight", "k.bias", "k_reduce.kernel", "k_reduce.bias"):
-                # one key: the node skips what the full reference computes to exact zeros
-                assert a is None and not b.any(), name
-            else:
-                assert np.array_equal(a, b), name
+@pytest.mark.parametrize("frozen", [("embed.",), ("stage0.", "stage2."), ("project.",),
+                                    ("embed.", "stage0.", "stage1.", "stage2.", "stage3.")])
+def test_frozen_parameters_get_no_gradient_and_the_rest_match_the_chain(frozen):
+    model = perturbed_model(toy_config(n_variates=5, heads=2), seed=3)
+    for name, p in model.named_parameters():
+        p.requires_grad = not name.startswith(frozen)
+    rng = np.random.default_rng(0)
+    assert_forward_matches_composed(model, rng.normal(size=(3, 32, 5)), rng.normal(size=(3, 5, 1)))
 
 
 def test_trm_block_preserves_shape():
     model = TSTransformerModel(toy_config(), seed=9)
-    tokens = Tensor(np.random.default_rng(6).normal(size=(9, 16)))
-    for stage in range(4):
-        assert model.trm_block(tokens, stage).shape == (9, 16)
+    cfg = model.config
+    tokens = np.random.default_rng(6).normal(size=(9, 16))
+    for arrays, r in zip(model._stage_arrays, cfg.reduction_factors):
+        assert ad._stage_forward(tokens, arrays, r, cfg.heads, cfg.eps)[0].shape == (9, 16)
 
 
 def test_trm_block_residual_only_path():
@@ -291,38 +322,35 @@ def test_trm_block_residual_only_path():
         if name.startswith("stage0."):
             p.data[...] = 0.0
     x = np.random.default_rng(7).normal(size=(5, 16))
-    got = model.trm_block(Tensor(x), 0).data
+    got, _ = ad._stage_forward(x, model._stage_arrays[0], 1, model.config.heads, model.config.eps)
     want = ad.layer_norm(ad.layer_norm(Tensor(x), model.config.eps), model.config.eps).data
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_trm_block_gradient_check():
-    cfg = ModelConfig(n_variates=5, lookback=4, horizon=1, width=8, stages=1, ratios=(0.5,))
-    model = TSTransformerModel(cfg, seed=11)
-    x = Tensor(np.random.default_rng(8).normal(size=(5, 8)))
+def one_stage_gradient_check(seed, heads, rng_seed):
+    cfg = ModelConfig(n_variates=5, lookback=4, horizon=1, width=8, stages=1, ratios=(0.5,),
+                      heads=heads)
+    model = TSTransformerModel(cfg, seed=seed)
+    window = np.random.default_rng(rng_seed).normal(size=(4, 5))
     # small cotangent keeps the loss ulp fine enough for the FD probe of
     # coordinates whose true gradient is zero by softmax shift invariance
-    cot = Tensor(0.05 * np.random.default_rng(9).normal(size=(5, 8)))
-    f = lambda: ad.sum_all(ad.mul(model.trm_block(x, 0), cot))
-    params = [p for name, p in model.named_parameters() if name.startswith("stage0.")]
-    assert ad.gradient_check(f, params, h=1e-4) <= 1e-4
+    cot = Tensor(0.05 * np.random.default_rng(rng_seed + 1).normal(size=(5, 1)))
+    f = lambda: ad.sum_all(ad.mul(model.forward(window), cot))
+    return ad.gradient_check(f, model.parameters(), h=1e-4)
+
+
+def test_trm_block_gradient_check():
+    assert one_stage_gradient_check(seed=11, heads=1, rng_seed=8) <= 1e-4
 
 
 def test_trm_block_gradient_check_multi_head():
-    cfg = ModelConfig(n_variates=5, lookback=4, horizon=1, width=8, stages=1, ratios=(0.5,),
-                      heads=4)
-    model = TSTransformerModel(cfg, seed=13)
-    x = Tensor(np.random.default_rng(10).normal(size=(5, 8)))
-    cot = Tensor(0.05 * np.random.default_rng(11).normal(size=(5, 8)))
-    f = lambda: ad.sum_all(ad.mul(model.trm_block(x, 0), cot))
-    params = [p for name, p in model.named_parameters() if name.startswith("stage0.")]
-    assert ad.gradient_check(f, params, h=1e-4) <= 1e-4
+    assert one_stage_gradient_check(seed=13, heads=4, rng_seed=10) <= 1e-4
 
 
 def test_stage_index_out_of_range():
     model = TSTransformerModel(toy_config(), seed=12)
     with pytest.raises(ParameterError):
-        model.trm_block(Tensor(np.zeros((3, 16))), 4)
+        model.multi_scale_attention(Tensor(np.zeros((3, 16))), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +401,8 @@ def test_forward_channel_out_of_range(channel):
 @pytest.mark.parametrize("mode", ["multi_scale", "vanilla"])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_untaped_forward_matches_recorded_bit_for_bit(heads, mode, m, horizon, lead):
+    # the untaped forward against the recorded one, and the recorded one against
+    # the chain of primitives (output and every parameter gradient)
     model = TSTransformerModel(toy_config(n_variates=m, horizon=horizon, heads=heads, mode=mode), seed=m)
     rng = np.random.default_rng(heads * 100 + m * 10 + horizon)
     model.load_arrays([0.5 * rng.normal(size=p.shape) for p in model.parameters()])  # nonzero biases
@@ -386,6 +416,7 @@ def test_untaped_forward_matches_recorded_bit_for_bit(heads, mode, m, horizon, l
         assert not untaped.requires_grad
         assert untaped.shape == recorded.shape
         assert np.array_equal(untaped.data, recorded.data)
+        assert_forward_matches_composed(model, x, rng.normal(size=recorded.shape), channel)
 
 
 def test_untaped_forward_tapes_nothing_and_calls_no_primitive(monkeypatch):
