@@ -203,16 +203,18 @@ class TSTransformerModel:
         """(lookback, n_variates) -> (n_variates, horizon) forecast.
 
         A leading batch axis is accepted: (B, lookback, n_variates)
-        yields (B, n_variates, horizon). With ``channel`` set, only that
-        variate's row is returned, shape (..., 1, horizon), equal bit for
-        bit to that row of the full output; the mean is added back to that
-        row alone.
+        yields (B, n_variates, horizon). With ``channel`` set, the head
+        projects only that variate's token and the mean is added back to
+        that row alone: shape (..., 1, horizon). The row equals that row of
+        the full output within a few ulps, not bit for bit, because a
+        one-row product rounds differently.
 
         It runs on arrays and tapes nothing under ``ad.no_grad()``; outside
         it tapes one node over every parameter. Outputs and gradients equal
         the chain of primitives' (``embed``, post-norm stages over
-        :meth:`multi_scale_attention`, head affine, row slice, mean add) bit
-        for bit, but a one-key stage's q, k and k reducer get None, not zeros.
+        :meth:`multi_scale_attention`, token slice, head affine, mean add)
+        bit for bit, but a one-key stage's q, k and k reducer get None, not
+        zeros.
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -227,8 +229,10 @@ class TSTransformerModel:
         if channel is not None and not 0 <= channel < cfg.n_variates:
             raise ParameterError(f"channel {channel} out of range [0, {cfg.n_variates})")
         ad._check_data(arr)  # before centring, which would compute inf - inf
-        mu = arr.sum(axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
-        centered = ad._check_data(arr - mu)  # a sum can still overflow
+        with np.errstate(over="ignore"):  # a finite window's sum can overflow; the check below raises
+            mu = arr.sum(axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
+            centered = arr - mu
+        ad._check_data(centered)
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
         p = self._params
         we, be = p["embed.weight"].data, p["embed.bias"].data
@@ -242,22 +246,23 @@ class TSTransformerModel:
             if recording:
                 stages.append((x, saved))
             x = y
-        delta = ad._affine(x, wp, bp)
-        if channel is not None:
-            delta = delta[..., channel : channel + 1, :]
+        tokens = x
+        if channel is not None:  # the head projects only the asked-for variate's token
+            tokens = x[..., channel : channel + 1, :].copy()
             mu_rows = mu_rows[..., channel : channel + 1, :]
-        out = delta + mu_rows  # the same adds as the mean repeated to (..., M, horizon)
+        out = ad._affine(tokens, wp, bp)
+        out += mu_rows  # the same adds as the mean repeated to (..., rows, horizon)
         if not recording:
             return Tensor._wrap(out, False)
         params = self.parameters()
 
         def grad_fn(g):
             want = [t.requires_grad for t in params]
-            if channel is not None:  # the row slice's backward: zeros off the row
-                g, row = np.zeros(x.shape[:-1] + (cfg.horizon,)), g
-                g[..., channel : channel + 1, :] = row
             end = len(want) - 2
-            g, *grads = ad._affine_grads(g, x, wp, True, *want[end:])
+            g, *grads = ad._affine_grads(g, tokens, wp, True, *want[end:])
+            if channel is not None:  # the token slice's backward: zeros off the row
+                g, row = np.zeros(x.shape), g
+                g[..., channel : channel + 1, :] = row
             for (xi, saved), arrays in zip(stages[::-1], self._stage_arrays[::-1]):
                 start = end - len(arrays)
                 g, *stage_grads = ad._stage_backward(g, xi, arrays, saved, cfg.heads, want[start:end])

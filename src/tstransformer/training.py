@@ -159,6 +159,12 @@ def clip_global_norm(params, max_norm: float) -> float:
 def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConfig) -> list:
     """Epoch loop over seeded shuffled batches; returns per-epoch mean loss.
 
+    The learning rate holds for all but the last ``epochs // 5`` epochs
+    (the tail), then decays linearly: an epoch with ``left`` epochs to go,
+    counting itself, steps at ``learning_rate * left / (tail + 1)``. Runs
+    of fewer than 5 epochs keep a constant rate. At a constant rate Adam
+    never settles, so the end point would hang on single roundings.
+
     Deterministic for fixed (seed, config, data). Aborts with epoch and
     batch indices when the loss turns non-finite.
     """
@@ -181,7 +187,11 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
     best = math.inf
     stale = 0
     n = len(windows)
+    tail = config.epochs // 5
     for epoch in range(config.epochs):
+        left = config.epochs - epoch
+        step_config = config if left > tail else dataclasses.replace(
+            config, learning_rate=config.learning_rate * left / (tail + 1))
         order = rng.permutation(n)
         total = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
@@ -194,7 +204,7 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
             ad.backward(loss)
             if config.clip_norm > 0.0:
                 clip_global_norm(params, config.clip_norm)
-            adam_step(named, state, config)
+            adam_step(named, state, step_config)
             ad.zero_grad(params)
             total += value * len(idx)
         mean_loss = total / n

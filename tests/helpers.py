@@ -56,18 +56,18 @@ def composed_trm_block(model, tokens, stage: int):
 
 def composed_forward(model, window, channel=None):
     """``model.forward`` as a chain of taped primitives, before it became one
-    node: embed, a composed stage per stage, the head affine, the row slice and
-    the add of the window mean repeated over the horizon."""
+    node: embed, a composed stage per stage, the token slice, the head affine
+    and the add of the window mean repeated over the horizon."""
     cfg = model.config
     mu = window.sum(axis=-2, keepdims=True) / window.shape[-2]
     mu_rows = mu.swapaxes(-1, -2)
     tokens = model.embed(window - mu)
     for stage in range(cfg.stages):
         tokens = composed_trm_block(model, tokens, stage)
-    delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
     if channel is not None:
-        delta = ad.slice_axis(delta, -2, channel, channel + 1)
+        tokens = ad.slice_axis(tokens, -2, channel, channel + 1)
         mu_rows = mu_rows[..., channel : channel + 1, :]
+    delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
     return ad.add(delta, ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))
 
 

@@ -163,10 +163,10 @@ def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
 @pytest.mark.parametrize("m", [4, 5, 6])  # single-key stages 1-3 at M=4, 2-3 at 5 and 6
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, monkeypatch):
-    # The one-node forward with single-key stages, the target-row forward and
+    # The one-node forward with single-key stages, the target-only head and
     # the flat Adam update against the chain of primitives with q/k/attention
-    # in every stage, the full forward's row and the per-parameter loop: every
-    # forward and the parameters after 5 clipped steps.
+    # in every stage and the target token sliced before the head, and the
+    # per-parameter loop: every forward and the parameters after 5 clipped steps.
     cfg = ModelConfig(n_variates=m, lookback=8, horizon=3, heads=heads)
     tcfg = TrainConfig(learning_rate=0.05, clip_norm=0.5)
     rng = np.random.default_rng(heads * 10 + m)
@@ -184,8 +184,6 @@ def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, 
         for step, (x, y) in enumerate(zip(xs, ys), start=1):
             if loss_channels == "all":
                 pred, truth = model.forward(x), y
-            elif former:
-                pred, truth = ad.slice_axis(model.forward(x), -2, row, row + 1), y[:, row : row + 1]
             else:
                 pred, truth = model.forward(x, channel=row), y[:, row : row + 1]
             seen.append(pred.data)
@@ -235,6 +233,25 @@ def test_train_deterministic_history():
     for (_, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()):
         assert np.array_equal(p1.data, p2.data)
         assert np.all(np.isfinite(p1.data))  # parameters finite after every step
+
+
+@pytest.mark.parametrize("epochs, rates", [
+    (10, lambda lr: [lr] * 8 + [lr * 2 / 3, lr * 1 / 3]),  # a tail of 10 // 5 = 2 epochs
+    (4, lambda lr: [lr] * 4),  # 4 // 5 = 0: no tail
+], ids=["10-epochs", "4-epochs"])
+def test_train_decays_the_learning_rate_over_the_last_fifth_of_epochs(epochs, rates, monkeypatch):
+    _, _, windows, model, cfg = tiny_setup(epochs=epochs)
+    seen = []
+
+    def recording(named, state, config):
+        seen.append(config.learning_rate)
+        adam_step(named, state, config)
+
+    monkeypatch.setattr(training, "adam_step", recording)
+    train(model, windows, cfg)
+    batches = math.ceil(len(windows) / cfg.batch_size)
+    assert batches > 1
+    assert seen == [rate for rate in rates(cfg.learning_rate) for _ in range(batches)]
 
 
 @pytest.mark.parametrize("stride", [1, 3])
