@@ -13,8 +13,8 @@ a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 b = Tensor([[5.0, 6.0], [7.0, 8.0]], requires_grad=True)
 print("a @ b =", ad.matmul(a, b).data.tolist())
 
-# Every op records onto a tape; backward replays it in reverse and
-# accumulates gradients additively.
+# Every op's output records the op that made it; backward runs the loss's
+# graph in reverse and accumulates gradients additively.
 x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
 loss = ad.sum_all(ad.mul(x, x))  # sum of squares
 ad.backward(loss)

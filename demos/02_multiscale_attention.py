@@ -14,7 +14,7 @@ model = TSTransformerModel(cfg, seed=0)
 print("ratio schedule:", cfg.ratios)
 print("reduction factors:", cfg.reduction_factors)
 
-# Inference only: no_grad keeps these forwards off the autodiff tape.
+# Inference only: under no_grad these forwards record no autodiff graph.
 with ad.no_grad():
     tokens = Tensor(np.random.default_rng(0).normal(size=(20, 16)))
     print("\ntoken axis through each stage (20 input tokens):")

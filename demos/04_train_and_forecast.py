@@ -57,6 +57,6 @@ save_checkpoint(ckpt_path, model, stats, {"target_channel": series.target_channe
                                           "train.split_hours": "300.0"})
 restored = load_checkpoint(ckpt_path).to_model()
 probe = np.random.default_rng(0).normal(size=(32, 4))
-with ad.no_grad():  # inference: keep these forwards off the autodiff tape
+with ad.no_grad():  # inference: these forwards record no autodiff graph
     identical = np.array_equal(model.forward(probe).data, restored.forward(probe).data)
 print(f"checkpoint round-trip bit-identical forward: {identical}")

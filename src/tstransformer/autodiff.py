@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float64 tensors with graph-based reverse-mode differentiation.
 
 Everything runs at 64-bit precision so finite-difference gradient checks
 can be held to tight tolerances. The op set is exactly what the
@@ -13,16 +13,18 @@ Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
 General numpy-style broadcasting is intentionally not supported.
 
-The tape is a thread-local list of ``(out, inputs, grad_fn)`` entries in
-execution order, replayed strictly in reverse by :func:`backward`.
-Tensors are immutable after construction except for ``grad``
-population; optimizers that update parameters in place must own the
-model exclusively.
+A recorded op's output holds its node ``(seq, inputs, grad_fn)``, ``seq``
+counting nodes in execution order, so a discarded forward frees its graph;
+:func:`backward` runs the loss's nodes in descending ``seq``. Tensors are
+immutable after construction except for ``grad``, which is replaced, never
+written; optimizers that update parameters in place must own the model
+exclusively.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import threading
 
@@ -36,12 +38,13 @@ class Tensor:
 
     ``data`` is a C-contiguous (row-major) float64 array. ``grad`` is
     ``None`` until :func:`backward` populates it; it then has the same
-    shape as ``data`` and accumulates additively across consumers.
+    shape as ``data`` and accumulates additively across consumers, into a
+    new array each time. ``_node`` is the op that produced a recorded tensor.
     Scalars are represented with shape ``(1,)``; zero-sized axes are
     rejected. All elements must be finite.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
@@ -50,6 +53,7 @@ class Tensor:
         self.data = _check_data(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._node = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -59,6 +63,7 @@ class Tensor:
         t.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         t.requires_grad = requires_grad
         t.grad = None
+        t._node = None
         return t
 
     @property
@@ -90,12 +95,13 @@ def _check_data(arr: np.ndarray) -> np.ndarray:
 
 class _State(threading.local):
     def __init__(self):
-        self.tape = []
         self.recording = True
         self.debug_checks = False
 
 
 _state = _State()
+_seq = itertools.count()
+_CONSUMED = object()  # the _node of a tensor whose node a backward has run
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -105,7 +111,7 @@ def set_debug_checks(enabled: bool) -> None:
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / FD probes)."""
+    """Disable graph recording inside the block (inference / FD probes)."""
     prev = _state.recording
     _state.recording = False
     try:
@@ -126,21 +132,8 @@ def _result(arr, inputs, grad_fn) -> Tensor:
     if _state.debug_checks and not np.all(np.isfinite(out.data)):
         raise NumericalError("primitive produced non-finite values")
     if requires:
-        _state.tape.append((out, inputs, grad_fn))
+        out._node = (next(_seq), inputs, grad_fn)
     return out
-
-
-def _accumulate(t: Tensor, g, shared: bool) -> None:
-    if g is None or not t.requires_grad:
-        return
-    if t.grad is not None:
-        t.grad += g
-    elif shared or g.base is not None or not g.flags.c_contiguous:
-        # a copy in t's C layout, since later writes accumulate into grad in
-        # place: a shared array or a view would carry them to its other holders
-        t.grad = g.copy()
-    else:
-        t.grad = g  # a fresh array no one else holds
 
 
 def _reduce_leading(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -484,8 +477,8 @@ def _stage_backward(g, x, arrays, saved, heads, want):
     gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True, *want[12:14])
     g1 = _layer_norm_grads(g2 + gn, *ln1)
     ga, gwo, gbo = _affine_grads(g1, att, wo, True, *want[10:12])
-    # composed primitives hand gradients on C-contiguous (_accumulate);
-    # a strided view can make matmul sum in another order
+    # composed primitives hand gradients on C-contiguous (backward's first
+    # write); a strided view can make matmul sum in another order
     if k_blocks is None:
         gv = _single_key_grads(ga, heads)
     else:
@@ -508,37 +501,38 @@ def _stage_backward(g, x, arrays, saved, heads, want):
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor that influenced the scalar loss.
 
-    The active tape is consumed: a second backward without a fresh
-    forward raises a ContractError. Gradients accumulate additively, so
-    callers must :func:`zero_grad` their parameters between steps.
-    Tensors on the tape that did not influence the loss keep
+    Each node of the loss's graph runs once; a backward that reaches a run
+    node raises a ContractError before writing any gradient. Gradients
+    accumulate additively, so callers must :func:`zero_grad` their
+    parameters between steps. Inputs that get no gradient (constants) keep
     ``grad=None``, which downstream consumers treat as zero.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         shape = loss.shape if isinstance(loss, Tensor) else type(loss)
         raise ContractError(f"backward requires a scalar taped tensor, got {shape}")
-    tape = _state.tape
-    if not any(out is loss for out, _, _ in tape):
-        raise ContractError(
-            "loss was not produced by taped primitives (tape empty or already consumed)"
-        )
+    if loss._node is None:
+        raise ContractError("loss was not produced by taped primitives")
+    graph, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t._node is _CONSUMED:
+            raise ContractError("the loss's graph was already consumed by a backward")
+        if t._node is not None and t not in graph:
+            graph.add(t)
+            stack.extend(t._node[1])
+    # an op's inputs existed before it ran, so descending seq is a topological order
+    order = sorted(graph, key=lambda t: t._node[0], reverse=True)
     try:
         loss.grad = np.ones_like(loss.data)
-        # Every op's inputs existed before it ran, so reverse execution
-        # order is a valid topological order and needs no graph sort.
-        for out, inputs, grad_fn in reversed(tape):
-            if out.grad is None:
-                continue
-            g = out.grad
-            grads = grad_fn(g)
-            # the upstream gradient itself (add, sub) and an array handed to
-            # two inputs are shared: copied on first write, never stored
-            ids = [id(gi) for gi in grads if gi is not None]
-            repeated = len(set(ids)) < len(ids)
-            for t, gi in zip(inputs, grads):
-                _accumulate(t, gi, repeated or gi is g)
+        for out in order:
+            if out.grad is not None:
+                _, inputs, grad_fn = out._node
+                for t, g in zip(inputs, grad_fn(out.grad)):
+                    if g is not None and t.requires_grad:  # first write in C layout
+                        t.grad = np.ascontiguousarray(g) if t.grad is None else t.grad + g
     finally:
-        _state.tape = []
+        for out in order:
+            out._node = _CONSUMED
 
 
 def gradient_check(f, params, h: float = 1e-5) -> float:

@@ -209,8 +209,8 @@ class TSTransformerModel:
         the full output within a few ulps, not bit for bit, because a
         one-row product rounds differently.
 
-        It runs on arrays and tapes nothing under ``ad.no_grad()``; outside
-        it tapes one node over every parameter. Outputs and gradients equal
+        It runs on arrays and records nothing under ``ad.no_grad()``; outside
+        it records one graph node over every parameter. Outputs and gradients equal
         the chain of primitives' (``embed``, post-norm stages over
         :meth:`multi_scale_attention`, token slice, head affine, mean add)
         bit for bit, but a one-key stage's q, k and k reducer get None, not

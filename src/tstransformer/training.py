@@ -148,7 +148,7 @@ def clip_global_norm(params, max_norm: float) -> float:
         factor = max_norm / norm
         for p in params:
             if p.grad is not None:
-                p.grad *= factor
+                p.grad = p.grad * factor  # gradient arrays may be shared: never scaled in place
     return norm
 
 

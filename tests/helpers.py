@@ -13,7 +13,8 @@ attention in every stage), and ``adam_step_per_parameter`` the optimizer
 that updated one parameter at a time, so the model's one-node forward, with
 its one-key shortcut, and the flat Adam update can be held to them.
 ``stacked_windows`` is the former ``make_windows``, which copied every window
-into stacked arrays, so the strided views can be held to it.
+into stacked arrays, so the strided views can be held to it. ``count_nodes``
+counts the graph nodes a call records.
 """
 
 import math
@@ -69,6 +70,14 @@ def composed_forward(model, window, channel=None):
         mu_rows = mu_rows[..., channel : channel + 1, :]
     delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
     return ad.add(delta, ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))
+
+
+def count_nodes(fn):
+    """``fn()`` and the number of graph nodes recorded while it ran, read from
+    the execution-order node numbering (each read uses up one number)."""
+    start = next(ad._seq)
+    out = fn()
+    return out, next(ad._seq) - start - 1
 
 
 def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -> None:

@@ -1,8 +1,10 @@
-"""Tensor-core tests: primitives against hand oracles, tape semantics,
+"""Tensor-core tests: primitives against hand oracles, graph semantics,
 and finite-difference gradient validation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
@@ -285,7 +287,7 @@ def test_backward_diamond_accumulates():
 
 
 def test_backward_add_of_itself():
-    # add hands one gradient array to both inputs; the first write must copy it
+    # add hands one gradient array to both inputs; a later sum must not write it
     x = t([1.0, -2.0], grad=True)
     y = ad.add(x, x)
     ad.backward(ad.sum_all(ad.mul(y, t([3.0, 5.0]))))
@@ -294,7 +296,7 @@ def test_backward_add_of_itself():
 
 
 def test_backward_second_consumer_leaves_the_other_add_input_alone():
-    # a also feeds mul, taped before add, so a.grad is written again after
+    # a also feeds mul, recorded before add, so a.grad is summed again after
     # add's backward gave a and b the same array
     a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
     u = ad.mul(a, t([10.0, 20.0]))
@@ -309,7 +311,7 @@ def test_backward_second_consumer_leaves_the_other_add_input_alone():
     ad.transpose,  # hands on a view of it, C-contiguous for one row
 ])
 def test_backward_first_write_keeps_the_upstream_gradient_intact(op):
-    # x's first gradient comes from op (taped last); mul's then accumulates into it
+    # x's first gradient comes from op (recorded last); mul's then accumulates into it
     x = t([[1.0, 2.0]], grad=True)
     u = ad.sum_all(ad.mul(x, t([[10.0, 20.0]])))
     y = op(x)
@@ -321,7 +323,7 @@ def test_backward_first_write_keeps_the_upstream_gradient_intact(op):
 
 def test_backward_copies_one_fresh_gradient_handed_to_two_inputs():
     # a node whose backward returns one new array for both inputs; a's
-    # second consumer (mul, taped first) accumulates into a.grad afterwards
+    # second consumer (mul, recorded first) accumulates into a.grad afterwards
     a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
     u = ad.sum_all(ad.mul(a, t([10.0, 20.0])))
     y = ad._result(a.data + b.data, (a, b), lambda g: (g * 2.0,) * 2)
@@ -335,8 +337,7 @@ def test_backward_gives_no_gradient_to_a_constant_operand(op):
     # mse_loss subtracts a constant truth each step; its gradient would be dropped
     x, c = t([1.0, 2.0], grad=True), t([3.0, 5.0])
     for a, b in ((x, c), (c, x)):
-        op(a, b)
-        _, _, grad_fn = ad._state.tape.pop()
+        _, _, grad_fn = op(a, b)._node
         grads = grad_fn(np.ones(2))
         assert [g is not None for g in grads] == [a is x, b is x]
 
@@ -346,7 +347,7 @@ def test_backward_requires_scalar():
     y = ad.mul(x, x)
     with pytest.raises(ContractError):
         ad.backward(y)
-    ad.backward(ad.sum_all(ad.mul(x, x)))  # tape still usable after failure? rebuild
+    ad.backward(ad.sum_all(ad.mul(x, x)))  # a rejected call leaves backward usable
 
 
 def test_backward_twice_without_forward():
@@ -355,6 +356,28 @@ def test_backward_twice_without_forward():
     ad.backward(loss)
     with pytest.raises(ContractError):
         ad.backward(loss)
+
+
+def test_backward_runs_a_second_independent_loss():
+    # each loss owns its graph, so running one leaves the other pending
+    x = t([1.0, 2.0], grad=True)
+    first = ad.sum_all(ad.mul(x, x))
+    ad.backward(ad.sum_all(ad.scale(x, 3.0)))
+    ad.backward(first)
+    assert np.array_equal(x.grad, [5.0, 7.0])
+
+
+def test_backward_reaching_a_consumed_node_writes_no_gradient():
+    x, w = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
+    y = ad.mul(x, x)
+    ad.backward(ad.sum_all(y))
+    before = [(a, a.copy()) for a in (x.grad, y.grad)]
+    loss = ad.sum_all(ad.mul(y, w))
+    with pytest.raises(ContractError):
+        ad.backward(loss)
+    assert [x.grad, y.grad] == [a for a, _ in before]  # the same arrays, with the same values
+    assert all(np.array_equal(a, copy) for a, copy in before)
+    assert w.grad is None and loss.grad is None
 
 
 def test_backward_on_untaped_leaf():
@@ -465,3 +488,87 @@ def test_gradient_check_each_primitive(name):
         params = [x]
 
     assert ad.gradient_check(f, params, h=1e-5) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# random graphs that reuse intermediate tensors
+
+_GRAPH_OPS = ("add", "sub", "mul", "scale", "matmul", "transpose", "slice_axis", "sum_all")
+_LEAF_SHAPES = ((3, 2), (2, 3), (3, 2))  # two parameters, then a constant
+
+
+def _draw_graph(data) -> list:
+    """Steps ``(op, i, arg)``: op applied to tensor i (leaves first, then each
+    step's output) and arg, a second tensor's index or the op's argument."""
+    shapes, steps = list(_LEAF_SHAPES), []
+    for _ in range(data.draw(st.integers(1, 7))):
+        i = data.draw(st.integers(0, len(shapes) - 1))
+        a = shapes[i]
+        right = [j for j, s in enumerate(shapes) if len(a) == len(s) == 2 and s[0] == a[1]]
+        ops = [op for op in _GRAPH_OPS if len(a) == 2 or op not in ("matmul", "transpose", "slice_axis")]
+        op = data.draw(st.sampled_from([op for op in ops if op != "matmul" or right]))
+        if op in ("add", "sub", "mul"):
+            arg, out = data.draw(st.sampled_from([j for j, s in enumerate(shapes) if s == a])), a
+        elif op == "matmul":
+            arg = data.draw(st.sampled_from(right))
+            out = (a[0], shapes[arg][1])
+        elif op == "scale":
+            arg, out = data.draw(st.sampled_from([-1.5, 0.5, 2.0])), a
+        elif op == "slice_axis":
+            axis = data.draw(st.integers(0, 1))
+            start = data.draw(st.integers(0, a[axis] - 1))
+            arg = (axis, start, data.draw(st.integers(start + 1, a[axis])))
+            out = tuple(arg[2] - start if k == axis else n for k, n in enumerate(a))
+        else:
+            arg, out = None, (a[::-1] if op == "transpose" else (1,))
+        steps.append((op, i, arg))
+        shapes.append(out)
+    return steps
+
+
+def _graph_loss(steps, leaves, weights) -> Tensor:
+    """The weighted sum of the parameters and every step's output."""
+    ts = list(leaves)
+    for op, i, arg in steps:
+        if op in ("add", "sub", "mul", "matmul"):
+            ts.append(getattr(ad, op)(ts[i], ts[arg]))
+        elif op == "scale":
+            ts.append(ad.scale(ts[i], arg))
+        elif op == "slice_axis":
+            ts.append(ad.slice_axis(ts[i], *arg))
+        else:
+            ts.append(getattr(ad, op)(ts[i]))
+    terms = [ad.sum_all(ad.mul(x, t(w[: x.size].reshape(x.shape))))
+             for x, w in zip(ts[:2] + ts[len(leaves):], weights)]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return loss
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_random_graph_gradients(data, seed):
+    steps = _draw_graph(data)
+    rng = np.random.default_rng(seed)
+    values = [rng.uniform(0.5, 1.5, s) for s in _LEAF_SHAPES]
+    weights = rng.uniform(0.5, 1.5, (2 + len(steps), 9))
+
+    def leaves():
+        return [t(values[0], grad=True), t(values[1], grad=True), t(values[2])]
+
+    first = leaves()
+    assert ad.gradient_check(lambda: _graph_loss(steps, first, weights), first[:2]) <= 1e-6
+    runs = []
+    for params in (leaves()[:2], leaves()[:2]):
+        ad.backward(_graph_loss(steps, params + [t(values[2])], weights))
+        runs.append(params)
+    for a, b in zip(*runs):
+        assert np.array_equal(a.grad, b.grad)
+    # a second backward into the same leaves leaves the first's arrays as they were
+    params = runs[0]
+    kept = [(p.grad, p.grad.copy()) for p in params]
+    ad.backward(_graph_loss(steps, params + [t(values[2])], weights))
+    for p, (array, copy) in zip(params, kept):
+        assert np.array_equal(array, copy)
+        assert np.allclose(p.grad, 2.0 * copy, rtol=1e-12, atol=0)

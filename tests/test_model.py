@@ -2,11 +2,12 @@
 permutation equivariance, parameter accounting, block gradients."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import composed_forward, per_head_attention_loop, vanilla_attention_reference
+from helpers import composed_forward, count_nodes, per_head_attention_loop, vanilla_attention_reference
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.cli import load_run_config
@@ -231,18 +232,33 @@ def test_attention_matches_per_head_loop_bit_for_bit(heads, j, lead):
         assert np.array_equal(got, want)
 
 
+def test_discarded_recorded_forwards_hold_no_memory():
+    # a recorded forward never backpropagated frees its graph with its output
+    cfg = load_run_config(None, ("horizon=2000",)).model_config(5)
+    model = TSTransformerModel(cfg, seed=0)
+    x = np.random.default_rng(0).normal(size=(64, cfg.lookback, 5))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            model.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6
+
+
 @pytest.mark.parametrize("heads", [1, 4])
 def test_recorded_forward_tape_nodes(heads):
     # the forward is one node; a training step adds mse_loss's sub, mul, mean_all
     cfg = load_run_config(None, (f"heads={heads}",)).model_config(5)
     model = TSTransformerModel(cfg, seed=0)
     x = np.random.default_rng(0).normal(size=(8, cfg.lookback, 5))
-    before = len(ad._state.tape)  # a forward left unconsumed elsewhere stays on the tape
-    out = model.forward(x)
-    assert len(ad._state.tape) - before == 1
-    ad.backward(ad.sum_all(out))  # consumes the tape
-    loss = mse_loss(model.forward(x, channel=0), np.zeros((8, 1, cfg.horizon)))
-    assert len(ad._state.tape) == 4
+    out, nodes = count_nodes(lambda: model.forward(x))
+    assert nodes == 1
+    ad.backward(ad.sum_all(out))
+    loss, nodes = count_nodes(lambda: mse_loss(model.forward(x, channel=0), np.zeros((8, 1, cfg.horizon))))
+    assert nodes == 4
     ad.backward(loss)
 
 
@@ -438,7 +454,7 @@ def test_untaped_forward_matches_recorded_bit_for_bit(heads, mode, m, horizon, l
     x = rng.normal(size=lead + (32, m))
     for channel in (None, m - 1):
         recorded = model.forward(x, channel=channel)
-        ad.backward(ad.sum_all(recorded))  # consumes the tape
+        ad.backward(ad.sum_all(recorded))  # consumes its graph
         ad.zero_grad(model.parameters())
         with ad.no_grad():
             untaped = model.forward(x, channel=channel)
@@ -456,11 +472,9 @@ def test_untaped_forward_tapes_nothing_and_calls_no_primitive(monkeypatch):
         raise AssertionError("a taped primitive ran under no_grad")
 
     monkeypatch.setattr(ad, "_result", no_primitive)
-    before = len(ad._state.tape)
     with ad.no_grad():
-        model.forward(x)
-        model.forward(x[0], channel=2)
-    assert len(ad._state.tape) == before
+        _, nodes = count_nodes(lambda: (model.forward(x), model.forward(x[0], channel=2)))
+    assert nodes == 0
 
 
 @pytest.mark.parametrize("window, channel, error", [
@@ -475,12 +489,14 @@ def test_untaped_forward_tapes_nothing_and_calls_no_primitive(monkeypatch):
 ])
 def test_forward_rejects_bad_input_alike_recorded_and_untaped(window, channel, error):
     model = TSTransformerModel(toy_config(), seed=15)
-    before = len(ad._state.tape)
-    with pytest.raises(error):
-        model.forward(window, channel=channel)
-    with ad.no_grad(), pytest.raises(error):
-        model.forward(window, channel=channel)
-    assert len(ad._state.tape) == before
+
+    def rejected():
+        with pytest.raises(error):
+            model.forward(window, channel=channel)
+        with ad.no_grad(), pytest.raises(error):
+            model.forward(window, channel=channel)
+
+    assert count_nodes(rejected)[1] == 0
 
 
 def test_vanilla_forward_permutation_equivariant():

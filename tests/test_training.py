@@ -215,6 +215,17 @@ def test_clip_global_norm():
     assert math.hypot(a.grad[0], b.grad[0]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_clip_global_norm_scales_a_shared_gradient_once():
+    # add hands its one upstream gradient array to both inputs
+    a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+    ad.backward(ad.sum_all(ad.mul(ad.add(a, b), Tensor([3.0, 4.0]))))
+    assert np.shares_memory(a.grad, b.grad)
+    norm = clip_global_norm([a, b], 1.0)
+    assert norm == math.sqrt(50.0)
+    for p in (a, b):
+        assert np.array_equal(p.grad, np.array([3.0, 4.0]) * (1.0 / norm))
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
