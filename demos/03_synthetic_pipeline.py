@@ -50,6 +50,8 @@ print(f"train {len(train_ts)} rows < 500 h, test {len(test_ts)} rows; "
 normed = zscore_apply(train_ts, stats)
 print("normalized train means:", np.round(normed.features.mean(axis=0), 12).tolist())
 
+# Targets carry every channel's next rows, (horizon, channels); training's
+# loss picks the target row or all of them.
 windows = make_windows(normed, 32, 1)
-print(f"sliding windows: {len(windows)} of shape {windows.inputs.shape[1:]}, "
-      f"targets {windows.targets.shape[1:]}")
+print(f"sliding windows: {len(windows)} of shape {windows.inputs.shape[1:]} (lookback, channels), "
+      f"targets {windows.targets.shape[1:]} (horizon, channels)")

@@ -254,13 +254,11 @@ def _affine(x, w, b):
     return out
 
 
-def _affine_grads(g, x, w, want_x, want_w, want_b):
-    """Gradients of x @ w + b for an output gradient g; None where not wanted."""
+def _affine_grads(g, x, w, want_x):
+    """Gradients (x, w, b) of x @ w + b for an output gradient g, x's only if ``want_x``."""
     k, n = w.shape
     gx = g @ w.T if want_x else None
-    gw = x.reshape(-1, k).T @ g.reshape(-1, n) if want_w else None
-    gb = g.reshape(-1, n).sum(axis=0) if want_b else None
-    return gx, gw, gb
+    return gx, x.reshape(-1, k).T @ g.reshape(-1, n), g.reshape(-1, n).sum(axis=0)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -274,7 +272,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(
         _affine(x.data, w.data, b.data),
         (x, w, b),
-        lambda g: _affine_grads(g, x.data, w.data, x.requires_grad, w.requires_grad, b.requires_grad),
+        lambda g: _affine_grads(g, x.data, w.data, x.requires_grad),
     )
 
 
@@ -395,18 +393,14 @@ def _depthwise_conv1d(x, kernel, bias):
     return (xr * kernel).sum(axis=-2) + bias, xr
 
 
-def _depthwise_conv1d_grads(g, xr, kernel, n, want_x, want_k, want_b):
+def _depthwise_conv1d_grads(g, xr, kernel, n):
     *lead, j, r, d = xr.shape
-    gx = gk = gb = None
-    if want_k:
-        gk = (xr * g[..., :, None, :]).reshape(-1, r, d).sum(axis=0)
-    if want_b:
-        gb = g.reshape(-1, d).sum(axis=0)
-    if want_x:
-        gxp = (g[..., :, None, :] * kernel).reshape(*lead, j * r, d)
-        gx = np.ascontiguousarray(gxp[..., :n, :])
-        if j * r > n:
-            gx[..., n - 1, :] += gxp[..., n:, :].sum(axis=-2)
+    gk = (xr * g[..., :, None, :]).reshape(-1, r, d).sum(axis=0)
+    gb = g.reshape(-1, d).sum(axis=0)
+    gxp = (g[..., :, None, :] * kernel).reshape(*lead, j * r, d)
+    gx = np.ascontiguousarray(gxp[..., :n, :])
+    if j * r > n:
+        gx[..., n - 1, :] += gxp[..., n:, :].sum(axis=-2)
     return gx, gk, gb
 
 
@@ -431,8 +425,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
         raise DimensionError(f"bias shape {bias.shape} does not match (D={d},)")
     out, xr = _depthwise_conv1d(x.data, kernel.data, bias.data)
     n = x.data.shape[-2]
-    return _result(out, (x, kernel, bias), lambda g: _depthwise_conv1d_grads(
-        g, xr, kernel.data, n, x.requires_grad, kernel.requires_grad, bias.requires_grad))
+    return _result(out, (x, kernel, bias), lambda g: _depthwise_conv1d_grads(g, xr, kernel.data, n))
 
 
 # ---------------------------------------------------------------------------
@@ -465,32 +458,32 @@ def _stage_forward(x, arrays, r, heads, eps):
     return out, (v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2)
 
 
-def _stage_backward(g, x, arrays, saved, heads, want):
+def _stage_backward(g, x, arrays, saved, heads):
     """Gradients of :func:`_stage_forward` for an output gradient g: x's, then
-    the 14 arrays'. An array's is None where its ``want`` flag is False and for
-    a one-key stage's q, k and k reducer (exact zeros in the primitives'
-    chain); the rest equal that chain's bit for bit."""
+    the 14 arrays', all computed (:func:`backward` drops those of arrays that
+    need none). A one-key stage's q, k and k reducer get None (exact zeros in
+    the primitives' chain); the rest equal that chain's bit for bit."""
     wq, _, wk, _, wv, _, kk, _, vk, _, wo, _, wf, _ = arrays
     v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2 = saved
     n = x.shape[-2]
     g2 = _layer_norm_grads(g, *ln2)
-    gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True, *want[12:14])
+    gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True)
     g1 = _layer_norm_grads(g2 + gn, *ln1)
-    ga, gwo, gbo = _affine_grads(g1, att, wo, True, *want[10:12])
+    ga, gwo, gbo = _affine_grads(g1, att, wo, True)
     # composed primitives hand gradients on C-contiguous (backward's first
     # write); a strided view can make matmul sum in another order
     if k_blocks is None:
         gv = _single_key_grads(ga, heads)
     else:
         gq, gk, gv = (np.ascontiguousarray(a) for a in _attention_grads(ga, *att_saved))
-    gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_blocks, vk, n, True, *want[8:10])
-    gx, gwv, gbv = _affine_grads(gvp, x, wv, True, *want[4:6])
+    gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_blocks, vk, n)
+    gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
     gx = g1 + gx
     if k_blocks is None:
         return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
-    gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_blocks, kk, n, True, *want[6:8])
-    gxk, gwk, gbk = _affine_grads(gkp, x, wk, True, *want[2:4])
-    gxq, gwq, gbq = _affine_grads(gq, x, wq, True, *want[0:2])
+    gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_blocks, kk, n)
+    gxk, gwk, gbk = _affine_grads(gkp, x, wk, True)
+    gxq, gwq, gbq = _affine_grads(gq, x, wq, True)
     return (gx + gxk) + gxq, gwq, gbq, gwk, gbk, gwv, gbv, gkk, gkb, gvk, gvb, gwo, gbo, gwf, gbf
 
 
@@ -541,14 +534,20 @@ def gradient_check(f, params, h: float = 1e-5) -> float:
     ``f`` must be a deterministic zero-argument callable returning a
     scalar Tensor built from taped primitives over ``params``. Every
     parameter coordinate is probed with a symmetric step ``h``; the
-    relative error denominator is max(|analytic|, |numeric|, 1e-8).
+    relative error denominator is max(|analytic|, |numeric|, sqrt(eps) |f| / h),
+    f the loss at ``params``: the central difference's roundoff, about
+    eps |f| / h, is sqrt(eps) of that floor, so an exactly-zero gradient reads
+    about sqrt(eps).
     """
     h = float(h)
     if not (1e-6 <= h <= 1e-3):
         raise ParameterError(f"step h must lie in [1e-6, 1e-3], got {h}")
     params = list(params)
     zero_grad(params)
-    backward(f())
+    loss = f()
+    backward(loss)
+    fi = np.finfo(np.float64)
+    floor = max(math.sqrt(fi.eps) * abs(loss.item()) / h, fi.tiny)  # tiny: 0 / 0 reads 0, not NaN
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
     ]
@@ -565,7 +564,7 @@ def gradient_check(f, params, h: float = 1e-5) -> float:
                 fm = f().item()
                 flat[i] = orig
                 numeric = (fp - fm) / (2.0 * h)
-                denom = max(abs(aflat[i]), abs(numeric), 1e-8)
+                denom = max(abs(aflat[i]), abs(numeric), floor)
                 max_rel = max(max_rel, abs(aflat[i] - numeric) / denom)
     zero_grad(params)
     return max_rel

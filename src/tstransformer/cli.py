@@ -193,7 +193,7 @@ def _load_for_training(args, cfg: RunConfig):
 
 def _windows(cfg: RunConfig, train_norm: TimeSeries, lookback: int):
     """Windows over the normalized training side, as views of it."""
-    return make_windows(train_norm, lookback, cfg.get_int("horizon"), all_channels=cfg["loss_channels"] == "all")
+    return make_windows(train_norm, lookback, cfg.get_int("horizon"))
 
 
 def _fit(cfg: RunConfig, windows, tcfg: TrainConfig):

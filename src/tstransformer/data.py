@@ -113,10 +113,11 @@ class NormStats:
 
 @dataclass
 class WindowedDataset:
-    """Sliding (input window, target) pairs with source timestamps: read-only views that keep the series alive."""
+    """Sliding (input window, target) pairs with source timestamps, every channel in both: read-only
+    views that keep the series alive. Which target rows a loss scores is the training loop's choice."""
 
     inputs: np.ndarray  # (n, lookback, n_channels)
-    targets: np.ndarray  # (n, horizon) or (n, horizon, n_channels)
+    targets: np.ndarray  # (n, horizon, n_channels)
     start_times: np.ndarray  # (n,) time of the first input row
     lookback: int
     horizon: int
@@ -300,19 +301,13 @@ def split_at(ts: TimeSeries, boundary_hours: float = 500.0) -> tuple:
     return train, test
 
 
-def make_windows(
-    ts: TimeSeries,
-    lookback: int,
-    horizon: int,
-    stride: int = 1,
-    all_channels: bool = False,
-) -> WindowedDataset:
-    """Sliding (lookback, n_channels) inputs with next-``horizon`` targets.
+def make_windows(ts: TimeSeries, lookback: int, horizon: int, stride: int = 1) -> WindowedDataset:
+    """Sliding (lookback, n_channels) inputs with the next ``horizon`` rows of
+    every channel as targets, (horizon, n_channels); the loss picks its rows.
 
-    Targets hold the target channel by default; ``all_channels`` emits
-    (horizon, n_channels) targets instead. With stride 1 the count is
-    ``len(ts) - lookback - horizon + 1``. No window is copied: every
-    array is a read-only view of ``ts``, and a batch is one gather.
+    With stride 1 the count is ``len(ts) - lookback - horizon + 1``. No
+    window is copied: every array is a read-only view of ``ts``, and a batch
+    is one gather.
     """
     tw, s, step = int(lookback), int(horizon), int(stride)
     if tw < 1 or s < 1:
@@ -326,14 +321,9 @@ def make_windows(
             f"rows, got {n}"
         )
     # A window view holds its rows on the last axis; swapaxes puts them before the channels.
-    inputs = sliding_window_view(ts.features[: n - s], tw, axis=0)[::step].swapaxes(1, 2)
-    if all_channels:
-        targets = sliding_window_view(ts.features[tw:], s, axis=0)[::step].swapaxes(1, 2)
-    else:
-        targets = sliding_window_view(ts.features[tw:, ts.target_index], s)[::step]
     return WindowedDataset(
-        inputs=inputs,
-        targets=targets,
+        inputs=sliding_window_view(ts.features[: n - s], tw, axis=0)[::step].swapaxes(1, 2),
+        targets=sliding_window_view(ts.features[tw:], s, axis=0)[::step].swapaxes(1, 2),
         start_times=sliding_window_view(ts.time[: n - s], tw)[::step, 0],
         lookback=tw,
         horizon=s,

@@ -210,11 +210,12 @@ class TSTransformerModel:
         one-row product rounds differently.
 
         It runs on arrays and records nothing under ``ad.no_grad()``; outside
-        it records one graph node over every parameter. Outputs and gradients equal
-        the chain of primitives' (``embed``, post-norm stages over
-        :meth:`multi_scale_attention`, token slice, head affine, mean add)
-        bit for bit, but a one-key stage's q, k and k reducer get None, not
-        zeros.
+        it records one graph node over every parameter, whose backward computes
+        every parameter's gradient and leaves dropping those of frozen parameters
+        to ``ad.backward``. Outputs and gradients equal the chain of primitives'
+        (``embed``, post-norm stages over :meth:`multi_scale_attention`, token
+        slice, head affine, mean add) bit for bit, but a one-key stage's q, k
+        and k reducer get None, not zeros.
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -254,23 +255,18 @@ class TSTransformerModel:
         out += mu_rows  # the same adds as the mean repeated to (..., rows, horizon)
         if not recording:
             return Tensor._wrap(out, False)
-        params = self.parameters()
 
         def grad_fn(g):
-            want = [t.requires_grad for t in params]
-            end = len(want) - 2
-            g, *grads = ad._affine_grads(g, tokens, wp, True, *want[end:])
+            g, *grads = ad._affine_grads(g, tokens, wp, True)
             if channel is not None:  # the token slice's backward: zeros off the row
                 g, row = np.zeros(x.shape), g
                 g[..., channel : channel + 1, :] = row
             for (xi, saved), arrays in zip(stages[::-1], self._stage_arrays[::-1]):
-                start = end - len(arrays)
-                g, *stage_grads = ad._stage_backward(g, xi, arrays, saved, cfg.heads, want[start:end])
+                g, *stage_grads = ad._stage_backward(g, xi, arrays, saved, cfg.heads)
                 grads[:0] = stage_grads
-                end = start
-            return [*ad._affine_grads(g, xt, we, False, *want[:2])[1:], *grads]
+            return [*ad._affine_grads(g, xt, we, False)[1:], *grads]
 
-        return ad._result(out, params, grad_fn)
+        return ad._result(out, self.parameters(), grad_fn)
 
     def _check_window(self, shape: tuple) -> None:
         cfg = self.config

@@ -165,23 +165,27 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
     of fewer than 5 epochs keep a constant rate. At a constant rate Adam
     never settles, so the end point would hang on single roundings.
 
-    Deterministic for fixed (seed, config, data). Aborts with epoch and
-    batch indices when the loss turns non-finite.
+    The windows' targets hold every variate, (n, horizon, n_variates) of the
+    model, checked before any forward; the loss scores the target variate's
+    row or, with ``loss_channels="all"``, every row. Deterministic for fixed
+    (seed, config, data). Aborts with epoch and batch indices when the loss
+    turns non-finite.
     """
     if len(windows) == 0:
         raise ContractError("cannot train on an empty window set")
+    cfg = model.config
+    if windows.targets.shape != (len(windows), cfg.horizon, cfg.n_variates):
+        raise ContractError(f"targets {windows.targets.shape} are not (windows={len(windows)}, "
+                            f"horizon={cfg.horizon}, n_variates={cfg.n_variates})")
     rng = np.random.default_rng(config.seed)
     named = model.named_parameters()
     params = [p for _, p in named]
     state = adam_init(params)
-    rank = 3 if config.loss_channels == LOSS_ALL else 2
-    if windows.targets.ndim != rank:
-        raise ContractError(
-            f"loss_channels={config.loss_channels!r} needs {rank}-d targets, got {windows.targets.ndim}-d"
-        )
     # None scores every variate's row, else only the target's; truth holds those rows, (n, 1 or M, S).
     channel = None if config.loss_channels == LOSS_ALL else windows.channel_names.index(windows.target_channel)
-    truth = (windows.targets if channel is None else windows.targets[:, :, None]).swapaxes(1, 2)
+    truth = windows.targets.swapaxes(1, 2)
+    if channel is not None:
+        truth = truth[:, channel : channel + 1]
 
     history = []
     best = math.inf

@@ -94,19 +94,14 @@ def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -
         p.data -= config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + config.adam_eps)
 
 
-def stacked_windows(ts, lookback: int, horizon: int, stride: int = 1, all_channels: bool = False):
-    """``make_windows`` as a loop that stacks a copy of every window; no argument checks."""
+def stacked_windows(ts, lookback: int, horizon: int, stride: int = 1):
+    """``make_windows`` as a loop that stacks a copy of every window, every
+    channel in inputs and targets alike; no argument checks."""
     tw, s = lookback, horizon
     starts = np.arange(0, len(ts) - tw - s + 1, stride)
-    inputs = np.stack([ts.features[i : i + tw] for i in starts])
-    if all_channels:
-        targets = np.stack([ts.features[i + tw : i + tw + s] for i in starts])
-    else:
-        col = ts.target_index
-        targets = np.stack([ts.features[i + tw : i + tw + s, col] for i in starts])
     return WindowedDataset(
-        inputs=inputs,
-        targets=targets,
+        inputs=np.stack([ts.features[i : i + tw] for i in starts]),
+        targets=np.stack([ts.features[i + tw : i + tw + s] for i in starts]),
         start_times=ts.time[starts].copy(),
         lookback=tw,
         horizon=s,

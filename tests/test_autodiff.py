@@ -430,6 +430,29 @@ def test_gradient_check_quadratic_near_exact():
     assert err <= 1e-8
 
 
+def _zero_gradient_setup():
+    rng = np.random.default_rng(2)
+    return t(rng.normal(size=(2, 3)), grad=True), t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3)))
+
+
+def test_gradient_check_reads_an_exact_zero_gradient_as_agreement():
+    # x's gradient, w - w, is exactly 0; its central difference is the loss's
+    # roundoff over the step, which a bare 1e-8 denominator read as 2.2e-3
+    x, w, c = _zero_gradient_setup()
+    f = lambda: ad.add(ad.sum_all(ad.mul(x, w)), ad.sum_all(ad.mul(ad.sub(c, x), w)))
+    ad.backward(f())
+    assert not x.grad.any()
+    ad.zero_grad([x])
+    assert ad.gradient_check(f, [x], h=1e-5) <= 1e-6
+
+
+def test_gradient_check_still_catches_a_gradient_one_percent_off():
+    x, w, _ = _zero_gradient_setup()
+    # the identity, with a backward 1.01 times too large
+    too_large = lambda a: ad._result(a.data.copy(), (a,), lambda g: (1.01 * g,))
+    assert ad.gradient_check(lambda: ad.sum_all(ad.mul(too_large(x), w)), [x], h=1e-5) > 1e-3
+
+
 def test_gradient_check_rejects_bad_step():
     x = t([1.0], grad=True)
     with pytest.raises(ParameterError):

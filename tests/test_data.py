@@ -266,13 +266,15 @@ def test_windows_reconstruct_target():
     rng = np.random.default_rng(3)
     vals = rng.normal(size=60)
     ds = make_windows(series(np.arange(60.0), vals), 8, 1)
-    assert np.array_equal(ds.targets[:, 0], vals[8:])
+    assert np.array_equal(ds.targets[:, 0, 0], vals[8:])
 
 
 def test_windows_all_channels_shape():
-    ts = series(np.arange(20.0), np.arange(20.0))
-    ds = make_windows(ts, 4, 3, all_channels=True)
+    ts = series(np.arange(20.0), np.arange(20.0), extra=np.arange(100.0, 120.0))
+    ds = make_windows(ts, 4, 3)
     assert ds.targets.shape == (len(ds), 3, 2)
+    rows = np.arange(len(ds))[:, None] + 4 + np.arange(3)  # each target step's source row
+    assert np.array_equal(ds.targets, np.stack([rows, rows + 100.0], axis=-1))  # every channel
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,15 +301,14 @@ def test_window_count_property(n, tw, s, stride):
     tw=st.integers(1, 12),
     s=st.integers(1, 6),
     stride=st.integers(1, 7),
-    all_channels=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_windows_are_read_only_views_equal_to_stacked_copies(spare, m, tw, s, stride, all_channels, seed):
+def test_windows_are_read_only_views_equal_to_stacked_copies(spare, m, tw, s, stride, seed):
     n = tw + s + spare
     names = ("Utot_V", "I_A", "TinH2_C", "PinAIR_mbara")[:m]
     ts = TimeSeries(np.arange(float(n)), np.random.default_rng(seed).normal(size=(n, m)), names)
-    ds = make_windows(ts, tw, s, stride, all_channels)
-    ref = stacked_windows(ts, tw, s, stride, all_channels)
+    ds = make_windows(ts, tw, s, stride)
+    ref = stacked_windows(ts, tw, s, stride)
     for name in ("inputs", "targets", "start_times"):
         got, want = getattr(ds, name), getattr(ref, name)
         assert got.shape == want.shape and np.array_equal(got, want), name

@@ -314,9 +314,14 @@ def test_encoder_stage_matches_composed_block_bit_for_bit(heads, m, mode, lead):
     assert_forward_matches_composed(model, x, cot)
 
 
+EVERY_BIAS = tuple(name for name, _ in param_shapes(toy_config(n_variates=5)) if name.endswith(".bias"))
+
+
 @pytest.mark.parametrize("frozen", [("embed.",), ("stage0.", "stage2."), ("project.",),
-                                    ("embed.", "stage0.", "stage1.", "stage2.", "stage3.")])
+                                    ("embed.", "stage0.", "stage1.", "stage2.", "stage3."),
+                                    ("stage1.k_reduce.kernel",), ("project.bias",), EVERY_BIAS])
 def test_frozen_parameters_get_no_gradient_and_the_rest_match_the_chain(frozen):
+    # only backward drops a frozen tensor's gradient, whichever tensors are frozen
     model = perturbed_model(toy_config(n_variates=5, heads=2), seed=3)
     for name, p in model.named_parameters():
         p.requires_grad = not name.startswith(frozen)
@@ -421,10 +426,10 @@ def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
             rows.append(out.shape[-2])
         return out
 
-    def watched_affine_grads(g, x, w, *want):
+    def watched_affine_grads(g, x, w, want_x):
         if w is head:
             rows.append(g.shape[-2])
-        return affine_grads(g, x, w, *want)
+        return affine_grads(g, x, w, want_x)
 
     monkeypatch.setattr(ad, "_affine", watched_affine)
     monkeypatch.setattr(ad, "_affine_grads", watched_affine_grads)

@@ -1,6 +1,7 @@
 """Training tests: loss, Adam, the loop's determinism and abort paths,
 checkpoint round-trips, and the rolling forecast."""
 
+import dataclasses
 import math
 import os
 
@@ -270,7 +271,7 @@ def test_train_decays_the_learning_rate_over_the_last_fifth_of_epochs(epochs, ra
 def test_train_on_window_views_matches_stacked_copies_bit_for_bit(loss_channels, stride):
     series, stats, _, _, _ = tiny_setup(noise=0.002)
     train_norm = zscore_apply(split_at(series, 20.0)[0], stats)
-    args = (train_norm, 16, 2, stride, loss_channels == "all")
+    args = (train_norm, 16, 2, stride)
     cfg = ModelConfig(n_variates=3, lookback=16, horizon=2, width=8, stages=2, ratios=(1.0, 0.25))
     tcfg = TrainConfig(epochs=2, seed=3, batch_size=7, loss_channels=loss_channels)
     runs = []
@@ -323,21 +324,45 @@ def test_train_config_rejects_nan_and_out_of_range(field, value):
     TrainConfig(beta1=0.0, clip_norm=0.0, patience=0)  # the bounds that stay allowed
 
 
-@pytest.mark.parametrize("loss_channels, all_channels", [("target", True), ("all", False)])
-def test_train_checks_target_rank_once_before_any_forward(monkeypatch, loss_channels, all_channels):
-    series, stats, _, model, cfg = tiny_setup(epochs=3)
-    windows = make_windows(zscore_apply(series, stats), 16, 1, all_channels=all_channels)
+@pytest.mark.parametrize("bad", ["2d-targets", "wrong-horizon"])
+def test_train_checks_target_rank_once_before_any_forward(monkeypatch, bad):
+    # hand-built windows whose targets are not (n, horizon, n_variates), under either loss
+    series, stats, _, model, cfg = tiny_setup(epochs=3)  # a horizon-1 model over 3 variates
+    windows = make_windows(zscore_apply(series, stats), 16, 1 if bad == "2d-targets" else 2)
+    if bad == "2d-targets":  # the target column alone
+        windows = dataclasses.replace(windows, targets=windows.targets[:, :, 0])
     calls = []
     monkeypatch.setattr(model, "forward", lambda *a, **kw: calls.append(a))
-    with pytest.raises(ContractError, match=f"loss_channels={loss_channels!r} needs"):
-        train(model, windows, TrainConfig(epochs=3, loss_channels=loss_channels))
+    for loss_channels in ("target", "all"):
+        with pytest.raises(ContractError, match=r"targets \(.*\) are not \(windows="):
+            train(model, windows, TrainConfig(epochs=3, loss_channels=loss_channels))
     assert calls == []
+
+
+def test_one_window_set_trains_under_both_loss_channels():
+    # the same make_windows result serves both losses: the target loss reads
+    # only the target's rows (other channels' targets zeroed train alike, bit
+    # for bit), the all-channel loss reads every row
+    _, _, windows, _, _ = tiny_setup()
+    ti = windows.channel_names.index(windows.target_channel)
+    zeroed = np.zeros(windows.targets.shape)
+    zeroed[:, :, ti] = windows.targets[:, :, ti]
+    runs = {}
+    for loss_channels in ("target", "all"):
+        tcfg = TrainConfig(epochs=2, seed=0, batch_size=32, loss_channels=loss_channels)
+        for name, ws in (("views", windows), ("zeroed", dataclasses.replace(windows, targets=zeroed))):
+            model = tiny_setup()[3]
+            runs[loss_channels, name] = train(model, ws, tcfg), [p.data for p in model.parameters()]
+    (history, params), (ref_history, ref_params) = runs["target", "views"], runs["target", "zeroed"]
+    assert history == ref_history and all(map(np.array_equal, params, ref_params))
+    assert runs["all", "views"][0] != runs["all", "zeroed"][0]
+    assert all(math.isfinite(h) for run, _ in runs.values() for h in run)
 
 
 def test_train_all_channels_mode():
     series, stats, _, model, cfg = tiny_setup(epochs=2)
     train_ts, _ = split_at(series, 20.0)
-    windows = make_windows(zscore_apply(train_ts, zscore_fit(train_ts)), 16, 1, all_channels=True)
+    windows = make_windows(zscore_apply(train_ts, zscore_fit(train_ts)), 16, 1)
     cfg = TrainConfig(epochs=2, seed=0, loss_channels="all")
     history = train(model, windows, cfg)
     assert len(history) == 2 and all(math.isfinite(h) for h in history)
