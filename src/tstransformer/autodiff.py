@@ -15,10 +15,12 @@ General numpy-style broadcasting is intentionally not supported.
 
 A recorded op's output holds its node ``(seq, inputs, grad_fn)``, ``seq``
 counting nodes in execution order, so a discarded forward frees its graph;
-:func:`backward` runs the loss's nodes in descending ``seq``. Tensors are
-immutable after construction except for ``grad``, which is replaced, never
-written; optimizers that update parameters in place must own the model
-exclusively.
+:func:`backward` runs the loss's nodes in descending ``seq``. A node's
+``grad_fn`` returns a gradient for every input: only ``_result`` (whether to
+record) and :func:`backward` (whether to store) read ``requires_grad``.
+Tensors are immutable after construction except for ``grad``, which is
+replaced, never written; optimizers that update parameters in place must own
+the model exclusively.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError, ParameterError
+from .errors import ContractError, DimensionError, ParameterError
 
 
 class Tensor:
@@ -57,8 +59,7 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
-        # Internal fast path for op outputs; finiteness enforced only in
-        # debug mode (see set_debug_checks).
+        # Internal fast path for op outputs; their finiteness is not checked.
         t = object.__new__(cls)
         t.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         t.requires_grad = requires_grad
@@ -96,17 +97,11 @@ def _check_data(arr: np.ndarray) -> np.ndarray:
 class _State(threading.local):
     def __init__(self):
         self.recording = True
-        self.debug_checks = False
 
 
 _state = _State()
 _seq = itertools.count()
 _CONSUMED = object()  # the _node of a tensor whose node a backward has run
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle per-primitive finiteness checks (off by default)."""
-    _state.debug_checks = bool(enabled)
 
 
 @contextlib.contextmanager
@@ -129,8 +124,6 @@ def zero_grad(tensors) -> None:
 def _result(arr, inputs, grad_fn) -> Tensor:
     requires = _state.recording and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(arr, requires)
-    if _state.debug_checks and not np.all(np.isfinite(out.data)):
-        raise NumericalError("primitive produced non-finite values")
     if requires:
         out._node = (next(_seq), inputs, grad_fn)
     return out
@@ -156,15 +149,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"sub requires equal shapes, got {a.shape} and {b.shape}")
-    return _result(a.data - b.data, (a, b),
-                   lambda g: (g if a.requires_grad else None, -g if b.requires_grad else None))
+    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
-    return _result(a.data * b.data, (a, b),
-                   lambda g: (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None))
+    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -236,12 +227,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul stack axes differ: {a.shape} x {b.shape}")
 
     def grad_fn(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _reduce_leading(g @ bd.swapaxes(-1, -2), ad.shape)
-        if b.requires_grad:
-            gb = _reduce_leading(ad.swapaxes(-1, -2) @ g, bd.shape)
-        return ga, gb
+        return (_reduce_leading(g @ bd.swapaxes(-1, -2), ad.shape),
+                _reduce_leading(ad.swapaxes(-1, -2) @ g, bd.shape))
 
     return _result(ad @ bd, (a, b), grad_fn)
 
@@ -272,7 +259,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(
         _affine(x.data, w.data, b.data),
         (x, w, b),
-        lambda g: _affine_grads(g, x.data, w.data, x.requires_grad),
+        lambda g: _affine_grads(g, x.data, w.data, True),
     )
 
 

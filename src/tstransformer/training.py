@@ -85,12 +85,22 @@ class ForecastResult:
 
 
 def mse_loss(pred: Tensor, truth) -> Tensor:
-    """Mean squared error as a taped scalar."""
-    truth_t = truth if isinstance(truth, Tensor) else Tensor(truth)
-    if pred.shape != truth_t.shape:
-        raise ContractError(f"loss shapes differ: pred {pred.shape} vs truth {truth_t.shape}")
-    diff = ad.sub(pred, truth_t)
-    return ad.mean_all(ad.mul(diff, diff))
+    """Mean squared error as one taped node over ``pred``; ``truth`` is a
+    constant: an array, or a Tensor that needs no gradient."""
+    if isinstance(truth, Tensor):
+        if truth.requires_grad:
+            raise ContractError("mse_loss truth must be a constant, not a tensor that requires grad")
+        truth = truth.data
+    truth = ad._check_data(np.asarray(truth, dtype=np.float64))
+    if pred.shape != truth.shape:
+        raise ContractError(f"loss shapes differ: pred {pred.shape} vs truth {truth.shape}")
+    diff = pred.data - truth
+
+    def grad_fn(g):
+        h = diff * (g[0] / diff.size)
+        return (h + h,)  # x + x is exact: sub, mul, mean_all's gradient bit for bit
+
+    return ad._result(np.array([(diff * diff).mean()]), (pred,), grad_fn)
 
 
 @dataclass

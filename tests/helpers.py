@@ -12,6 +12,8 @@ sublayer, the model's ``multi_scale_attention``, runs q, k, the k reducer and
 attention in every stage), and ``adam_step_per_parameter`` the optimizer
 that updated one parameter at a time, so the model's one-node forward, with
 its one-key shortcut, and the flat Adam update can be held to them.
+``composed_mse_loss`` keeps the loss as the ``sub``, ``mul``, ``mean_all``
+chain, so the one-node ``mse_loss`` can be held to it bit for bit.
 ``stacked_windows`` is the former ``make_windows``, which copied every window
 into stacked arrays, so the strided views can be held to it. ``count_nodes``
 counts the graph nodes a call records.
@@ -70,6 +72,14 @@ def composed_forward(model, window, channel=None):
         mu_rows = mu_rows[..., channel : channel + 1, :]
     delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
     return ad.add(delta, ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))
+
+
+def composed_mse_loss(pred, truth):
+    """``training.mse_loss`` as a chain of taped primitives, before it became
+    one node: the truth copied into a Tensor, subtracted, squared and averaged."""
+    truth_t = truth if isinstance(truth, ad.Tensor) else ad.Tensor(truth)
+    diff = ad.sub(pred, truth_t)
+    return ad.mean_all(ad.mul(diff, diff))
 
 
 def count_nodes(fn):

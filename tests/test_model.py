@@ -250,7 +250,7 @@ def test_discarded_recorded_forwards_hold_no_memory():
 
 @pytest.mark.parametrize("heads", [1, 4])
 def test_recorded_forward_tape_nodes(heads):
-    # the forward is one node; a training step adds mse_loss's sub, mul, mean_all
+    # the forward is one node; a training step adds mse_loss's one node
     cfg = load_run_config(None, (f"heads={heads}",)).model_config(5)
     model = TSTransformerModel(cfg, seed=0)
     x = np.random.default_rng(0).normal(size=(8, cfg.lookback, 5))
@@ -258,7 +258,7 @@ def test_recorded_forward_tape_nodes(heads):
     assert nodes == 1
     ad.backward(ad.sum_all(out))
     loss, nodes = count_nodes(lambda: mse_loss(model.forward(x, channel=0), np.zeros((8, 1, cfg.horizon))))
-    assert nodes == 4
+    assert nodes == 2
     ad.backward(loss)
 
 

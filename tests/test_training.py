@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     adam_step_per_parameter,
     composed_forward,
+    composed_mse_loss,
     edit_checkpoint_header,
     stacked_windows,
 )
@@ -27,7 +28,7 @@ from tstransformer.data import (
     zscore_apply,
     zscore_fit,
 )
-from tstransformer.errors import ContractError, CorruptionError, NumericalError, ParameterError
+from tstransformer.errors import ContractError, CorruptionError, DimensionError, NumericalError, ParameterError
 from tstransformer.metrics import rmse
 from tstransformer.model import ModelConfig, TSTransformerModel
 from tstransformer.training import (
@@ -80,6 +81,45 @@ def test_mse_gradient_is_two_diff_over_n():
 def test_mse_shape_contract():
     with pytest.raises(ContractError):
         mse_loss(Tensor([1.0, 2.0]), np.array([[1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("truth, error", [
+    (Tensor([0.0, 1.0], requires_grad=True), ContractError),  # the truth is a constant
+    (np.array([0.0, np.nan]), ValueError),
+    (np.array([0.0, np.inf]), ValueError),
+    (np.zeros((2, 0)), DimensionError),
+])
+def test_mse_rejects_a_truth_that_is_not_constant_finite_data(truth, error):
+    with pytest.raises(error):
+        mse_loss(Tensor([1.0, 2.0], requires_grad=True), truth)
+
+
+def _strided_truth(rng):
+    # the gather train builds for loss_channels=all: (B, M, S) rows of (n, S, M) targets
+    truth = rng.normal(size=(100, 7, 5)).swapaxes(1, 2)[rng.permutation(100)[:64]]
+    assert truth.strides == (280, 8, 40)
+    return truth
+
+
+@pytest.mark.parametrize("make_truth", [
+    lambda rng: rng.normal(size=(64, 1, 1)),
+    lambda rng: rng.normal(size=(64, 1, 2000)),
+    _strided_truth,
+    lambda rng: rng.normal(size=13),
+    lambda rng: Tensor(rng.normal(size=(64, 1, 7))),
+], ids=["h1", "h2000", "strided-all-channels", "1d", "tensor"])
+def test_mse_node_equals_the_composed_chain(make_truth):
+    rng = np.random.default_rng(3)
+    truth = make_truth(rng)
+    runs = []
+    for loss_fn in (mse_loss, composed_mse_loss):
+        pred = Tensor(np.random.default_rng(4).normal(size=truth.shape) * 7.0, requires_grad=True)
+        loss = loss_fn(pred, truth)
+        ad.backward(loss)
+        runs.append((loss.data, pred.grad))
+    (loss, grad), (loss_ref, grad_ref) = runs
+    assert np.array_equal(loss, loss_ref)
+    assert np.array_equal(grad, grad_ref)
 
 
 # ---------------------------------------------------------------------------
