@@ -235,17 +235,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _affine(x, w, b):
     """Forward of :func:`affine` on arrays: x @ w, then b added in place, which
-    is the same IEEE add as ``x @ w + b`` without a second full-size array."""
-    out = x @ w
+    is the same IEEE add as ``x @ w + b`` without a second full-size array.
+
+    An x with leading axes is multiplied as one (rows, k) @ (k, n) product
+    over all its rows, not as a stack that numpy runs as one small BLAS call
+    per leading index; a 1-D or 2-D x is the plain ``x @ w``."""
+    if x.ndim > 2:
+        out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+    else:
+        out = x @ w
     out += b
     return out
 
 
 def _affine_grads(g, x, w, want_x):
-    """Gradients (x, w, b) of x @ w + b for an output gradient g, x's only if ``want_x``."""
+    """Gradients (x, w, b) of x @ w + b for an output gradient g, x's only if
+    ``want_x``. Each is one 2-D product or sum over all rows of g, so the x
+    gradient of an x with leading axes is ``g.reshape(-1, n) @ w.T`` reshaped
+    back, as in :func:`_affine`."""
     k, n = w.shape
-    gx = g @ w.T if want_x else None
-    return gx, x.reshape(-1, k).T @ g.reshape(-1, n), g.reshape(-1, n).sum(axis=0)
+    g2 = g.reshape(-1, n)
+    gx = None
+    if want_x:
+        gx = (g2 @ w.T).reshape(*g.shape[:-1], k) if g.ndim > 2 else g @ w.T
+    return gx, x.reshape(-1, k).T @ g2, g2.sum(axis=0)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

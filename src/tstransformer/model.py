@@ -205,9 +205,12 @@ class TSTransformerModel:
         A leading batch axis is accepted: (B, lookback, n_variates)
         yields (B, n_variates, horizon). With ``channel`` set, the head
         projects only that variate's token and the mean is added back to
-        that row alone: shape (..., 1, horizon). The row equals that row of
-        the full output within a few ulps, not bit for bit, because a
-        one-row product rounds differently.
+        that row alone: shape (..., 1, horizon). How the row compares with
+        that row of the full output depends on the BLAS kernel, not on the
+        row count. For a batch both head products are one matrix-matrix
+        product over all rows, and with OpenBLAS the rows match bit for bit.
+        For one window the (1, width) product runs as a matrix-vector kernel,
+        which rounds differently from the (M, width) one: a few ulps apart.
 
         It runs on arrays and records nothing under ``ad.no_grad()``; outside
         it records one graph node over every parameter, whose backward computes

@@ -263,6 +263,31 @@ def test_affine_shape_mismatch():
         ad.affine(t(np.ones((2, 3))), t(np.ones((4, 2))), t(np.zeros(2)))
 
 
+@pytest.mark.parametrize("x_shape, n", [((64, 1, 16), 2000), ((64, 5, 16), 1), ((37, 9, 16), 50)])
+def test_affine_with_leading_axes_is_one_flat_product(x_shape, n):
+    # one (rows, k) product over every row, not a stack of per-window products
+    rng = np.random.default_rng(17)
+    k = x_shape[-1]
+    x, w, b = rng.normal(size=x_shape), rng.normal(size=(k, n)), rng.normal(size=n)
+    g = rng.normal(size=x_shape[:-1] + (n,))
+    flat = x.reshape(-1, k) @ w
+    flat += b
+    assert np.array_equal(ad._affine(x, w, b), flat.reshape(x_shape[:-1] + (n,)))
+    gx, gw, gb = ad._affine_grads(g, x, w, True)
+    assert np.array_equal(gx, (g.reshape(-1, n) @ w.T).reshape(x_shape))
+    assert np.array_equal(gw, x.reshape(-1, k).T @ g.reshape(-1, n))
+    assert np.array_equal(gb, g.reshape(-1, n).sum(axis=0))
+
+
+@pytest.mark.parametrize("x_shape", [(1, 16), (5, 16), (6, 32)])
+def test_affine_of_a_matrix_is_the_plain_product(x_shape):
+    rng = np.random.default_rng(18)
+    x, w, b = rng.normal(size=x_shape), rng.normal(size=(x_shape[1], 7)), rng.normal(size=7)
+    assert np.array_equal(ad._affine(x, w, b), x @ w + b)
+    g = rng.normal(size=(x_shape[0], 7))
+    assert np.array_equal(ad._affine_grads(g, x, w, True)[0], g @ w.T)
+
+
 # ---------------------------------------------------------------------------
 # backward semantics
 

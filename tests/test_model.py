@@ -401,7 +401,8 @@ def test_forward_batch_matches_single():
 
 @pytest.mark.parametrize("lead", [(), (4,)])
 def test_forward_channel_is_the_full_forward_row_within_ulps(lead):
-    # a one-row head product rounds differently from the M-row one
+    # one window's one-row head product runs as a BLAS matrix-vector kernel
+    # and rounds differently from the M-row matrix-matrix one
     model = TSTransformerModel(toy_config(horizon=3), seed=15)
     x = np.random.default_rng(12).normal(size=lead + (32, 6))
     with ad.no_grad():
