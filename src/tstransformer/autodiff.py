@@ -250,14 +250,12 @@ def _affine(x, w, b):
 
 def _affine_grads(g, x, w, want_x):
     """Gradients (x, w, b) of x @ w + b for an output gradient g, x's only if
-    ``want_x``. Each is one 2-D product or sum over all rows of g, so the x
-    gradient of an x with leading axes is ``g.reshape(-1, n) @ w.T`` reshaped
-    back, as in :func:`_affine`."""
+    ``want_x``. Each is one 2-D product or sum over all rows of g, so an x
+    with leading axes gets ``g.reshape(-1, n) @ w.T`` reshaped back, not a
+    stack of per-window products."""
     k, n = w.shape
     g2 = g.reshape(-1, n)
-    gx = None
-    if want_x:
-        gx = (g2 @ w.T).reshape(*g.shape[:-1], k) if g.ndim > 2 else g @ w.T
+    gx = (g2 @ w.T).reshape(*g.shape[:-1], k) if want_x else None
     return gx, x.reshape(-1, k).T @ g2, g2.sum(axis=0)
 
 
