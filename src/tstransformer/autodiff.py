@@ -237,13 +237,10 @@ def _affine(x, w, b):
     """Forward of :func:`affine` on arrays: x @ w, then b added in place, which
     is the same IEEE add as ``x @ w + b`` without a second full-size array.
 
-    An x with leading axes is multiplied as one (rows, k) @ (k, n) product
-    over all its rows, not as a stack that numpy runs as one small BLAS call
-    per leading index; a 1-D or 2-D x is the plain ``x @ w``."""
-    if x.ndim > 2:
-        out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
-    else:
-        out = x @ w
+    x is multiplied as one (rows, k) @ (k, n) product over all its rows, not
+    as a stack that numpy runs as one small BLAS call per leading index; for
+    a 2-D x the reshape is a view and the product is the plain ``x @ w``."""
+    out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
     out += b
     return out
 
