@@ -223,8 +223,11 @@ def condense(ts: TimeSeries, interval_hours: float = 0.1) -> TimeSeries:
         raise DataError("cannot condense an empty series")
     # Small forward nudge keeps grid-aligned samples in their own bin
     # despite binary rounding of t/dt.
-    bins = np.floor(ts.time / dt + 1e-9).astype(np.int64)
-    uniq, inverse = np.unique(bins, return_inverse=True)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        bins = np.floor(ts.time / dt + 1e-9)
+    if not np.all(np.abs(bins) < 2.0 ** 63):
+        raise ParameterError(f"interval {interval_hours} h is too small: time / interval overflows int64")
+    uniq, inverse = np.unique(bins.astype(np.int64), return_inverse=True)
     counts = np.bincount(inverse)
     means = np.empty((len(uniq), ts.features.shape[1]))
     for c in range(ts.features.shape[1]):

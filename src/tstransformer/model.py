@@ -58,8 +58,8 @@ class ModelConfig:
                 f"need one ratio per stage: {self.stages} stages, {len(self.ratios)} ratios"
             )
         for r in self.ratios:
-            if not 0.0 < r <= 1.0:
-                raise ParameterError(f"ratios must lie in (0, 1], got {r}")
+            if not (0.0 < r <= 1.0 and math.isfinite(1.0 / r)):  # subnormal r: round(1 / r) overflows
+                raise ParameterError(f"ratios must lie in (0, 1] with a finite 1 / ratio, got {r}")
         if self.heads < 1 or self.width % self.heads != 0:
             raise ParameterError(f"heads ({self.heads}) must divide width ({self.width})")
         if self.mode not in (MULTI_SCALE, VANILLA):
@@ -77,7 +77,7 @@ class ModelConfig:
 
 def param_shapes(config: ModelConfig) -> list:
     """(name, shape) of every parameter in declared (checkpoint) order: the one
-    layout table, which the model is built from and checkpoints are split by."""
+    layout table, by which :func:`_param_views` splits a flat parameter vector."""
     d = config.width
     layers = [("embed.weight", config.lookback, d)]
     for i, r in enumerate(config.reduction_factors):
@@ -96,6 +96,13 @@ def param_count(config: ModelConfig) -> int:
     return sum(math.prod(shape) for _, shape in param_shapes(config))
 
 
+def _param_views(config: ModelConfig, theta: np.ndarray) -> list:
+    """(name, C-contiguous view) of every parameter in the flat vector ``theta``, in declared order."""
+    shapes = param_shapes(config)
+    ends = np.cumsum([math.prod(shape) for _, shape in shapes])
+    return [(name, part.reshape(shape)) for (name, shape), part in zip(shapes, np.split(theta, ends[:-1]))]
+
+
 class TSTransformerModel:
     """Stacked encoder over variate tokens with per-stage K/V reduction.
 
@@ -107,42 +114,40 @@ class TSTransformerModel:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        self._layout(config)
         rng = np.random.default_rng(seed)
-        values = []
-        for name, shape in param_shapes(config):  # weights draw from rng in table order
+        for name, p in self._params.items():  # weights draw from rng in table order; biases stay zero
             if name.endswith(".weight"):
-                bound = math.sqrt(1.0 / shape[0])  # shape[0] is the fan-in
-                values.append(rng.uniform(-bound, bound, size=shape))
-            else:  # reducer kernels average over their r rows; biases are zero
-                values.append(np.full(shape, 1.0 / shape[0] if name.endswith(".kernel") else 0.0))
-        self._adopt(config, values)
+                bound = math.sqrt(1.0 / p.shape[0])  # shape[0] is the fan-in
+                p.data[...] = rng.uniform(-bound, bound, size=p.shape)
+            elif name.endswith(".kernel"):  # reducer kernels average over their r rows
+                p.data[...] = 1.0 / p.shape[0]
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays) -> "TSTransformerModel":
         """A model whose parameters are copies of ``arrays`` (declared order),
         built without a random initialisation."""
         model = object.__new__(cls)
-        model._adopt(config, arrays)
+        model._layout(config)
+        arrays = list(arrays)
+        if len(arrays) != len(model._params):
+            raise ParameterError(f"expected {len(model._params)} parameter arrays, got {len(arrays)}")
+        for (name, p), arr in zip(model._params.items(), arrays):
+            if np.shape(arr) != p.shape:
+                raise ParameterError(f"parameter {name!r} expects shape {p.shape}, got {np.shape(arr)}")
+            p.data[...] = arr
         return model
 
-    def _adopt(self, config: ModelConfig, arrays) -> None:
+    def _layout(self, config: ModelConfig) -> None:
+        """Zero parameters, each a view of one flat vector in declared (checkpoint) order."""
         self.config = config
         self._factors = config.reduction_factors
-        shapes = param_shapes(config)
-        arrays = list(arrays)
-        if len(arrays) != len(shapes):
-            raise ParameterError(f"expected {len(shapes)} parameter arrays, got {len(arrays)}")
-        self._params: dict[str, Tensor] = {}  # in declared (checkpoint) order
-        for (name, shape), arr in zip(shapes, arrays):
-            arr = np.array(arr, dtype=np.float64, order="C")  # a copy: callers keep their arrays
-            if arr.shape != shape:
-                raise ParameterError(f"parameter {name!r} expects shape {shape}, got {arr.shape}")
-            self._params[name] = Tensor._wrap(arr, True)
-        # forward's per-stage arrays, kept current by in-place updates
-        self._stage_arrays = tuple(
-            tuple(t.data for name, t in self._params.items() if name.startswith(f"stage{i}."))
-            for i in range(config.stages)
-        )
+        self._theta = np.zeros(param_count(config))
+        views = _param_views(config, self._theta)
+        self._params = {name: Tensor._wrap(view, True) for name, view in views}
+        # forward's per-stage arrays: views of the vector, so in-place updates reach them
+        self._stage_arrays = tuple(tuple(view for name, view in views if name.startswith(f"stage{i}."))
+                                   for i in range(config.stages))
 
     # -- parameter access ---------------------------------------------------
 
@@ -157,12 +162,11 @@ class TSTransformerModel:
         return self._params[name]
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self._theta.size
 
     def load_arrays(self, arrays) -> None:
-        """Overwrite parameters from arrays given in declared order."""
-        for tensor, new in zip(self.parameters(), self.from_arrays(self.config, arrays).parameters()):
-            tensor.data[...] = new.data
+        """Overwrite parameters from arrays given in declared order, all checked before any is written."""
+        self._theta[...] = self.from_arrays(self.config, arrays)._theta
 
     # -- forward pieces -----------------------------------------------------
 

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import NormStats, TimeSeries, WindowedDataset, zscore_apply
 from .errors import ContractError, CorruptionError, NumericalError, ParameterError
-from .model import ModelConfig, TSTransformerModel, param_count, param_shapes
+from .model import ModelConfig, TSTransformerModel, _param_views, param_count
 
 CHECKPOINT_MAGIC = b"TSTC"
 CHECKPOINT_VERSION = 1
@@ -378,14 +378,13 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write magic, version, key=value header, then parameters as <f8."""
-    extra = dict(extra or {})
-    header = _header_text(model.config, stats, extra).encode("utf-8")
+    header = _header_text(model.config, stats, extra or {}).encode("utf-8")
     write_atomic(path, b"".join([
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<I", len(header)),
         header,
-        *(p.data.astype("<f8").tobytes() for _, p in model.named_parameters()),
+        model._theta.astype("<f8", copy=False).tobytes(),
     ]))
 
 
@@ -446,24 +445,15 @@ def load_checkpoint(path) -> Checkpoint:
     if fields.get("stats.target", stats.channel_names[0]) not in stats.channel_names:
         raise CorruptionError(f"checkpoint stats.target {fields['stats.target']!r} is not among stats.channels")
 
-    payload = blob[12 + header_len :]
-    if len(payload) % 8 != 0:
-        raise CorruptionError("checkpoint payload is not a whole number of float64 scalars")
-    scalars = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    expected = param_count(config)
-    if len(scalars) != expected:
-        raise CorruptionError(
-            f"scalar count mismatch: payload has {len(scalars)}, config needs {expected}"
-        )
+    payload_bytes, expected = len(blob) - 12 - header_len, param_count(config)
+    if payload_bytes != 8 * expected:
+        raise CorruptionError(f"scalar count mismatch: payload has {payload_bytes} bytes, "
+                              f"config needs {expected} float64 scalars")
+    scalars = np.frombuffer(blob, dtype="<f8", offset=12 + header_len)  # read-only, no copy
     if not np.all(np.isfinite(scalars)):
         raise CorruptionError("checkpoint payload holds non-finite scalars")
-
-    arrays, pos = [], 0
-    for _, shape in param_shapes(config):
-        size = math.prod(shape)
-        arrays.append(scalars[pos : pos + size].reshape(shape).copy())
-        pos += size
-    return Checkpoint(version=version, config=config, stats=stats, header=fields, arrays=tuple(arrays))
+    return Checkpoint(version=version, config=config, stats=stats, header=fields,
+                      arrays=tuple(view for _, view in _param_views(config, scalars)))
 
 
 # ---------------------------------------------------------------------------

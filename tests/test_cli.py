@@ -215,6 +215,17 @@ def test_predict_checkpoint_with_bad_stats_exit_3(workdir, tmp_path, capsys, key
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_predict_checkpoint_with_a_subnormal_ratio_exit_3(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes((workdir / "model.ckpt").read_bytes())
+    edit_checkpoint_header(bad, "model.ratios", lambda v: v.rsplit(",", 1)[0] + ",5e-324")
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", bad,
+               "--out", tmp_path / "f.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "5e-324" in err
+    assert "Traceback" not in err and not (tmp_path / "f.csv").exists()
+
+
 def test_predict_missing_checkpoint_exit_3(workdir, tmp_path):
     assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", tmp_path / "none.ckpt",
                "--out", tmp_path / "f.csv") == 3
@@ -494,6 +505,25 @@ def test_out_of_range_train_value_exit_2(workdir, tmp_path, monkeypatch, capsys,
 
 # ---------------------------------------------------------------------------
 # inputs that must end in an exit code, not a traceback
+
+
+def test_subnormal_ratio_exit_2(workdir, tmp_path, capsys):
+    ckpt = tmp_path / "x.ckpt"
+    assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--set", "ratios=1,0.25,0.0625,5e-324", "--out-checkpoint", ckpt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "5e-324" in err
+    assert "Traceback" not in err and not ckpt.exists()
+
+
+@pytest.mark.parametrize("interval", ["1e-300", "1e-320"])
+def test_preprocess_interval_too_small_to_bin_exit_2(workdir, tmp_path, capsys, interval):
+    out = tmp_path / "pre.csv"
+    assert run("preprocess", "--in", workdir / "raw.csv", "--out", out,
+               "--set", f"interval_h={interval}", "--set", "ma_window=1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "too small" in err
+    assert not out.exists()
 
 
 def test_set_value_with_line_break_exit_2(workdir, tmp_path, capsys):

@@ -155,6 +155,14 @@ def test_condense_rejects_bad_interval():
         condense(series([0.0, 1.0], [1.0, 2.0]), 0.0)
 
 
+@pytest.mark.parametrize("interval", [1e-300, 1e-320])
+def test_condense_rejects_an_interval_whose_bins_overflow_int64(interval):
+    # 1e-300 bins t = 1 h past int64 (once a silent int64-minimum bin);
+    # 1e-320 overflows the division itself to inf
+    with pytest.raises(ParameterError, match="too small"):
+        condense(series([0.0, 1.0], [1.0, 2.0]), interval)
+
+
 # ---------------------------------------------------------------------------
 # moving average
 

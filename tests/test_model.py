@@ -18,7 +18,7 @@ from tstransformer.model import (
     param_count,
     param_shapes,
 )
-from tstransformer.training import mse_loss
+from tstransformer.training import TrainConfig, adam_init, adam_step, mse_loss
 
 
 def toy_config(**kw):
@@ -54,6 +54,13 @@ def test_config_validation():
     for eps in (0.0, float("nan")):
         with pytest.raises(ParameterError, match="eps"):
             toy_config(eps=eps)
+
+
+def test_subnormal_ratio_is_a_parameter_error():
+    # 1 / 5e-324 is inf, so round(1 / r) in reduction_factors would raise OverflowError
+    with pytest.raises(ParameterError, match="finite 1 / ratio, got 5e-324"):
+        toy_config(ratios=(1.0, 0.25, 0.0625, 5e-324))
+    assert toy_config(ratios=(1.0, 0.25, 0.0625, 1e-300)).ratios[-1] == 1e-300  # 1 / r is finite
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +117,50 @@ def test_initial_parameters_are_pinned():
     assert digest.hexdigest() == "40e7915ffd9c48d8fedb0bb12ab1a071f114a4438c004d45d47d97ee7145acf7"
 
 
+def test_parameters_are_views_of_one_flat_vector_in_checkpoint_order():
+    cfg = toy_config(horizon=3)
+    stepped = TSTransformerModel(cfg, seed=0)
+    window = np.random.default_rng(4).normal(size=(2, 32, 6))
+    ad.backward(mse_loss(stepped.forward(window), np.zeros((2, 6, 3))))
+    adam_step(stepped.named_parameters(), adam_init(stepped.parameters()), TrainConfig())  # in-place updates
+    copied = TSTransformerModel.from_arrays(cfg, [np.ones(shape) for _, shape in param_shapes(cfg)])
+    for model in (TSTransformerModel(cfg, seed=0), stepped, copied):
+        theta = model._theta
+        assert theta.ndim == 1 and theta.flags["C_CONTIGUOUS"] and theta.size == model.parameter_count()
+        pos = 0
+        for _, p in model.named_parameters():
+            assert p.data.flags["C_CONTIGUOUS"] and p.data.base is theta
+            assert p.data.__array_interface__["data"][0] == theta.__array_interface__["data"][0] + 8 * pos
+            pos += p.size
+        assert pos == theta.size
+        assert np.array_equal(theta, np.concatenate([p.data.reshape(-1) for p in model.parameters()]))
+    assert not np.array_equal(stepped._theta, TSTransformerModel(cfg, seed=0)._theta)
+
+
+def test_load_arrays_reaches_the_no_grad_forward_through_stage_arrays():
+    cfg = toy_config(n_variates=5)
+    model, donor = TSTransformerModel(cfg, seed=0), TSTransformerModel(cfg, seed=1)
+    window = np.random.default_rng(3).normal(size=(32, 5))
+    with ad.no_grad():
+        want = donor.forward(window).data
+        assert not np.array_equal(model.forward(window).data, want)
+        model.load_arrays([p.data for p in donor.parameters()])
+        assert np.array_equal(model.forward(window).data, want)
+    stage_views = [a for arrays in model._stage_arrays for a in arrays]
+    assert all(a.base is model._theta for a in stage_views)
+
+
 def test_from_arrays_and_load_arrays_reject_a_wrong_count_or_shape():
     cfg = toy_config()
     arrays = [np.zeros(shape) for _, shape in param_shapes(cfg)]
     with pytest.raises(ParameterError, match="expected 60 parameter arrays, got 59"):
         TSTransformerModel.from_arrays(cfg, arrays[:-1])
     arrays[3] = np.zeros((2, 2))
+    model = TSTransformerModel(cfg, seed=0)
+    before = model._theta.copy()
     with pytest.raises(ParameterError, match="parameter 'stage0.q.bias' expects shape"):
-        TSTransformerModel(cfg, seed=0).load_arrays(arrays)
+        model.load_arrays(arrays)
+    assert np.array_equal(model._theta, before)  # every array is checked before any is written
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,30 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert np.array_equal(ckpt.stats.mean, stats.mean)
 
 
+def test_checkpoint_payload_is_the_flat_parameter_vector(tmp_path):
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, {})
+    blob = path.read_bytes()
+    payload = model._theta.astype("<f8").tobytes()
+    assert blob.endswith(payload) and len(blob) == 12 + int.from_bytes(blob[8:12], "little") + len(payload)
+
+
+def test_checkpoint_arrays_are_read_only_views_of_one_payload_vector(tmp_path):
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, {})
+    arrays = load_checkpoint(path).arrays
+    payload = arrays[0].base
+    assert payload.ndim == 1 and payload.size == model.parameter_count()
+    assert np.array_equal(payload, model._theta)
+    pos = 0
+    for a, (_, p) in zip(arrays, model.named_parameters(), strict=True):
+        assert a.base is payload and not a.flags.writeable and a.shape == p.shape
+        assert a.__array_interface__["data"][0] == payload.__array_interface__["data"][0] + 8 * pos
+        pos += a.size
+
+
 def test_checkpoint_to_model_draws_no_random_init(tmp_path, monkeypatch):
     series, stats, windows, model, cfg = tiny_setup(epochs=2)
     train(model, windows, cfg)
