@@ -9,7 +9,7 @@ from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.model import ModelConfig, TSTransformerModel
 
-cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, stages=4)
+cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16)
 model = TSTransformerModel(cfg, seed=0)
 print("ratio schedule:", cfg.ratios)
 print("reduction factors:", cfg.reduction_factors)
@@ -27,7 +27,7 @@ with ad.no_grad():
     # With every ratio at 1 the attention is plain scaled dot-product over
     # variate tokens (the inverted-transformer ablation).
     vanilla = TSTransformerModel(
-        ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, stages=4, mode="vanilla"),
+        ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, mode="vanilla"),
         seed=0,
     )
     x = np.random.default_rng(1).normal(size=(6, 16))

@@ -41,6 +41,7 @@ from .errors import (
 from .metrics import FaultThresholds, evaluate_forecast, lag_error, rmse
 from .model import ModelConfig, TSTransformerModel
 from .training import (
+    COVARIATE_ORACLE,
     FIELD_CODECS,
     TrainConfig,
     load_checkpoint,
@@ -55,6 +56,35 @@ from .training import (
 
 PREPROCESSED_PREFIX = "#preprocessed"
 
+_KINDS = {"int": "an integer", "float": "a finite number", "tuple": "a list of finite numbers"}
+
+
+def _decode(key: str, kind: str, value: str):
+    try:
+        return FIELD_CODECS[kind][1](value)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: expected {_KINDS[kind]}, got {value!r}") from None
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """The CLI's own config keys: the pipeline settings no library config class holds."""
+
+    covariate_columns: str = "auto"  # auto = every non-time column
+    interval_h: float = 0.1
+    ma_window: int = 15
+    split_hours: float = 500.0
+    lookback: int = 32
+    horizon: int = 1
+    rul_origin_hours: str = "split"  # split = use split_hours
+    covariate_mode: str = COVARIATE_ORACLE
+    forecast_step: int = 0  # 0 = horizon
+
+    def __post_init__(self):
+        if self.rul_origin_hours != "split":
+            _decode("rul_origin_hours", "float", self.rul_origin_hours)
+
+
 # A config key differs from the dataclass field it sets only here.
 _RENAMED = {
     "eps": "layer_norm_eps", "beta1": "adam_beta1", "beta2": "adam_beta2", "loss_fractions": "thresholds",
@@ -67,65 +97,39 @@ _FIELD_KEYS = {
         _RENAMED.get(f.name, f.name): f
         for f in fields(cls) if f.default is not MISSING and f.type in FIELD_CODECS
     }
-    for cls in (CsvSchema, ModelConfig, TrainConfig, FaultThresholds)
+    for cls in (RunSettings, CsvSchema, ModelConfig, TrainConfig, FaultThresholds)
 }
 
-# Every configuration key with its documented default. Unknown keys in a
-# config file are rejected with their line number. The keys below belong to
-# the CLI; the others take their default from the field they set.
-DEFAULTS = {
-    "covariate_columns": "auto",  # auto = every non-time column
-    "interval_h": "0.1",
-    "ma_window": "15",
-    "split_hours": "500.0",
-    "lookback": "32",
-    "horizon": "1",
-    "rul_origin_hours": "split",  # split = use split_hours
-    "covariate_mode": "oracle",
-    "forecast_step": "0",  # 0 = horizon
-    **{key: FIELD_CODECS[f.type][0](f.default) for keys in _FIELD_KEYS.values() for key, f in keys.items()},
-}
+# Every configuration key with its documented default, the field's. Unknown
+# keys in a config file are rejected with their line number.
+DEFAULTS = {key: FIELD_CODECS[f.type][0](f.default) for keys in _FIELD_KEYS.values() for key, f in keys.items()}
 
 # The keys predict reads; the rest of its run comes from the checkpoint.
 _PREDICT_KEYS = ("split_hours", "covariate_mode", "forecast_step", "time_column")
 
-_KINDS = {"int": "an integer", "float": "a finite number", "tuple": "a list of finite numbers"}
-
 
 @dataclass
 class RunConfig:
-    """Typed view over the raw key=value map."""
+    """Typed view over the raw key=value map: one config class per group of keys."""
 
     raw: dict
 
-    def __getitem__(self, key: str) -> str:
-        return self.raw[key]
-
-    def _decode(self, key: str, kind: str):
-        value = self.raw[key]
-        try:
-            return FIELD_CODECS[kind][1](value)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected {_KINDS[kind]}, got {value!r}") from None
-
-    def get_float(self, key: str) -> float:
-        return self._decode(key, "float")
-
-    def get_int(self, key: str) -> int:
-        return self._decode(key, "int")
-
     def _fields(self, cls) -> dict:
         """``cls``'s config keys, decoded, by field name."""
-        return {f.name: self._decode(key, f.type) for key, f in _FIELD_KEYS[cls].items()}
+        return {f.name: _decode(key, f.type, self.raw[key]) for key, f in _FIELD_KEYS[cls].items()}
+
+    def settings(self) -> RunSettings:
+        return RunSettings(**self._fields(RunSettings))
 
     def schema(self) -> CsvSchema:
-        cov = self.raw["covariate_columns"]
+        cov = self.settings().covariate_columns
         covariates = None if cov == "auto" else tuple(c for c in cov.split(",") if c)
         return CsvSchema(covariates=covariates, **self._fields(CsvSchema))
 
     def model_config(self, n_variates: int, lookback: int | None = None) -> ModelConfig:
-        lookback = self.get_int("lookback") if lookback is None else lookback
-        return ModelConfig(n_variates, lookback, self.get_int("horizon"), **self._fields(ModelConfig))
+        run = self.settings()
+        lookback = run.lookback if lookback is None else lookback
+        return ModelConfig(n_variates, lookback, run.horizon, **self._fields(ModelConfig))
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self._fields(TrainConfig))
@@ -134,8 +138,8 @@ class RunConfig:
         return FaultThresholds(**self._fields(FaultThresholds))
 
     def rul_origin(self) -> float:
-        split = self.raw["rul_origin_hours"] == "split"
-        return self.get_float("split_hours" if split else "rul_origin_hours")
+        run = self.settings()
+        return run.split_hours if run.rul_origin_hours == "split" else float(run.rul_origin_hours)
 
 
 def _entry(item: str, where: str, strip: bool = False) -> tuple:
@@ -186,14 +190,14 @@ def _is_preprocessed(path) -> bool:
 def _load_for_training(args, cfg: RunConfig):
     """Ingest, split, and z-score the training side with its own statistics."""
     series = ingest_csv(args.data, cfg.schema())
-    train_ts, _ = split_at(series, cfg.get_float("split_hours"))
+    train_ts, _ = split_at(series, cfg.settings().split_hours)
     stats = zscore_fit(train_ts)
     return series, zscore_apply(train_ts, stats), stats
 
 
 def _windows(cfg: RunConfig, train_norm: TimeSeries, lookback: int):
     """Windows over the normalized training side, as views of it."""
-    return make_windows(train_norm, lookback, cfg.get_int("horizon"))
+    return make_windows(train_norm, lookback, cfg.settings().horizon)
 
 
 def _fit(cfg: RunConfig, windows, tcfg: TrainConfig):
@@ -204,7 +208,8 @@ def _fit(cfg: RunConfig, windows, tcfg: TrainConfig):
 
 def _check_rollout(cfg: RunConfig) -> None:
     """Reject a bad ``forecast_step`` or ``covariate_mode`` before any model is trained."""
-    rollout_step(cfg.get_int("horizon"), cfg.get_int("forecast_step") or None, cfg["covariate_mode"])
+    run = cfg.settings()
+    rollout_step(run.horizon, run.forecast_step or None, run.covariate_mode)
 
 
 def _for_size(size: int, fn, *args):
@@ -217,10 +222,9 @@ def _for_size(size: int, fn, *args):
 
 def _rollout(cfg: RunConfig, model: TSTransformerModel, series: TimeSeries, stats):
     """Rolling forecast past ``split_hours``; ``forecast_step=0`` means the horizon."""
+    run = cfg.settings()
     return rolling_forecast(
-        model, series, stats, cfg.get_float("split_hours"),
-        step=cfg.get_int("forecast_step") or None,
-        covariate_mode=cfg["covariate_mode"],
+        model, series, stats, run.split_hours, step=run.forecast_step or None, covariate_mode=run.covariate_mode
     )
 
 
@@ -291,43 +295,43 @@ def render_forecast_svg(path, time, true, pred, report, thresholds: FaultThresho
 
 def cmd_preprocess(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
-    raw = ingest_csv(args.input, cfg.schema())  # also proves the file is UTF-8 text
+    run, schema = cfg.settings(), cfg.schema()
+    raw = ingest_csv(args.input, schema)  # also proves the file is UTF-8 text
     if _is_preprocessed(args.input):
         # Already condensed and filtered: pass through unchanged.
         write_atomic(args.out, Path(args.input).read_bytes())
         print(f"already preprocessed: {len(raw)} rows copied to {args.out}")
         return 0
-    interval = cfg.get_float("interval_h")
-    ma_window = cfg.get_int("ma_window")
-    out = moving_average(condense(raw, interval), ma_window)
-    marker = f"{PREPROCESSED_PREFIX} interval={interval:g}h ma={ma_window}"
-    _write_series_csv(args.out, out, cfg["time_column"], marker)
+    out = moving_average(condense(raw, run.interval_h), run.ma_window)
+    marker = f"{PREPROCESSED_PREFIX} interval={run.interval_h:g}h ma={run.ma_window}"
+    _write_series_csv(args.out, out, schema.time_column, marker)
     print(
         f"rows in: {len(raw)} (dropped {raw.dropped_rows} malformed), "
-        f"rows out: {len(out)} at {interval:g} h spacing"
+        f"rows out: {len(out)} at {run.interval_h:g} h spacing"
     )
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
+    run = cfg.settings()
     series, train_norm, stats = _load_for_training(args, cfg)
-    windows = _windows(cfg, train_norm, cfg.get_int("lookback"))
+    windows = _windows(cfg, train_norm, run.lookback)
     _check_rollout(cfg)
     tcfg = cfg.train_config()
     model, history = _fit(cfg, windows, tcfg)
     extra = {
         "target_channel": series.target_channel,
-        "train.split_hours": repr(cfg.get_float("split_hours")),
-        "train.covariate_mode": cfg["covariate_mode"],
-        "train.forecast_step": cfg["forecast_step"],
+        "train.split_hours": repr(run.split_hours),
+        "train.covariate_mode": run.covariate_mode,
+        "train.forecast_step": str(run.forecast_step),
         "train.learning_rate": repr(tcfg.learning_rate),
         "train.epochs": str(tcfg.epochs),
         "train.batch_size": str(tcfg.batch_size),
         "train.seed": str(tcfg.seed),
         "train.clip_norm": repr(tcfg.clip_norm),
         "train.loss_channels": tcfg.loss_channels,
-        "train.time_column": cfg["time_column"],
+        "train.time_column": cfg.schema().time_column,
     }
     out_ckpt = Path(args.out_checkpoint)
     out_ckpt.parent.mkdir(parents=True, exist_ok=True)
@@ -356,12 +360,8 @@ def cmd_predict(args) -> int:
             f"predict reads only {', '.join(_PREDICT_KEYS)}"
         )
     cfg = RunConfig({**DEFAULTS, **trained, **overrides})
-    target = ckpt.header.get("stats.target", ckpt.stats.channel_names[0])
-    schema = CsvSchema(
-        time_column=cfg["time_column"],
-        target_column=target,
-        covariates=tuple(c for c in ckpt.stats.channel_names if c != target),
-    )
+    target = ckpt.header["stats.target"]
+    schema = CsvSchema(cfg.schema().time_column, target, tuple(c for c in ckpt.stats.channel_names if c != target))
     series = ingest_csv(args.data, schema)
     if series.channel_names != ckpt.stats.channel_names:
         # Column orders must line up with the stats saved at train time.

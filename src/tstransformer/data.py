@@ -33,7 +33,6 @@ _COVARIATE_BASES = {
     "TinAIR_C": (45.0, 25.0, 1.0),
     "PoutH2_mbara": (1250.0, 150.0, 4.0),
 }
-COVARIATE_NAME_POOL = tuple(_COVARIATE_BASES)
 
 
 @dataclass
@@ -209,7 +208,7 @@ def _columns(path, header: list, schema: CsvSchema) -> tuple:
 # condensing / filtering / normalization
 
 
-def condense(ts: TimeSeries, interval_hours: float = 0.1) -> TimeSeries:
+def condense(ts: TimeSeries, interval_hours: float) -> TimeSeries:
     """Bin samples into consecutive interval-wide bins and emit bin means.
 
     Bins are anchored at t=0 so the operation is idempotent on already
@@ -236,7 +235,7 @@ def condense(ts: TimeSeries, interval_hours: float = 0.1) -> TimeSeries:
     return TimeSeries(centers, means, ts.channel_names, ts.target_channel, ts.dropped_rows)
 
 
-def moving_average(ts: TimeSeries, window: int = 15) -> TimeSeries:
+def moving_average(ts: TimeSeries, window: int) -> TimeSeries:
     """Centered moving-average filter with shrinking edge windows.
 
     The window must be odd so the filter is phase-free; length is
@@ -288,7 +287,7 @@ def zscore_invert(ts: TimeSeries, stats: NormStats) -> TimeSeries:
 # splitting / windowing
 
 
-def split_at(ts: TimeSeries, boundary_hours: float = 500.0) -> tuple:
+def split_at(ts: TimeSeries, boundary_hours: float) -> tuple:
     """Split into (train, test) at a time boundary; both sides non-empty."""
     b = float(boundary_hours)
     n_train = int(np.searchsorted(ts.time, b, side="left"))

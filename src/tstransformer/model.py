@@ -11,7 +11,7 @@ inverted-transformer attention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,9 @@ DEFAULT_RATIOS = (1.0, 2.0 ** -2, 2.0 ** -4, 2.0 ** -5)
 class ModelConfig:
     """Architecture hyperparameters; parameter shapes follow from these.
 
-    ``ratios`` holds one scaling ratio in (0, 1] per stage; stage i
-    reduces its K/V token count by ``max(1, round(1 / ratios[i]))``.
+    ``ratios`` holds one scaling ratio in (0, 1] per stage, so it sets the
+    stage count too: ``stages`` is ``len(ratios)``, derived, not passed.
+    Stage i reduces its K/V token count by ``round(1 / ratios[i])``.
     ``vanilla`` mode forces every effective reduction factor to 1.
     """
 
@@ -38,7 +39,7 @@ class ModelConfig:
     lookback: int
     horizon: int
     width: int = 16
-    stages: int = 4
+    stages: int = field(init=False)
     ratios: tuple = DEFAULT_RATIOS
     heads: int = 1
     mode: str = MULTI_SCALE
@@ -46,17 +47,14 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
+        object.__setattr__(self, "stages", len(self.ratios))
         if self.n_variates < 1 or self.lookback < 1 or self.horizon < 1:
             raise ParameterError(
                 f"n_variates, lookback and horizon must be >= 1, got "
                 f"{self.n_variates}, {self.lookback}, {self.horizon}"
             )
-        if self.width < 1 or self.stages < 1:
-            raise ParameterError(f"width and stages must be >= 1, got {self.width}, {self.stages}")
-        if len(self.ratios) != self.stages:
-            raise ParameterError(
-                f"need one ratio per stage: {self.stages} stages, {len(self.ratios)} ratios"
-            )
+        if self.width < 1 or not self.ratios:
+            raise ParameterError(f"need width >= 1 and at least one stage ratio, got {self.width}, {self.ratios}")
         for r in self.ratios:
             if not (0.0 < r <= 1.0 and math.isfinite(1.0 / r)):  # subnormal r: round(1 / r) overflows
                 raise ParameterError(f"ratios must lie in (0, 1] with a finite 1 / ratio, got {r}")
@@ -72,7 +70,7 @@ class ModelConfig:
         """Integer K/V reduction factor per stage (all 1 in vanilla mode)."""
         if self.mode == VANILLA:
             return (1,) * self.stages
-        return tuple(max(1, round(1.0 / r)) for r in self.ratios)
+        return tuple(round(1.0 / r) for r in self.ratios)
 
 
 def param_shapes(config: ModelConfig) -> list:
@@ -142,7 +140,11 @@ class TSTransformerModel:
         """Zero parameters, each a view of one flat vector in declared (checkpoint) order."""
         self.config = config
         self._factors = config.reduction_factors
-        self._theta = np.zeros(param_count(config))
+        size = param_count(config)
+        try:
+            self._theta = np.zeros(size)
+        except (ValueError, MemoryError):  # beyond numpy's largest dimension, or more than memory holds
+            raise ParameterError(f"cannot allocate the {size} parameter scalars this config needs") from None
         views = _param_views(config, self._theta)
         self._params = {name: Tensor._wrap(view, True) for name, view in views}
         # forward's per-stage arrays: views of the vector, so in-place updates reach them

@@ -417,10 +417,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     try:
         fields = _parse_header(blob[12 : 12 + header_len].decode("utf-8"))
-        config = ModelConfig(**{
-            f.name: FIELD_CODECS[f.type][1](fields[f"model.{f.name}"])
-            for f in dataclasses.fields(ModelConfig)
-        })
+        values = {f: FIELD_CODECS[f.type][1](fields[f"model.{f.name}"]) for f in dataclasses.fields(ModelConfig)}
+        config = ModelConfig(**{f.name: value for f, value in values.items() if f.init})
         decode_floats = FIELD_CODECS["tuple"][1]
         stats = NormStats(
             channel_names=tuple(fields["stats.channels"].split(",")),
@@ -430,8 +428,13 @@ def load_checkpoint(path) -> Checkpoint:
                 c for c in fields["stats.constant"].split(",") if c
             ),
         )
+        target = fields["stats.target"]
     except (KeyError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
         raise CorruptionError(f"invalid checkpoint header: {exc}") from exc
+    for f, value in values.items():  # derived fields (stages) too: the header must say what the config holds
+        if value != getattr(config, f.name):
+            raise CorruptionError(f"checkpoint model.{f.name}={fields[f'model.{f.name}']} disagrees with "
+                                  f"the model config it builds, whose {f.name} is {getattr(config, f.name)}")
     counts = {len(stats.channel_names), len(stats.mean), len(stats.std), config.n_variates}
     if len(counts) != 1:
         raise CorruptionError(
@@ -442,8 +445,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptionError(f"checkpoint stats.channels names a channel twice: {fields['stats.channels']}")
     if not np.all(stats.std > 0.0):
         raise CorruptionError(f"checkpoint stats.std holds a value <= 0: {fields['stats.std']}")
-    if fields.get("stats.target", stats.channel_names[0]) not in stats.channel_names:
-        raise CorruptionError(f"checkpoint stats.target {fields['stats.target']!r} is not among stats.channels")
+    if target not in stats.channel_names:
+        raise CorruptionError(f"checkpoint stats.target {target!r} is not among stats.channels")
 
     payload_bytes, expected = len(blob) - 12 - header_len, param_count(config)
     if payload_bytes != 8 * expected:

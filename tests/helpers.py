@@ -185,11 +185,13 @@ def first_crossing_by_bisection(curve, threshold: float, t_lo: float, t_hi: floa
 
 def edit_checkpoint_header(path, key: str, edit) -> None:
     """Rewrite the value of one ``key=value`` checkpoint header line in place
-    as ``edit(old_value)``, keeping the header length field consistent."""
+    as ``edit(old_value)``, or drop the line where that is None, keeping the
+    header length field consistent."""
     blob = path.read_bytes()
     end = 12 + int.from_bytes(blob[8:12], "little")
     lines = blob[12:end].decode("utf-8").splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith(key + "="))
-    lines[i] = f"{key}={edit(lines[i].partition('=')[2])}"
+    value = edit(lines[i].partition("=")[2])
+    lines[i : i + 1] = [] if value is None else [f"{key}={value}"]
     header = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header + blob[end:])

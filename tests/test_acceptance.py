@@ -89,7 +89,7 @@ def test_criterion_2_gradient_suite():
     stage = {r: [0.5 * rng.normal(size=shape) for shape in [(6, 6), (6,)] * 3 + [(r, 6), (6,)] * 2
                  + [(6, 6), (6,)] * 2]
              for r in (2, 4)}
-    stage_cfg = ModelConfig(n_variates=4, lookback=5, horizon=6, width=6, stages=2,
+    stage_cfg = ModelConfig(n_variates=4, lookback=5, horizon=6, width=6,
                             ratios=(0.5, 0.25), heads=2)
     init = [p.data for p in TSTransformerModel(stage_cfg, seed=20).parameters()]
     stage_model = TSTransformerModel.from_arrays(stage_cfg, init[:2] + stage[2] + stage[4] + init[-2:])
@@ -113,7 +113,7 @@ def test_criterion_2_gradient_suite():
         assert err <= 1e-4, f"{name}: {err}"
 
     # full toy model: M=6, T_w=32, D=16, L=4, default ratio schedule
-    cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, stages=4)
+    cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16)
     model = TSTransformerModel(cfg, seed=1)
     rng = np.random.default_rng(1)
     window = rng.normal(size=(32, 6))
@@ -128,7 +128,7 @@ def test_criterion_2_gradient_suite():
 
 def test_criterion_3_vanilla_equivalence():
     t0 = time.perf_counter()
-    cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, stages=4, mode="vanilla")
+    cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, mode="vanilla")
     model = TSTransformerModel(cfg, seed=2)
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -144,7 +144,7 @@ def test_criterion_3_vanilla_equivalence():
 
 def test_criterion_4_shape_and_clamp():
     t0 = time.perf_counter()
-    cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, stages=4)
+    cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16)
     model = TSTransformerModel(cfg, seed=4)
     rng = np.random.default_rng(5)
     for n in range(1, 41):

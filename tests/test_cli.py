@@ -4,6 +4,7 @@ emitted CSV/SVG artifacts."""
 import ctypes
 import dataclasses
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_defaults_cover_documented_keys():
 
 def test_default_config_builds_library_defaults():
     cfg = load_run_config(None, ())
-    assert len(DEFAULTS) == 29
+    assert len(DEFAULTS) == 28
     assert cfg.model_config(5) == ModelConfig(5, 32, 1)
     assert cfg.train_config() == TrainConfig()
     assert cfg.thresholds() == FaultThresholds()
@@ -71,7 +72,7 @@ def test_config_file_and_set_entries_share_one_check(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("  epochs = 7  \r\n\n# note\nseed=3\n")
     cfg = load_run_config(p, ("learning_rate=0.5",))
-    assert (cfg["epochs"], cfg["seed"], cfg["learning_rate"]) == ("7", "3", "0.5")
+    assert (cfg.raw["epochs"], cfg.raw["seed"], cfg.raw["learning_rate"]) == ("7", "3", "0.5")
     for item, message in ((" epochs=3", "unknown config key ' epochs'"), ("epochs", "expected key=value")):
         with pytest.raises(ConfigError, match=f"--set: {message}"):
             load_run_config(None, (item,))
@@ -95,12 +96,38 @@ def test_overrides_win_over_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("epochs=10\n")
     cfg = load_run_config(p, ("epochs=3",))
-    assert cfg.get_int("epochs") == 3
+    assert cfg.train_config().epochs == 3
 
 
 def test_bad_override_key():
     with pytest.raises(ConfigError):
         load_run_config(None, ("mystery=1",))
+
+
+def test_every_key_is_one_dataclass_field():
+    # the CLI's own keys are RunSettings fields; the others belong to library config classes
+    keys = [key for class_keys in cli._FIELD_KEYS.values() for key in class_keys]
+    assert sorted(keys) == sorted(DEFAULTS)
+    assert load_run_config(None, ()).settings() == cli.RunSettings()
+    assert not hasattr(cli.RunConfig, "get_float") and not hasattr(cli.RunConfig, "get_int")
+
+
+def test_stages_is_not_a_config_key(tmp_path, capsys):
+    # ratios sets the stage count, so a stages key could only contradict it
+    p = tmp_path / "run.cfg"
+    p.write_text("stages=4\n")
+    assert run("train", "--data", tmp_path / "pre.csv", "--config", p, "--out-checkpoint", tmp_path / "x.ckpt") == 2
+    assert "run.cfg:1: unknown config key 'stages'" in capsys.readouterr().err
+    assert run("train", "--data", tmp_path / "pre.csv", "--set", "stages=4",
+               "--out-checkpoint", tmp_path / "x.ckpt") == 2
+    assert "--set: unknown config key 'stages'" in capsys.readouterr().err
+
+
+def test_readme_defaults_block_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = dict(entry.split("=", 1) for entry in block.split())
+    assert documented == DEFAULTS
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +189,14 @@ def test_train_numerical_failure_exit_4(workdir, tmp_path):
                "--out-checkpoint", tmp_path / "x.ckpt") == 4
 
 
+def test_train_ratios_alone_set_the_stage_count(workdir, tmp_path):
+    ckpt = tmp_path / "x.ckpt"
+    assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--set", "ratios=1,0.25", "--out-checkpoint", ckpt) == 0
+    config = load_checkpoint(ckpt).config
+    assert (config.stages, config.ratios) == (2, (1.0, 0.25))
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -203,8 +238,10 @@ def test_predict_honours_its_overrides(workdir, tmp_path):
     ("stats.mean", lambda v: "nan," + v.split(",", 1)[1]),
     ("model.n_variates", lambda v: str(int(v) + 1)),
     ("stats.target", lambda v: "missing"),
+    ("stats.target", lambda v: None),
+    ("model.stages", lambda v: str(int(v) - 1)),
     ("stats.channels", lambda v: ",".join(v.split(",")[:1] * 2 + v.split(",")[2:])),
-], ids=["short-mean", "zero-std", "nan-mean", "n-variates", "target", "duplicate-channel"])
+], ids=["short-mean", "zero-std", "nan-mean", "n-variates", "target", "no-target", "stages", "duplicate-channel"])
 def test_predict_checkpoint_with_bad_stats_exit_3(workdir, tmp_path, capsys, key, edit):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes((workdir / "model.ckpt").read_bytes())
@@ -463,6 +500,8 @@ def test_lag_scan_bad_window_size_fails_before_any_training(workdir, tmp_path, m
     ("evaluate", "rul_origin_hours", "nan"),
     ("evaluate", "thresholds", "0.035,nan"),
     ("predict", "split_hours", "-inf"),
+    ("preprocess", "lookback", "abc"),  # decoded with the other RunSettings keys
+    ("evaluate", "forecast_step", "abc"),
 ])
 def test_untyped_value_exit_2_names_key(workdir, tmp_path, capsys, command, key, value):
     inputs = {
@@ -514,6 +553,19 @@ def test_subnormal_ratio_exit_2(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "5e-324" in err
     assert "Traceback" not in err and not ckpt.exists()
+
+
+def test_unallocatable_parameter_vector_exit_2(workdir, tmp_path, capsys):
+    # 1e-300 is a valid ratio, but its reducer kernels hold 1e300 rows: more than numpy can index
+    ckpt, out = tmp_path / "x.ckpt", tmp_path / "lag.csv"
+    ratios = ("--set", "ratios=1,0.25,0.0625,1e-300")
+    assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg", *ratios,
+               "--out-checkpoint", ckpt) == 2
+    assert run("lag-scan", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg", *ratios,
+               "--windows", "8", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("parameter scalars") == 2 and "window size 8" in err
+    assert not ckpt.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("interval", ["1e-300", "1e-320"])

@@ -22,7 +22,7 @@ from tstransformer.training import TrainConfig, adam_init, adam_step, mse_loss
 
 
 def toy_config(**kw):
-    base = dict(n_variates=6, lookback=32, horizon=1, width=16, stages=4)
+    base = dict(n_variates=6, lookback=32, horizon=1, width=16)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -42,9 +42,16 @@ def test_vanilla_mode_forces_unit_factors():
     assert cfg.reduction_factors == (1, 1, 1, 1)
 
 
+def test_stage_count_follows_ratios():
+    assert toy_config().stages == 4
+    assert toy_config(ratios=(1.0, 0.25)).stages == 2
+    with pytest.raises(TypeError):
+        ModelConfig(6, 32, 1, stages=4)  # derived, not passed
+
+
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        toy_config(ratios=(1.0, 0.5))  # wrong length
+    with pytest.raises(ParameterError, match="at least one stage ratio"):
+        toy_config(ratios=())
     with pytest.raises(ParameterError):
         toy_config(ratios=(1.0, 0.5, 0.25, 1.5))  # out of range
     with pytest.raises(ParameterError):
@@ -60,7 +67,11 @@ def test_subnormal_ratio_is_a_parameter_error():
     # 1 / 5e-324 is inf, so round(1 / r) in reduction_factors would raise OverflowError
     with pytest.raises(ParameterError, match="finite 1 / ratio, got 5e-324"):
         toy_config(ratios=(1.0, 0.25, 0.0625, 5e-324))
-    assert toy_config(ratios=(1.0, 0.25, 0.0625, 1e-300)).ratios[-1] == 1e-300  # 1 / r is finite
+    cfg = toy_config(ratios=(1.0, 0.25, 0.0625, 1e-300))
+    assert cfg.ratios[-1] == 1e-300  # 1 / r is finite
+    # but its reducer kernels would hold 1e300 rows, more than numpy can index
+    with pytest.raises(ParameterError, match=f"cannot allocate the {param_count(cfg)} parameter scalars"):
+        TSTransformerModel(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +403,7 @@ def test_trm_block_residual_only_path():
 
 
 def one_stage_gradient_check(seed, heads, rng_seed):
-    cfg = ModelConfig(n_variates=5, lookback=4, horizon=1, width=8, stages=1, ratios=(0.5,),
+    cfg = ModelConfig(n_variates=5, lookback=4, horizon=1, width=8, ratios=(0.5,),
                       heads=heads)
     model = TSTransformerModel(cfg, seed=seed)
     window = np.random.default_rng(rng_seed).normal(size=(4, 5))
@@ -568,7 +579,7 @@ def test_multi_scale_forward_not_permutation_equivariant():
 
 
 def test_full_model_gradient_check_small():
-    cfg = ModelConfig(n_variates=3, lookback=6, horizon=2, width=8, stages=2, ratios=(1.0, 0.25))
+    cfg = ModelConfig(n_variates=3, lookback=6, horizon=2, width=8, ratios=(1.0, 0.25))
     model = TSTransformerModel(cfg, seed=18)
     rng = np.random.default_rng(15)
     window = rng.normal(size=(6, 3))

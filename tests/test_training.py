@@ -53,7 +53,7 @@ def tiny_setup(epochs=5, horizon=1, seed=0, n=260, noise=0.0):
     train_ts, _ = split_at(series, (n - 60) * 0.1)
     stats = zscore_fit(train_ts)
     windows = make_windows(zscore_apply(train_ts, stats), 16, horizon)
-    cfg = ModelConfig(n_variates=3, lookback=16, horizon=horizon, width=8, stages=2, ratios=(1.0, 0.25))
+    cfg = ModelConfig(n_variates=3, lookback=16, horizon=horizon, width=8, ratios=(1.0, 0.25))
     model = TSTransformerModel(cfg, seed=seed)
     return series, stats, windows, model, TrainConfig(epochs=epochs, seed=seed, batch_size=32)
 
@@ -312,7 +312,7 @@ def test_train_on_window_views_matches_stacked_copies_bit_for_bit(loss_channels,
     series, stats, _, _, _ = tiny_setup(noise=0.002)
     train_norm = zscore_apply(split_at(series, 20.0)[0], stats)
     args = (train_norm, 16, 2, stride)
-    cfg = ModelConfig(n_variates=3, lookback=16, horizon=2, width=8, stages=2, ratios=(1.0, 0.25))
+    cfg = ModelConfig(n_variates=3, lookback=16, horizon=2, width=8, ratios=(1.0, 0.25))
     tcfg = TrainConfig(epochs=2, seed=3, batch_size=7, loss_channels=loss_channels)
     runs = []
     for windows in (make_windows(*args), stacked_windows(*args)):
@@ -416,7 +416,7 @@ def test_early_stopping_patience():
     series = TimeSeries(t, feats, ("Utot_V", "I_A"))
     stats = zscore_fit(series)
     windows = make_windows(zscore_apply(series, stats), 8, 1)
-    cfg_m = ModelConfig(n_variates=2, lookback=8, horizon=1, width=8, stages=1, ratios=(1.0,))
+    cfg_m = ModelConfig(n_variates=2, lookback=8, horizon=1, width=8, ratios=(1.0,))
     model = TSTransformerModel(cfg_m, seed=0)
     history = train(model, windows, TrainConfig(epochs=200, seed=0, patience=3))
     assert len(history) == 4  # first epoch sets the best, then 3 stale epochs
@@ -463,7 +463,7 @@ def test_rolling_perfect_on_constant_series():
     series = TimeSeries(t, feats, ("Utot_V", "I_A"))
     train_ts, _ = split_at(series, 50.0)
     stats = zscore_fit(train_ts)
-    cfg = ModelConfig(n_variates=2, lookback=8, horizon=1, width=8, stages=1, ratios=(1.0,))
+    cfg = ModelConfig(n_variates=2, lookback=8, horizon=1, width=8, ratios=(1.0,))
     model = TSTransformerModel(cfg, seed=0)
     fc = rolling_forecast(model, series, stats, 50.0)
     assert rmse(fc.pred, fc.true) == 0.0
@@ -491,7 +491,7 @@ def test_rolling_covariate_modes_differ_only_with_varying_covariates():
     series = TimeSeries(t, feats, ("Utot_V", "I_A"))
     train_ts, _ = split_at(series, 15.0)
     stats = zscore_fit(train_ts)
-    cfg = ModelConfig(n_variates=2, lookback=8, horizon=1, width=8, stages=1, ratios=(1.0,))
+    cfg = ModelConfig(n_variates=2, lookback=8, horizon=1, width=8, ratios=(1.0,))
     model = TSTransformerModel(cfg, seed=1)
     a = rolling_forecast(model, series, stats, 15.0, covariate_mode="oracle")
     b = rolling_forecast(model, series, stats, 15.0, covariate_mode="hold_last")
@@ -635,11 +635,15 @@ def test_checkpoint_non_finite_scalar_is_corruption(tmp_path):
     ("stats.std", lambda v: "inf," + v.split(",", 1)[1], "finite"),
     ("stats.mean", lambda v: "nan," + v.split(",", 1)[1], "finite"),
     ("stats.target", lambda v: "missing", "'missing'"),
+    ("stats.target", lambda v: None, "'stats.target'"),
     ("model.eps", lambda v: "nan", "finite"),
     ("model.ratios", lambda v: "1.0,inf", "finite"),
+    ("model.stages", lambda v: "3", "model.stages=3 disagrees"),
+    ("model.ratios", lambda v: "1.0", "model.stages=2 disagrees"),
     ("stats.channels", lambda v: ",".join(v.split(",")[:1] * 2 + v.split(",")[2:]), "twice"),
 ], ids=["short-mean", "long-std", "long-channels", "n-variates", "zero-std", "negative-std",
-        "inf-std", "nan-mean", "target", "nan-eps", "inf-ratio", "duplicate-channel"])
+        "inf-std", "nan-mean", "target", "no-target", "nan-eps", "inf-ratio", "stages", "short-ratios",
+        "duplicate-channel"])
 def test_checkpoint_inconsistent_stats_or_non_finite_header_is_corruption(tmp_path, key, edit, message):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
@@ -661,7 +665,7 @@ def test_field_codec_floats_reject_non_finite_text():
 
 
 def test_checkpoint_header_model_lines_follow_config_fields(tmp_path):
-    cfg = ModelConfig(n_variates=3, lookback=16, horizon=4, width=8, stages=2,
+    cfg = ModelConfig(n_variates=3, lookback=16, horizon=4, width=8,
                       ratios=(1.0, 0.25), heads=2, mode="vanilla", eps=1e-6)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, TSTransformerModel(cfg, seed=0), tiny_setup()[1], {})
