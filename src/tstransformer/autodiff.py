@@ -7,7 +7,9 @@ softmax, multi-head scaled dot-product attention, per-slice layer
 normalization, strided depthwise 1-D convolution, elementwise arithmetic,
 slicing and scalar reductions. For the model's one-node forward,
 ``_stage_forward`` and ``_stage_backward`` run a whole encoder stage on arrays
-from those primitives' numpy helpers; only they skip work for a one-key stage.
+from those primitives' numpy helpers; only they skip work: a one-key stage's
+q and k, and, given the one token row to keep, every other row's q, out
+projection, layer norms and FFN.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -432,40 +434,48 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
 # encoder stage (array helpers for the model's forward node)
 
 
-def _stage_forward(x, arrays, r, heads, eps):
+def _stage_forward(x, arrays, r, heads, eps, row=None):
     """A post-norm encoder stage on tokens x (..., N, D): y and what
     :func:`_stage_backward` needs. ``arrays`` are the stage's 14 parameters in
     checkpoint order (q, k, v, k and v reducers, out, ffn); reduce is the
     stride-r :func:`depthwise_conv1d`. y equals the primitives' chain bit for bit:
 
-        a = affine(attention(affine(x, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
-        normed = layer_norm(x + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
+        a = affine(attention(affine(xr, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
+        normed = layer_norm(xr + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
 
-    When N <= r K/V reduce to one key, whose softmax weight is exactly 1: q, k
-    and the k reducer are skipped and their saved entries are None."""
+    where xr is x, or with ``row`` set only token ``row`` (``slice_axis``), so
+    y is (..., 1, D): K and V read every token, q, out, the layer norms and
+    the FFN run on the kept row alone. When N <= r K/V reduce to one key,
+    whose softmax weight is exactly 1: q, k and the k reducer are skipped and
+    their saved entries are None."""
     wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
     n = x.shape[-2]
+    xr = x if row is None else np.ascontiguousarray(x[..., row : row + 1, :])
     v_red, v_blocks = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
     if n <= r:
-        att, k_blocks, att_saved = v_red.repeat(n, axis=-2), None, None
+        att, k_blocks, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None, None
     else:
         k_red, k_blocks = _depthwise_conv1d(_affine(x, wk, bk), kk, kb)
-        att, att_saved = _attention(_affine(x, wq, bq), k_red, v_red, heads)
-    normed, ln1 = _layer_norm(x + _affine(att, wo, bo), eps)
+        att, att_saved = _attention(_affine(xr, wq, bq), k_red, v_red, heads)
+    normed, ln1 = _layer_norm(xr + _affine(att, wo, bo), eps)
     f = _affine(normed, wf, bf)
     mask = f > 0.0
     out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
     return out, (v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2)
 
 
-def _stage_backward(g, x, arrays, saved, heads):
-    """Gradients of :func:`_stage_forward` for an output gradient g: x's, then
-    the 14 arrays', all computed (:func:`backward` drops those of arrays that
-    need none). A one-key stage's q, k and k reducer get None (exact zeros in
-    the primitives' chain); the rest equal that chain's bit for bit."""
+def _stage_backward(g, x, arrays, saved, heads, row=None):
+    """Gradients of :func:`_stage_forward` (with the same ``row``) for an
+    output gradient g: x's, then the 14 arrays', all computed (:func:`backward`
+    drops those of arrays that need none). A one-key stage's q, k and k reducer
+    get None (exact zeros in the primitives' chain); the rest equal that
+    chain's bit for bit. With ``row`` set, the other tokens get gradient only
+    through K and V; the kept row's residual and q gradients are added to it
+    in the order of the full stage: ((residual + v) + k) + q."""
     wq, _, wk, _, wv, _, kk, _, vk, _, wo, _, wf, _ = arrays
     v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2 = saved
     n = x.shape[-2]
+    rows = slice(None) if row is None else slice(row, row + 1)
     g2 = _layer_norm_grads(g, *ln2)
     gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True)
     g1 = _layer_norm_grads(g2 + gn, *ln1)
@@ -478,13 +488,15 @@ def _stage_backward(g, x, arrays, saved, heads):
         gq, gk, gv = (np.ascontiguousarray(a) for a in _attention_grads(ga, *att_saved))
     gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_blocks, vk, n)
     gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
-    gx = g1 + gx
+    gx[..., rows, :] += g1
     if k_blocks is None:
         return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
     gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_blocks, kk, n)
     gxk, gwk, gbk = _affine_grads(gkp, x, wk, True)
-    gxq, gwq, gbq = _affine_grads(gq, x, wq, True)
-    return (gx + gxk) + gxq, gwq, gbq, gwk, gbk, gwv, gbv, gkk, gkb, gvk, gvb, gwo, gbo, gwf, gbf
+    gxq, gwq, gbq = _affine_grads(gq, np.ascontiguousarray(x[..., rows, :]), wq, True)
+    gx += gxk
+    gx[..., rows, :] += gxq
+    return gx, gwq, gbq, gwk, gbk, gwv, gbv, gkk, gkb, gvk, gvb, gwo, gbo, gwf, gbf
 
 
 # ---------------------------------------------------------------------------

@@ -209,22 +209,25 @@ class TSTransformerModel:
         """(lookback, n_variates) -> (n_variates, horizon) forecast.
 
         A leading batch axis is accepted: (B, lookback, n_variates)
-        yields (B, n_variates, horizon). With ``channel`` set, the head
-        projects only that variate's token and the mean is added back to
-        that row alone: shape (..., 1, horizon). How the row compares with
-        that row of the full output depends on the BLAS kernel, not on the
-        row count. For a batch both head products are one matrix-matrix
-        product over all rows, and with OpenBLAS the rows match bit for bit.
-        For one window the (1, width) product runs as a matrix-vector kernel,
-        which rounds differently from the (M, width) one: a few ulps apart.
+        yields (B, n_variates, horizon). With ``channel`` set, the last
+        stage keeps only that variate's token: its K and V still read every
+        token, but its q, out projection, layer norms and FFN, then the head
+        and the mean add, run on that row alone: shape (..., 1, horizon).
+        The row is the same maths as that row of the full output, but its
+        products run on fewer rows, and BLAS may pick another kernel for them.
+        With OpenBLAS a (1, width) product, as for one window or a batch of
+        one, runs as a matrix-vector kernel and rounds differently from the
+        (M, width) matrix-matrix one, a few ulps apart; so does a horizon-1
+        head at any batch size. Batches of several windows at a longer
+        horizon matched bit for bit in trials, which is not a guarantee.
 
         It runs on arrays and records nothing under ``ad.no_grad()``; outside
         it records one graph node over every parameter, whose backward computes
         every parameter's gradient and leaves dropping those of frozen parameters
         to ``ad.backward``. Outputs and gradients equal the chain of primitives'
-        (``embed``, post-norm stages over :meth:`multi_scale_attention`, token
-        slice, head affine, mean add) bit for bit, but a one-key stage's q, k
-        and k reducer get None, not zeros.
+        (``embed``, post-norm stages, the last with ``slice_axis`` before its q
+        and residual when ``channel`` is set, head affine, mean add) bit for
+        bit, but a one-key stage's q, k and k reducer get None, not zeros.
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -250,28 +253,24 @@ class TSTransformerModel:
         xt = np.ascontiguousarray(centered.swapaxes(-1, -2))  # (..., M, lookback)
         x = ad._affine(xt, we, be)
         recording = ad._state.recording
+        rows = [None] * (cfg.stages - 1) + [channel]  # the last stage runs on the asked-for row alone
         stages = []  # each stage's input and saved state, kept only for the backward
-        for arrays, r in zip(self._stage_arrays, self._factors):
-            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps)
+        for arrays, r, row in zip(self._stage_arrays, self._factors, rows):
+            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps, row)
             if recording:
                 stages.append((x, saved))
             x = y
-        tokens = x
-        if channel is not None:  # the head projects only the asked-for variate's token
-            tokens = x[..., channel : channel + 1, :].copy()
+        if channel is not None:
             mu_rows = mu_rows[..., channel : channel + 1, :]
-        out = ad._affine(tokens, wp, bp)
+        out = ad._affine(x, wp, bp)
         out += mu_rows  # the same adds as the mean repeated to (..., rows, horizon)
         if not recording:
             return Tensor._wrap(out, False)
 
         def grad_fn(g):
-            g, *grads = ad._affine_grads(g, tokens, wp, True)
-            if channel is not None:  # the token slice's backward: zeros off the row
-                g, row = np.zeros(x.shape), g
-                g[..., channel : channel + 1, :] = row
-            for (xi, saved), arrays in zip(stages[::-1], self._stage_arrays[::-1]):
-                g, *stage_grads = ad._stage_backward(g, xi, arrays, saved, cfg.heads)
+            g, *grads = ad._affine_grads(g, x, wp, True)
+            for (xi, saved), arrays, row in zip(stages[::-1], self._stage_arrays[::-1], rows[::-1]):
+                g, *stage_grads = ad._stage_backward(g, xi, arrays, saved, cfg.heads, row)
                 grads[:0] = stage_grads
             return [*ad._affine_grads(g, xt, we, False)[1:], *grads]
 

@@ -47,28 +47,39 @@ def per_head_attention_loop(q, k, v, heads: int) -> list:
     return outs
 
 
-def composed_trm_block(model, tokens, stage: int):
+def composed_trm_block(model, tokens, stage: int, row=None):
     """One encoder stage as a chain of taped primitives: residual attention
-    and feed-forward sublayers, post-norm layout."""
+    and feed-forward sublayers, post-norm layout. With ``row`` set, q and the
+    residual take only that token (each its own ``slice_axis``, the residual's
+    made after K and V, so x's gradient sums in the full stage's order) and
+    the out projection, the layer norms and the FFN run on that row alone;
+    without it, the attention sublayer is the model's ``multi_scale_attention``."""
     eps = model.config.eps
     w = model.param(f"stage{stage}.ffn.weight")
     b = model.param(f"stage{stage}.ffn.bias")
-    normed = ad.layer_norm(ad.add(tokens, model.multi_scale_attention(tokens, stage)), eps)
+    if row is None:
+        residual, att = tokens, model.multi_scale_attention(tokens, stage)
+    else:
+        q = model._affine(ad.slice_axis(tokens, -2, row, row + 1), f"stage{stage}.q")
+        kv = model.reduce_kv(tokens, stage)
+        residual = ad.slice_axis(tokens, -2, row, row + 1)
+        att = model._affine(ad.attention(q, *kv, model.config.heads), f"stage{stage}.out")
+    normed = ad.layer_norm(ad.add(residual, att), eps)
     return ad.layer_norm(ad.add(normed, ad.relu(ad.affine(normed, w, b))), eps)
 
 
 def composed_forward(model, window, channel=None):
     """``model.forward`` as a chain of taped primitives, before it became one
-    node: embed, a composed stage per stage, the token slice, the head affine
-    and the add of the window mean repeated over the horizon."""
+    node: embed, a composed stage per stage, the last on the ``channel`` row
+    alone when one is given, the head affine and the add of the window mean
+    repeated over the horizon."""
     cfg = model.config
     mu = window.sum(axis=-2, keepdims=True) / window.shape[-2]
     mu_rows = mu.swapaxes(-1, -2)
     tokens = model.embed(window - mu)
     for stage in range(cfg.stages):
-        tokens = composed_trm_block(model, tokens, stage)
+        tokens = composed_trm_block(model, tokens, stage, channel if stage == cfg.stages - 1 else None)
     if channel is not None:
-        tokens = ad.slice_axis(tokens, -2, channel, channel + 1)
         mu_rows = mu_rows[..., channel : channel + 1, :]
     delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
     return ad.add(delta, ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))

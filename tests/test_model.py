@@ -453,10 +453,10 @@ def test_forward_batch_matches_single():
         assert np.allclose(out[i], model.forward(batch[i]).data, atol=1e-12)
 
 
-@pytest.mark.parametrize("lead", [(), (4,)])
+@pytest.mark.parametrize("lead", [(), (4,), (1,)])
 def test_forward_channel_is_the_full_forward_row_within_ulps(lead):
-    # one window's one-row head product runs as a BLAS matrix-vector kernel
-    # and rounds differently from the M-row matrix-matrix one
+    # a (1, width) product (one window, or a batch of one) runs as a BLAS
+    # matrix-vector kernel and rounds differently from the M-row matrix-matrix one
     model = TSTransformerModel(toy_config(horizon=3), seed=15)
     x = np.random.default_rng(12).normal(size=lead + (32, 6))
     with ad.no_grad():
@@ -469,28 +469,35 @@ def test_forward_channel_is_the_full_forward_row_within_ulps(lead):
 
 @pytest.mark.parametrize("lead", [(), (4,)])
 def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
-    # the head's forward and both backward products see (..., 1, .) arrays, not (..., M, .)
-    model = TSTransformerModel(toy_config(n_variates=5, horizon=7), seed=15)
-    head = model.param("project.weight").data
-    rows = []
+    # the head's and the last stage's q, out and FFN affines see (..., 1, .)
+    # arrays in the forward and in both backward products, not (..., M, .);
+    # only K and V read every token
+    watched = {}
     affine, affine_grads = ad._affine, ad._affine_grads
 
     def watched_affine(x, w, b):
         out = affine(x, w, b)
-        if w is head:
-            rows.append(out.shape[-2])
+        if id(w) in watched:
+            watched[id(w)][1].append(out.shape[-2])
         return out
 
     def watched_affine_grads(g, x, w, want_x):
-        if w is head:
-            rows.append(g.shape[-2])
+        if id(w) in watched:
+            watched[id(w)][1].append(g.shape[-2])
         return affine_grads(g, x, w, want_x)
 
     monkeypatch.setattr(ad, "_affine", watched_affine)
     monkeypatch.setattr(ad, "_affine_grads", watched_affine_grads)
     x = np.random.default_rng(12).normal(size=lead + (32, 5))
-    ad.backward(ad.sum_all(model.forward(x, channel=3)))
-    assert rows == [1, 1]
+    for mode, q_rows in (("multi_scale", []), ("vanilla", [1, 1])):  # a one-key last stage runs no q
+        model = TSTransformerModel(toy_config(n_variates=5, horizon=7, mode=mode), seed=15)
+        names = ("project", "stage3.out", "stage3.ffn", "stage3.q", "stage3.k", "stage3.v")
+        watched.clear()
+        watched.update((id(model.param(f"{name}.weight").data), (name, [])) for name in names)
+        ad.backward(ad.sum_all(model.forward(x, channel=3)))
+        rows = dict(watched.values())
+        assert rows == {"project": [1, 1], "stage3.out": [1, 1], "stage3.ffn": [1, 1], "stage3.q": q_rows,
+                        "stage3.k": [5, 5] if q_rows else [], "stage3.v": [5, 5]}, mode
 
 
 @pytest.mark.parametrize("channel", [-1, 6])
