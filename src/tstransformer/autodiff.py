@@ -384,24 +384,40 @@ def layer_norm(z: Tensor, eps: float = 1e-5) -> Tensor:
 
 
 def _depthwise_conv1d(x, kernel, bias):
-    """Forward of :func:`depthwise_conv1d` on arrays: the output and the
-    edge-padded input as (..., J, r, D) blocks, which the backward needs."""
+    """Forward of :func:`depthwise_conv1d` on arrays: the output and what the
+    backward needs, the input as (..., J, r', D) blocks and the (r', D) taps
+    they meet. That is the edge-padded input and the kernel (r' = r), except
+    when the whole token axis is one partial block (N < r): then the padding
+    is not built, and the N real rows meet N taps (r' = N), the last of which
+    is kernel rows N-1 .. r-1 summed, the rows the replicated last token meets."""
     r, d = kernel.shape
     n = x.shape[-2]
-    j = -(-n // r)  # ceil
-    if j * r > n:
-        x = np.concatenate([x, np.repeat(x[..., -1:, :], j * r - n, axis=-2)], axis=-2)
-    xr = x.reshape(x.shape[:-2] + (j, r, d))
-    return (xr * kernel).sum(axis=-2) + bias, xr
+    if n < r:
+        taps = np.concatenate([kernel[: n - 1], kernel[n - 1 :].sum(axis=0, keepdims=True)])
+        xr = x[..., None, :, :]
+    else:
+        taps = kernel
+        j = -(-n // r)  # ceil
+        if j * r > n:
+            x = np.concatenate([x, np.repeat(x[..., -1:, :], j * r - n, axis=-2)], axis=-2)
+        xr = x.reshape(x.shape[:-2] + (j, r, d))
+    return (xr * taps).sum(axis=-2) + bias, (xr, taps)
 
 
-def _depthwise_conv1d_grads(g, xr, kernel, n):
-    *lead, j, r, d = xr.shape
-    gk = (xr * g[..., :, None, :]).reshape(-1, r, d).sum(axis=0)
+def _depthwise_conv1d_grads(g, saved, r, n):
+    """Gradients (x, kernel, bias) of :func:`_depthwise_conv1d` for an output
+    gradient g; ``r`` is the kernel's row count and ``n`` x's token count. For
+    folded taps, kernel rows N-1 .. r-1 each get the last tap's gradient: the
+    same sum each of them gets from the padded blocks."""
+    xr, taps = saved
+    *lead, j, rb, d = xr.shape
+    gk = (xr * g[..., :, None, :]).reshape(-1, rb, d).sum(axis=0)
+    if rb < r:
+        gk = np.concatenate([gk, np.repeat(gk[-1:], r - rb, axis=0)])
     gb = g.reshape(-1, d).sum(axis=0)
-    gxp = (g[..., :, None, :] * kernel).reshape(*lead, j * r, d)
+    gxp = (g[..., :, None, :] * taps).reshape(*lead, j * rb, d)
     gx = np.ascontiguousarray(gxp[..., :n, :])
-    if j * r > n:
+    if j * rb > n:
         gx[..., n - 1, :] += gxp[..., n:, :].sum(axis=-2)
     return gx, gk, gb
 
@@ -425,9 +441,9 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
         raise DimensionError(f"kernel shape {kernel.shape} does not match (r={r}, D={d})")
     if bias.shape != (d,):
         raise DimensionError(f"bias shape {bias.shape} does not match (D={d},)")
-    out, xr = _depthwise_conv1d(x.data, kernel.data, bias.data)
+    out, saved = _depthwise_conv1d(x.data, kernel.data, bias.data)
     n = x.data.shape[-2]
-    return _result(out, (x, kernel, bias), lambda g: _depthwise_conv1d_grads(g, xr, kernel.data, n))
+    return _result(out, (x, kernel, bias), lambda g: _depthwise_conv1d_grads(g, saved, r, n))
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +467,17 @@ def _stage_forward(x, arrays, r, heads, eps, row=None):
     wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
     n = x.shape[-2]
     xr = x if row is None else np.ascontiguousarray(x[..., row : row + 1, :])
-    v_red, v_blocks = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
+    v_red, v_conv = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
     if n <= r:
-        att, k_blocks, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None, None
+        att, k_conv, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None, None
     else:
-        k_red, k_blocks = _depthwise_conv1d(_affine(x, wk, bk), kk, kb)
+        k_red, k_conv = _depthwise_conv1d(_affine(x, wk, bk), kk, kb)
         att, att_saved = _attention(_affine(xr, wq, bq), k_red, v_red, heads)
     normed, ln1 = _layer_norm(xr + _affine(att, wo, bo), eps)
     f = _affine(normed, wf, bf)
     mask = f > 0.0
     out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
-    return out, (v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2)
+    return out, (v_conv, k_conv, att, att_saved, normed, ln1, mask, ln2)
 
 
 def _stage_backward(g, x, arrays, saved, heads, row=None):
@@ -473,7 +489,7 @@ def _stage_backward(g, x, arrays, saved, heads, row=None):
     through K and V; the kept row's residual and q gradients are added to it
     in the order of the full stage: ((residual + v) + k) + q."""
     wq, _, wk, _, wv, _, kk, _, vk, _, wo, _, wf, _ = arrays
-    v_blocks, k_blocks, att, att_saved, normed, ln1, mask, ln2 = saved
+    v_conv, k_conv, att, att_saved, normed, ln1, mask, ln2 = saved
     n = x.shape[-2]
     rows = slice(None) if row is None else slice(row, row + 1)
     g2 = _layer_norm_grads(g, *ln2)
@@ -482,16 +498,16 @@ def _stage_backward(g, x, arrays, saved, heads, row=None):
     ga, gwo, gbo = _affine_grads(g1, att, wo, True)
     # composed primitives hand gradients on C-contiguous (backward's first
     # write); a strided view can make matmul sum in another order
-    if k_blocks is None:
+    if k_conv is None:
         gv = _single_key_grads(ga, heads)
     else:
         gq, gk, gv = (np.ascontiguousarray(a) for a in _attention_grads(ga, *att_saved))
-    gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_blocks, vk, n)
+    gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_conv, len(vk), n)
     gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
     gx[..., rows, :] += g1
-    if k_blocks is None:
+    if k_conv is None:
         return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
-    gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_blocks, kk, n)
+    gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_conv, len(kk), n)
     gxk, gwk, gbk = _affine_grads(gkp, x, wk, True)
     gxq, gwq, gbq = _affine_grads(gq, np.ascontiguousarray(x[..., rows, :]), wq, True)
     gx += gxk

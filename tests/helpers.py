@@ -14,7 +14,9 @@ that updated one parameter at a time, so the model's one-node forward, with
 its one-key shortcut, and the flat Adam update can be held to them.
 ``composed_mse_loss`` keeps the loss as the ``sub``, ``mul``, ``mean_all``
 chain, so the one-node ``mse_loss`` can be held to it bit for bit.
-``stacked_windows`` is the former ``make_windows``, which copied every window
+``edge_padded_conv1d`` is the strided depthwise convolution with its edge
+padding built, so the convolution that folds the padding into its last tap
+can be held to it. ``stacked_windows`` is the former ``make_windows``, which copied every window
 into stacked arrays, so the strided views can be held to it. ``count_nodes``
 counts the graph nodes a call records.
 """
@@ -83,6 +85,24 @@ def composed_forward(model, window, channel=None):
         mu_rows = mu_rows[..., channel : channel + 1, :]
     delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
     return ad.add(delta, ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))
+
+
+def edge_padded_conv1d(x, kernel, bias, g):
+    """``depthwise_conv1d`` and its gradients for an output gradient g, in
+    plain numpy from the definition: x right-padded with copies of its last
+    token to a multiple of r, each channel's length-r filter applied per
+    block, and the padding's gradient summed back into the last token.
+    Returns (out, x grad, kernel grad, bias grad)."""
+    r, d = kernel.shape
+    *lead, n, _ = x.shape
+    j = -(-n // r)
+    xp = np.pad(x, [(0, 0)] * len(lead) + [(0, j * r - n), (0, 0)], mode="edge").reshape(*lead, j, r, d)
+    out = (xp * kernel).sum(axis=-2) + bias
+    gk = (xp * g[..., None, :]).reshape(-1, r, d).sum(axis=0)
+    gxp = (g[..., None, :] * kernel).reshape(*lead, j * r, d)
+    gx = gxp[..., :n, :].copy()
+    gx[..., n - 1, :] += gxp[..., n:, :].sum(axis=-2)
+    return out, gx, gk, g.reshape(-1, d).sum(axis=0)
 
 
 def composed_mse_loss(pred, truth):

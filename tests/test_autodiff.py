@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import edge_padded_conv1d
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.errors import ContractError, DimensionError, ParameterError
@@ -184,6 +185,34 @@ def test_conv_edge_replication():
     x = t(np.array([[1.0], [2.0], [5.0]]))
     out = ad.depthwise_conv1d(x, t(np.full((2, 1), 0.5)), t(np.zeros(1)), 2)
     assert np.allclose(out.data.ravel(), [1.5, 5.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("n, r", [(5, 16), (5, 32), (3, 4), (1, 4), (1, 32), (4, 4), (32, 32), (5, 4), (19, 16)])
+def test_conv_matches_edge_padded_reference(n, r, lead):
+    # N < r (one partial block) folds the padding into the last tap: output and
+    # x gradient within 2 r eps of the padded sums' magnitude (each side's
+    # r-term sum, then the bias add, rounds within r eps of it), the kernel
+    # gradient bit for bit; N >= r (no padding, or J > 1 blocks) is unchanged
+    rng = np.random.default_rng(n * 100 + r)
+    x_a, k_a, b_a = rng.normal(size=lead + (n, 5)), rng.normal(size=(r, 5)), rng.normal(size=5)
+    cot = rng.normal(size=lead + (-(-n // r), 5))
+    x, k, b = (t(a, grad=True) for a in (x_a, k_a, b_a))
+    out = ad.depthwise_conv1d(x, k, b, r)
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(cot))))
+    want_out, want_gx, want_gk, want_gb = edge_padded_conv1d(x_a, k_a, b_a, cot)
+    assert ad._depthwise_conv1d(x_a, k_a, b_a)[1][0].shape[-2] == min(n, r)  # no padded rows built
+    assert np.array_equal(k.grad, want_gk) and np.array_equal(b.grad, want_gb)
+    if n >= r:
+        assert np.array_equal(out.data, want_out) and np.array_equal(x.grad, want_gx)
+        return
+    eps = np.finfo(np.float64).eps
+    xp = np.concatenate([x_a, np.repeat(x_a[..., -1:, :], r - n, axis=-2)], axis=-2)
+    out_bound = 2 * r * eps * ((np.abs(xp) * np.abs(k_a)).sum(axis=-2, keepdims=True) + np.abs(b_a))
+    assert np.all(np.abs(out.data - want_out) <= out_bound)
+    gx_bound = 2 * r * eps * np.abs(cot) * np.abs(k_a).sum(axis=0)
+    assert np.all(np.abs(x.grad - want_gx) <= gx_bound)
+    assert np.array_equal(x.grad[..., : n - 1, :], want_gx[..., : n - 1, :])  # only the last token's taps fold
 
 
 def test_conv_rejects_bad_reduction():
