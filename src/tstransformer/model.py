@@ -24,6 +24,10 @@ VANILLA = "vanilla"
 
 DEFAULT_RATIOS = (1.0, 2.0 ** -2, 2.0 ** -4, 2.0 ** -5)
 
+# Most parameter scalars a config may size: 1 GiB of float64. The defaults
+# need about 40 thousand; a tiny ratio sizes its reducer kernels by 1 / ratio.
+MAX_PARAMETERS = 2 ** 27
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -32,7 +36,8 @@ class ModelConfig:
     ``ratios`` holds one scaling ratio in (0, 1] per stage, so it sets the
     stage count too: ``stages`` is ``len(ratios)``, derived, not passed.
     Stage i reduces its K/V token count by ``round(1 / ratios[i])``.
-    ``vanilla`` mode forces every effective reduction factor to 1.
+    ``vanilla`` mode forces every effective reduction factor to 1. A config
+    whose :func:`param_count` exceeds ``MAX_PARAMETERS`` is rejected.
     """
 
     n_variates: int
@@ -64,6 +69,10 @@ class ModelConfig:
             raise ParameterError(f"mode must be '{MULTI_SCALE}' or '{VANILLA}', got {self.mode!r}")
         if not self.eps > 0.0:  # NaN fails too
             raise ParameterError(f"eps must be positive, got {self.eps}")
+        count = param_count(self)
+        if count > MAX_PARAMETERS:
+            raise ParameterError(f"this config needs {count} parameter scalars, more than "
+                                 f"MAX_PARAMETERS = {MAX_PARAMETERS} (1 GiB of float64)")
 
     @property
     def reduction_factors(self) -> tuple:
@@ -140,11 +149,7 @@ class TSTransformerModel:
         """Zero parameters, each a view of one flat vector in declared (checkpoint) order."""
         self.config = config
         self._factors = config.reduction_factors
-        size = param_count(config)
-        try:
-            self._theta = np.zeros(size)
-        except (ValueError, MemoryError):  # beyond numpy's largest dimension, or more than memory holds
-            raise ParameterError(f"cannot allocate the {size} parameter scalars this config needs") from None
+        self._theta = np.zeros(param_count(config))  # at most MAX_PARAMETERS, which the config checked
         views = _param_views(config, self._theta)
         self._params = {name: Tensor._wrap(view, True) for name, view in views}
         # forward's per-stage arrays: views of the vector, so in-place updates reach them

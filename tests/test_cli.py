@@ -556,7 +556,7 @@ def test_subnormal_ratio_exit_2(workdir, tmp_path, capsys):
 
 
 def test_unallocatable_parameter_vector_exit_2(workdir, tmp_path, capsys):
-    # 1e-300 is a valid ratio, but its reducer kernels hold 1e300 rows: more than numpy can index
+    # 1e-300 is a valid ratio, but its reducer kernels would hold 1e300 rows: more than MAX_PARAMETERS
     ckpt, out = tmp_path / "x.ckpt", tmp_path / "lag.csv"
     ratios = ("--set", "ratios=1,0.25,0.0625,1e-300")
     assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg", *ratios,

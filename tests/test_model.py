@@ -13,6 +13,7 @@ from tstransformer.autodiff import Tensor
 from tstransformer.cli import load_run_config
 from tstransformer.errors import DimensionError, ParameterError
 from tstransformer.model import (
+    MAX_PARAMETERS,
     ModelConfig,
     TSTransformerModel,
     param_count,
@@ -67,11 +68,16 @@ def test_subnormal_ratio_is_a_parameter_error():
     # 1 / 5e-324 is inf, so round(1 / r) in reduction_factors would raise OverflowError
     with pytest.raises(ParameterError, match="finite 1 / ratio, got 5e-324"):
         toy_config(ratios=(1.0, 0.25, 0.0625, 5e-324))
-    cfg = toy_config(ratios=(1.0, 0.25, 0.0625, 1e-300))
-    assert cfg.ratios[-1] == 1e-300  # 1 / r is finite
-    # but its reducer kernels would hold 1e300 rows, more than numpy can index
-    with pytest.raises(ParameterError, match=f"cannot allocate the {param_count(cfg)} parameter scalars"):
-        TSTransformerModel(cfg)
+    # 1 / 1e-300 is finite, but its reducer kernels would hold 1e300 rows
+    with pytest.raises(ParameterError, match="parameter scalars, more than MAX_PARAMETERS"):
+        toy_config(ratios=(1.0, 0.25, 0.0625, 1e-300))
+
+
+def test_parameter_count_is_bounded_before_allocation(monkeypatch):
+    # 1e-9 sizes a (1e9, 16) reducer kernel pair: 32 000 006 785 scalars, 238 GiB
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(ParameterError, match="needs 32000006785 parameter scalars, more than MAX_PARAMETERS = 134217728"):
+        ModelConfig(5, 32, 1, ratios=(1.0, 0.25, 0.0625, 1e-9))
 
 
 # ---------------------------------------------------------------------------
