@@ -428,8 +428,9 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
     ``x`` has shape (..., N, D); ``kernel`` is (r, D) with one length-r
     filter per channel and stride r; ``bias`` is (D,). The input is
     right-padded with edge replication to a multiple of r, so the output
-    has ceil(N / r) tokens. ``reduction=1`` degenerates to a per-channel
-    scalar affine map.
+    has ceil(N / r) tokens; for N < r that padding is folded into the last
+    tap, not built. ``reduction=1`` degenerates to a per-channel scalar
+    affine map.
     """
     r = int(reduction)
     if r < 1:
