@@ -7,18 +7,19 @@ checked against it. ``per_head_attention_loop`` is the opposite: the
 model's former attention, op for op in taped primitives, kept so the
 fused ``autodiff.attention`` can be held to it bit for bit. In the same
 way ``composed_forward`` keeps the recorded forward as a chain of taped
-primitives (``composed_trm_block`` per encoder stage, whose attention
-sublayer, the model's ``multi_scale_attention``, runs q, k, the k reducer and
-attention in every stage), and ``adam_step_per_parameter`` the optimizer
-that updated one parameter at a time, so the model's one-node forward, with
-its one-key shortcut, and the flat Adam update can be held to them.
-``composed_mse_loss`` keeps the loss as the ``sub``, ``mul``, ``mean_all``
-chain, so the one-node ``mse_loss`` can be held to it bit for bit.
-``edge_padded_conv1d`` is the strided depthwise convolution with its edge
-padding built, so the convolution that folds the padding into its last tap
-can be held to it. ``stacked_windows`` is the former ``make_windows``, which copied every window
-into stacked arrays, so the strided views can be held to it. ``count_nodes``
-counts the graph nodes a call records.
+primitives (``composed_trm_block`` per encoder stage, which runs q, k, the
+k reducer and attention in every stage, and the last stage after a
+``slice_axis`` when one row is asked for), and ``adam_step_per_parameter``
+the optimizer that updated one parameter at a time, so the model's one-node
+forward, with its one-key and one-row shortcuts, and the flat Adam update
+can be held to them. ``composed_mse_loss`` keeps the loss as the ``sub``,
+``mul``, ``mean_all`` chain, so the one-node ``mse_loss`` can be held to it
+bit for bit. ``edge_padded_conv1d`` is the strided depthwise convolution
+with its edge padding built, in plain numpy, so the convolution that folds
+that padding into its last tap can be held to it. ``stacked_windows`` is
+the former ``make_windows``, which copied every window into stacked arrays,
+so the strided views can be held to it. ``count_nodes`` counts the graph
+nodes a call records.
 """
 
 import math

@@ -13,7 +13,6 @@ from tstransformer.autodiff import Tensor
 from tstransformer.cli import load_run_config
 from tstransformer.errors import DimensionError, ParameterError
 from tstransformer.model import (
-    MAX_PARAMETERS,
     ModelConfig,
     TSTransformerModel,
     param_count,
@@ -76,7 +75,8 @@ def test_subnormal_ratio_is_a_parameter_error():
 def test_parameter_count_is_bounded_before_allocation(monkeypatch):
     # 1e-9 sizes a (1e9, 16) reducer kernel pair: 32 000 006 785 scalars, 238 GiB
     monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
-    with pytest.raises(ParameterError, match="needs 32000006785 parameter scalars, more than MAX_PARAMETERS = 134217728"):
+    message = "needs 32000006785 parameter scalars, more than MAX_PARAMETERS = 134217728 "
+    with pytest.raises(ParameterError, match=message):
         ModelConfig(5, 32, 1, ratios=(1.0, 0.25, 0.0625, 1e-9))
 
 
