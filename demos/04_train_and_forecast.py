@@ -53,8 +53,7 @@ print(f"rolled {len(forecast.time)} steps; volt-scale RMSE "
       f"{rmse(forecast.pred, forecast.true):.4f} V")
 
 ckpt_path = out_dir / "model.ckpt"
-save_checkpoint(ckpt_path, model, stats, {"target_channel": series.target_channel,
-                                          "train.split_hours": "300.0"})
+save_checkpoint(ckpt_path, model, stats, series.target_channel, {"train.split_hours": "300.0"})
 restored = load_checkpoint(ckpt_path).to_model()
 probe = np.random.default_rng(0).normal(size=(32, 4))
 with ad.no_grad():  # inference: these forwards record no autodiff graph

@@ -321,7 +321,6 @@ def cmd_train(args) -> int:
     tcfg = cfg.train_config()
     model, history = _fit(cfg, windows, tcfg)
     extra = {
-        "target_channel": series.target_channel,
         "train.split_hours": repr(run.split_hours),
         "train.covariate_mode": run.covariate_mode,
         "train.forecast_step": str(run.forecast_step),
@@ -335,7 +334,7 @@ def cmd_train(args) -> int:
     }
     out_ckpt = Path(args.out_checkpoint)
     out_ckpt.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_ckpt, model, stats, extra)
+    save_checkpoint(out_ckpt, model, stats, series.target_channel, extra)
     loss_path = Path(args.out_loss) if args.out_loss else out_ckpt.with_suffix(out_ckpt.suffix + ".loss.csv")
     write_atomic(loss_path, loss_history_csv(history))
     print(

@@ -117,11 +117,14 @@ def adam_init(params) -> AdamState:
     return AdamState(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place; aborts on non-finite grads.
+def adam_step(named_params, state: AdamState, config: TrainConfig) -> float:
+    """One bias-corrected Adam update on the clipped gradient, in place; returns
+    the gradient norm before clipping. Aborts on non-finite grads.
 
-    The gradients (None counts as zero) are checked, then updated as one
-    flat vector; each parameter's slice of the step is subtracted in place.
+    The gradients (None counts as zero) are joined into one fresh flat vector
+    and checked before anything changes. When ``0 < clip_norm < norm`` the
+    vector is scaled by ``clip_norm / norm``; ``p.grad`` is never written.
+    Each parameter's slice of the step is subtracted in place.
     """
     named_params = list(named_params)
     g = np.concatenate([
@@ -130,6 +133,9 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     if not np.all(np.isfinite(g)):
         name = next(n for n, p in named_params if p.grad is not None and not np.all(np.isfinite(p.grad)))
         raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    norm = math.sqrt(float(np.dot(g, g)))
+    if 0.0 < config.clip_norm < norm:
+        g *= config.clip_norm / norm
     state.step += 1
     t = state.step
     c1 = 1.0 - config.beta1 ** t
@@ -144,21 +150,6 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     for _, p in named_params:
         p.data -= update[pos : pos + p.size].reshape(p.shape)
         pos += p.size
-
-
-def clip_global_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint norm is at most ``max_norm``; return the
-    norm before scaling (None counts as zero)."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.dot(p.grad.reshape(-1), p.grad.reshape(-1)))
-    norm = math.sqrt(total)
-    if max_norm > 0.0 and norm > max_norm:
-        factor = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * factor  # gradient arrays may be shared: never scaled in place
     return norm
 
 
@@ -216,8 +207,6 @@ def train(model: TSTransformerModel, windows: WindowedDataset, config: TrainConf
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, batch {b}")
             ad.backward(loss)
-            if config.clip_norm > 0.0:
-                clip_global_norm(params, config.clip_norm)
             adam_step(named, state, step_config)
             ad.zero_grad(params)
             total += value * len(idx)
@@ -350,7 +339,9 @@ FIELD_CODECS = {
 }
 
 
-def _header_text(config: ModelConfig, stats: NormStats, extra: dict) -> str:
+def _header_text(config: ModelConfig, stats: NormStats, target: str, extra: dict) -> str:
+    if target not in stats.channel_names:
+        raise ParameterError(f"checkpoint target {target!r} is not among the stats channels {stats.channel_names}")
     bad = [k for k, v in extra.items() if "=" in k or any(c in f"{k}{v}" for c in "\n\r")]
     if bad:
         raise ParameterError(f"checkpoint header entry {bad[0]!r} has '=' in its key or a line break")
@@ -363,11 +354,9 @@ def _header_text(config: ModelConfig, stats: NormStats, extra: dict) -> str:
         "stats.mean=" + ",".join(repr(float(v)) for v in stats.mean),
         "stats.std=" + ",".join(repr(float(v)) for v in stats.std),
         "stats.constant=" + ",".join(stats.constant_channels),
-        f"stats.target={extra.get('target_channel', stats.channel_names[0])}",
+        f"stats.target={target}",
     ]
-    for key in sorted(extra):
-        if key != "target_channel":
-            lines.append(f"{key}={extra[key]}")
+    lines += [f"{key}={extra[key]}" for key in sorted(extra)]
     return "\n".join(lines) + "\n"
 
 
@@ -375,10 +364,15 @@ def save_checkpoint(
     path,
     model: TSTransformerModel,
     stats: NormStats,
+    target: str,
     extra: dict | None = None,
 ) -> None:
-    """Write magic, version, key=value header, then parameters as <f8."""
-    header = _header_text(model.config, stats, extra or {}).encode("utf-8")
+    """Write magic, version, key=value header, then parameters as <f8.
+
+    ``target`` is the forecast channel, one of ``stats.channel_names``;
+    ``extra`` holds further header entries.
+    """
+    header = _header_text(model.config, stats, target, extra or {}).encode("utf-8")
     write_atomic(path, b"".join([
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),

@@ -122,18 +122,25 @@ def count_nodes(fn):
     return out, next(ad._seq) - start - 1
 
 
-def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -> None:
+def adam_step_per_parameter(named_params, m: list, v: list, step: int, config) -> float:
     """Adam as a loop over parameters; ``m`` and ``v`` hold one array per
-    parameter and ``step`` is the count including this update."""
+    parameter and ``step`` is the count including this update. The gradients
+    (None counts as zero) are clipped by one norm over their joined vector,
+    which is returned."""
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for _, p in named_params]
+    joined = np.concatenate([g.reshape(-1) for g in grads])
+    norm = math.sqrt(float(np.dot(joined, joined)))
+    if 0.0 < config.clip_norm < norm:
+        grads = [g * (config.clip_norm / norm) for g in grads]
     c1 = 1.0 - config.beta1 ** step
     c2 = 1.0 - config.beta2 ** step
-    for (_, p), mi, vi in zip(named_params, m, v):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+    for (_, p), g, mi, vi in zip(named_params, grads, m, v):
         mi *= config.beta1
         mi += (1.0 - config.beta1) * g
         vi *= config.beta2
         vi += (1.0 - config.beta2) * g * g
         p.data -= config.learning_rate * (mi / c1) / (np.sqrt(vi / c2) + config.adam_eps)
+    return norm
 
 
 def stacked_windows(ts, lookback: int, horizon: int, stride: int = 1):

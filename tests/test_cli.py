@@ -625,7 +625,7 @@ def test_predict_non_finite_forecast_exit_4(workdir, tmp_path, capsys):
     model.param("embed.weight").data *= 1e306
     extra = {k: v for k, v in ckpt.header.items() if k.startswith("train.")}
     scaled = tmp_path / "scaled.ckpt"
-    save_checkpoint(scaled, model, ckpt.stats, {"target_channel": ckpt.header["stats.target"], **extra})
+    save_checkpoint(scaled, model, ckpt.stats, ckpt.header["stats.target"], extra)
     assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", scaled,
                "--out", tmp_path / "f.csv") == 4
     assert "non-finite forecast" in capsys.readouterr().err

@@ -35,7 +35,6 @@ from tstransformer.training import (
     TrainConfig,
     adam_init,
     adam_step,
-    clip_global_norm,
     load_checkpoint,
     loss_history_csv,
     mse_loss,
@@ -172,7 +171,8 @@ def test_adam_checks_every_gradient_before_updating():
     state = adam_init([a, b])
     with pytest.raises(NumericalError, match="'b'"):
         adam_step([("a", a), ("b", b)], state, cfg)
-    assert a.data[0] == 1.0 and state.step == 0 and not state.m.any()
+    assert a.data[0] == 1.0 and np.array_equal(b.data, [2.0, 3.0])
+    assert state.step == 0 and not state.m.any() and not state.v.any()
 
 
 def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
@@ -187,17 +187,20 @@ def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
         named = [(f"p{i}", p) for i, p in enumerate(params)]
         state = adam_init(params)
         m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        norms = []
         for step, gs in enumerate(grads, start=1):
             for i, (p, g) in enumerate(zip(params, gs)):
                 p.grad = None if (i + step) % 3 == 0 else g.copy()  # None counts as zero
             if flat:
-                adam_step(named, state, cfg)
+                norms.append(adam_step(named, state, cfg))
             else:
-                adam_step_per_parameter(named, m, v, step, cfg)
-        return [p.data for p in params]
+                norms.append(adam_step_per_parameter(named, m, v, step, cfg))
+        return norms, [p.data for p in params]
 
-    for got, want in zip(run(True), run(False)):
-        assert np.array_equal(got, want)
+    (norms, got), (want_norms, want) = run(True), run(False)
+    assert norms == want_norms and sum(n > cfg.clip_norm for n in norms) == 4  # 4 of the 6 steps clip
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("loss_channels", ["target", "all"])
@@ -207,7 +210,8 @@ def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, 
     # The one-node forward with single-key stages, the target-only head and
     # the flat Adam update against the chain of primitives with q/k/attention
     # in every stage and the target token sliced before the head, and the
-    # per-parameter loop: every forward and the parameters after 5 clipped steps.
+    # per-parameter loop: every forward and the parameters after 5 steps,
+    # each clipped to clip_norm by one norm over the joined gradient.
     cfg = ModelConfig(n_variates=m, lookback=8, horizon=3, heads=heads)
     tcfg = TrainConfig(learning_rate=0.05, clip_norm=0.5)
     rng = np.random.default_rng(heads * 10 + m)
@@ -221,7 +225,7 @@ def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, 
         params = [p for _, p in named]
         state = adam_init(params)
         moments = ([np.zeros_like(p.data) for p in params], [np.zeros_like(p.data) for p in params])
-        seen = []
+        seen, norms = [], []
         for step, (x, y) in enumerate(zip(xs, ys), start=1):
             if loss_channels == "all":
                 pred, truth = model.forward(x), y
@@ -231,40 +235,52 @@ def test_training_steps_match_former_paths_bit_for_bit(heads, m, loss_channels, 
             ad.backward(mse_loss(pred, truth))
             if not former:
                 assert model.param("stage2.q.weight").grad is None  # the single-key path ran
-            clip_global_norm(params, tcfg.clip_norm)
             if former:
-                adam_step_per_parameter(named, *moments, step, tcfg)
+                norms.append(adam_step_per_parameter(named, *moments, step, tcfg))
             else:
-                adam_step(named, state, tcfg)
+                norms.append(adam_step(named, state, tcfg))
             ad.zero_grad(params)
-        return seen + [p.data for p in params]
+        return seen + [p.data for p in params], norms
 
-    new = run(False)
+    new, norms = run(False)
     monkeypatch.setattr(TSTransformerModel, "forward", composed_forward)
-    old = run(True)
+    old, former_norms = run(True)
+    assert norms == former_norms and all(n > tcfg.clip_norm for n in norms)  # every step clips
     assert len(new) == len(old) == 5 + len(TSTransformerModel(cfg).parameters())
     for got, want in zip(new, old):
         assert np.array_equal(got, want)
 
 
-def test_clip_global_norm():
-    a = Tensor([3.0], requires_grad=True)
-    b = Tensor([4.0], requires_grad=True)
-    a.grad, b.grad = np.array([3.0]), np.array([4.0])
-    norm = clip_global_norm([a, b], 1.0)
-    assert norm == pytest.approx(5.0, abs=1e-12)
-    assert math.hypot(a.grad[0], b.grad[0]) == pytest.approx(1.0, abs=1e-12)
+def test_adam_step_clips_by_the_global_norm():
+    # Adam on the gradient scaled by clip_norm / norm when the norm exceeds
+    # clip_norm, else on the gradient as it is; clip_norm=0 never scales.
+    for clip_norm, factor in [(1.0, 1.0 / 5.0), (5.0, 1.0), (10.0, 1.0), (0.0, 1.0)]:
+        a, b = Tensor([3.0], requires_grad=True), Tensor([4.0], requires_grad=True)
+        a.grad, b.grad = np.array([3.0]), np.array([4.0])
+        state = adam_init([a, b])
+        norm = adam_step([("a", a), ("b", b)], state, TrainConfig(clip_norm=clip_norm))
+        assert norm == 5.0  # before scaling
+        assert a.grad[0] == 3.0 and b.grad[0] == 4.0
+        ra, rb = Tensor([3.0], requires_grad=True), Tensor([4.0], requires_grad=True)
+        ra.grad, rb.grad = np.array([3.0]) * factor, np.array([4.0]) * factor
+        ref = adam_init([ra, rb])
+        adam_step([("a", ra), ("b", rb)], ref, TrainConfig(clip_norm=0.0))
+        assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
+        assert (a.data[0], b.data[0]) == (ra.data[0], rb.data[0])
+        assert np.array_equal(state.m, (1.0 - TrainConfig.beta1) * (np.array([3.0, 4.0]) * factor))
 
 
-def test_clip_global_norm_scales_a_shared_gradient_once():
+def test_adam_step_clips_a_shared_gradient_without_writing_it():
     # add hands its one upstream gradient array to both inputs
     a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
     ad.backward(ad.sum_all(ad.mul(ad.add(a, b), Tensor([3.0, 4.0]))))
     assert np.shares_memory(a.grad, b.grad)
-    norm = clip_global_norm([a, b], 1.0)
+    upstream = a.grad
+    state = adam_init([a, b])
+    norm = adam_step([("a", a), ("b", b)], state, TrainConfig(clip_norm=1.0))
     assert norm == math.sqrt(50.0)
-    for p in (a, b):
-        assert np.array_equal(p.grad, np.array([3.0, 4.0]) * (1.0 / norm))
+    assert a.grad is upstream and b.grad is upstream and np.array_equal(upstream, [3.0, 4.0])
+    assert np.array_equal(state.m, (1.0 - TrainConfig.beta1) * (np.array([3.0, 4.0, 3.0, 4.0]) * (1.0 / norm)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +530,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=2)
     train(model, windows, cfg)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {"target_channel": "Utot_V", "train.split_hours": "20.0"})
+    save_checkpoint(path, model, stats, "Utot_V", {"train.split_hours": "20.0"})
     ckpt = load_checkpoint(path)
     restored = ckpt.to_model()
     w = np.random.default_rng(2).normal(size=(16, 3))
@@ -527,7 +543,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 def test_checkpoint_payload_is_the_flat_parameter_vector(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {})
+    save_checkpoint(path, model, stats, "Utot_V")
     blob = path.read_bytes()
     payload = model._theta.astype("<f8").tobytes()
     assert blob.endswith(payload) and len(blob) == 12 + int.from_bytes(blob[8:12], "little") + len(payload)
@@ -536,7 +552,7 @@ def test_checkpoint_payload_is_the_flat_parameter_vector(tmp_path):
 def test_checkpoint_arrays_are_read_only_views_of_one_payload_vector(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {})
+    save_checkpoint(path, model, stats, "Utot_V")
     arrays = load_checkpoint(path).arrays
     payload = arrays[0].base
     assert payload.ndim == 1 and payload.size == model.parameter_count()
@@ -552,7 +568,7 @@ def test_checkpoint_to_model_draws_no_random_init(tmp_path, monkeypatch):
     series, stats, windows, model, cfg = tiny_setup(epochs=2)
     train(model, windows, cfg)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {})
+    save_checkpoint(path, model, stats, "Utot_V")
     ckpt = load_checkpoint(path)
     former = TSTransformerModel(ckpt.config, seed=0)  # the former to_model: an init, then overwritten
     former.load_arrays(ckpt.arrays)
@@ -572,7 +588,7 @@ def test_checkpoint_to_model_draws_no_random_init(tmp_path, monkeypatch):
 def test_checkpoint_truncation_detected(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {})
+    save_checkpoint(path, model, stats, "Utot_V")
     blob = path.read_bytes()
     for cut in (2, 10, len(blob) - 9):
         bad = tmp_path / "bad.ckpt"
@@ -591,7 +607,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_header_width_edit_breaks_scalar_count(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {})
+    save_checkpoint(path, model, stats, "Utot_V")
     blob = bytearray(path.read_bytes())
     header_len = int.from_bytes(blob[8:12], "little")
     header = blob[12 : 12 + header_len].decode("utf-8").replace("model.width=8", "model.width=9")
@@ -605,7 +621,7 @@ def test_checkpoint_header_width_edit_breaks_scalar_count(tmp_path):
 def test_checkpoint_header_not_utf8_is_corruption(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {})
+    save_checkpoint(path, model, stats, "Utot_V")
     blob = bytearray(path.read_bytes())
     blob[20] = 0xFF  # inside the header text
     path.write_bytes(bytes(blob))
@@ -616,7 +632,7 @@ def test_checkpoint_header_not_utf8_is_corruption(tmp_path):
 def test_checkpoint_non_finite_scalar_is_corruption(tmp_path):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {})
+    save_checkpoint(path, model, stats, "Utot_V")
     blob = bytearray(path.read_bytes())
     payload = 12 + int.from_bytes(blob[8:12], "little")
     blob[payload : payload + 8] = np.array([np.nan], dtype="<f8").tobytes()
@@ -647,7 +663,7 @@ def test_checkpoint_non_finite_scalar_is_corruption(tmp_path):
 def test_checkpoint_inconsistent_stats_or_non_finite_header_is_corruption(tmp_path, key, edit, message):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, stats, {"target_channel": "Utot_V"})
+    save_checkpoint(path, model, stats, "Utot_V")
     load_checkpoint(path)
     edit_checkpoint_header(path, key, edit)
     with pytest.raises(CorruptionError, match=message):
@@ -668,7 +684,7 @@ def test_checkpoint_header_model_lines_follow_config_fields(tmp_path):
     cfg = ModelConfig(n_variates=3, lookback=16, horizon=4, width=8,
                       ratios=(1.0, 0.25), heads=2, mode="vanilla", eps=1e-6)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, TSTransformerModel(cfg, seed=0), tiny_setup()[1], {})
+    save_checkpoint(path, TSTransformerModel(cfg, seed=0), tiny_setup()[1], "Utot_V")
     blob = path.read_bytes()
     header = blob[12 : 12 + int.from_bytes(blob[8:12], "little")].decode("utf-8")
     assert header.splitlines()[:9] == [
@@ -690,8 +706,27 @@ def test_checkpoint_header_rejects_unstorable_extra(tmp_path, extra):
     series, stats, windows, model, cfg = tiny_setup(epochs=1)
     path = tmp_path / "model.ckpt"
     with pytest.raises(ParameterError, match="checkpoint header entry"):
-        save_checkpoint(path, model, stats, extra)
+        save_checkpoint(path, model, stats, "Utot_V", extra)
     assert not path.exists()
+
+
+def test_save_checkpoint_writes_the_given_target_and_requires_one(tmp_path):
+    # Channels ordered (I_A, Utot_V) with target Utot_V: a save without a
+    # target once wrote the first channel, I_A, as stats.target.
+    t = np.arange(40.0) * 0.1
+    series = TimeSeries(t, np.column_stack([70.0 + np.sin(t), 3.3 - 1e-3 * t]), ("I_A", "Utot_V"), "Utot_V")
+    stats = zscore_fit(series)
+    model = TSTransformerModel(ModelConfig(n_variates=2, lookback=4, horizon=1), seed=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, series.target_channel)
+    assert load_checkpoint(path).header["stats.target"] == "Utot_V"
+    bad = tmp_path / "bad.ckpt"
+    for target in (None, "", "Pcell_W", {"target_channel": "Utot_V"}):  # the last is the former call
+        with pytest.raises(ParameterError, match="checkpoint target"):
+            save_checkpoint(bad, model, stats, target)
+    with pytest.raises(TypeError, match="target"):
+        save_checkpoint(bad, model, stats)
+    assert not bad.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -711,7 +746,7 @@ def test_write_atomic_failure_keeps_the_old_file(tmp_path, monkeypatch, failure)
     path = tmp_path / "model.ckpt"
     model = TSTransformerModel(ModelConfig(n_variates=2, lookback=4, horizon=1), seed=1)
     stats = NormStats(("a", "b"), np.zeros(2), np.ones(2), ())
-    save_checkpoint(path, model, stats)
+    save_checkpoint(path, model, stats, "b")
     before = path.read_bytes()
     model.param("project.bias").data[...] = 1.0
     if failure == "write":
@@ -722,7 +757,7 @@ def test_write_atomic_failure_keeps_the_old_file(tmp_path, monkeypatch, failure)
             raise OSError("rename refused")
         monkeypatch.setattr(training.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            save_checkpoint(path, model, stats)
+            save_checkpoint(path, model, stats, "b")
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
 
