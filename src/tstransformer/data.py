@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -144,17 +146,27 @@ class CsvSchema:
 def ingest_csv(path, schema: CsvSchema | None = None) -> TimeSeries:
     """Parse hours plus selected channels from a headered CSV.
 
-    Rows with unparseable cells are dropped and counted in
-    ``TimeSeries.dropped_rows``; ``#``-prefixed lines are skipped. Rows are
-    parsed as they are read into flat float64 buffers, so memory holds the
-    numbers and never the file's cells.
+    ``#``-prefixed lines are skipped, and the header is the first non-empty
+    record. The body takes one of two paths, chosen by its text alone, and
+    both give the same result bit for bit:
+
+    - A plain numeric body (only ASCII digits, ``+-.eE``, commas, spaces,
+      tabs and line breaks) whose every row parses to finite numbers is read
+      by one ``np.loadtxt`` over its lines, streamed in 64 Ki-character chunks.
+    - Any other body is parsed row by row from the top of the file: rows with
+      unparseable or non-finite cells are dropped and counted in
+      ``TimeSeries.dropped_rows``. This path is the reference.
+
+    Neither path holds the file's cells as objects: the per-row parse fills
+    flat float64 buffers as it reads, and the bulk parse holds one chunk's
+    lines at a time. A record the ``csv`` module refuses (a field over
+    ``csv.field_size_limit``) is a ``DataError`` that names the line.
     """
     schema = schema or CsvSchema()
-    times, values, dropped = array("d"), array("d"), 0
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = filter(None, csv.reader(line for line in fh if not line.startswith("#")))
-            header = next(rows, None)
+            lines = _Lines(fh)
+            header = next(_records(lines), None)
             if header is None:
                 raise DataError(f"{path}: no rows")
             try:
@@ -163,29 +175,87 @@ def ingest_csv(path, schema: CsvSchema | None = None) -> TimeSeries:
                 for _ in fh:  # a file that is not UTF-8 text is reported as such first
                     pass
                 raise
-            for row in rows:
-                try:
-                    t = float(row[time_idx])
-                    vals = [float(row[i]) for i in col_idx]
-                except (ValueError, IndexError):
-                    dropped += 1
-                    continue
-                if not math.isfinite(t) or not all(math.isfinite(v) for v in vals):
-                    dropped += 1
-                    continue
-                times.append(t)
-                values.extend(vals)
+            usecols = [time_idx, *col_idx]
+            parsed = _parse_plain(fh, usecols)
+            if parsed is None:
+                fh.seek(0)
+                records = _records(lines)
+                next(records)  # the header again
+                parsed = _parse_rows(records, usecols)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    if not times:
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {lines.number}: {exc}") from None
+    time, features, dropped = parsed
+    if not len(time):
         raise DataError(f"{path}: no parseable data rows")
-    return TimeSeries(
-        np.array(times),
-        np.array(values).reshape(len(times), len(channels)),
-        tuple(channels),
-        target_channel=schema.target_column,
-        dropped_rows=dropped,
-    )
+    return TimeSeries(time, features, tuple(channels), target_channel=schema.target_column, dropped_rows=dropped)
+
+
+# The only bytes a body may hold for the bulk parse: numpy strips more around
+# a number than float() does (0x1c-0x1f, for one), and quotes and ``#`` lines
+# mean what only the csv module reads.
+_PLAIN_BODY = b"0123456789+-.eE, \t\r\n"
+
+
+class _Lines:
+    """The lines of a text file that do not start with ``#``; ``number`` is the last line read."""
+
+    def __init__(self, fh):
+        self.fh, self.number = fh, 0
+
+    def __iter__(self):
+        for self.number, line in enumerate(self.fh, 1):
+            if not line.startswith("#"):
+                yield line
+
+
+def _records(lines):
+    return filter(None, csv.reader(lines))
+
+
+def _parse_plain(fh, usecols: list):
+    """(time, features, 0) of the rest of ``fh`` by one ``np.loadtxt``, or None
+    when the body is not plain, a row does not parse or a value is not finite."""
+    limit = csv.field_size_limit()
+
+    def checked_lines():
+        for chunk in iter(lambda: fh.read(1 << 16) + fh.readline(), ""):
+            # Chunks end at line ends; one within the limit holds no field the csv module refuses.
+            if len(chunk) > limit or not chunk.isascii() or chunk.encode().translate(None, _PLAIN_BODY):
+                raise ValueError("not a plain body")
+            yield chunk.splitlines(keepends=True)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                chain.from_iterable(checked_lines()), delimiter=",", comments=None, ndmin=2, usecols=usecols
+            )
+    except ValueError:  # also a UnicodeDecodeError, which the per-row parse reports
+        return None
+    if not np.isfinite(table).all():
+        return None
+    return table[:, 0], table[:, 1:], 0
+
+
+def _parse_rows(records, usecols: list) -> tuple:
+    """(time, features, dropped rows) of the body's records, parsed one by one."""
+    time_idx, col_idx = usecols[0], usecols[1:]
+    times, values, dropped = array("d"), array("d"), 0
+    for row in records:
+        try:
+            t = float(row[time_idx])
+            vals = [float(row[i]) for i in col_idx]
+        except (ValueError, IndexError):
+            dropped += 1
+            continue
+        if not math.isfinite(t) or not all(math.isfinite(v) for v in vals):
+            dropped += 1
+            continue
+        times.append(t)
+        values.extend(vals)
+    return np.array(times), np.array(values).reshape(len(times), len(col_idx)), dropped
 
 
 def _columns(path, header: list, schema: CsvSchema) -> tuple:

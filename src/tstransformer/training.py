@@ -345,6 +345,10 @@ def _header_text(config: ModelConfig, stats: NormStats, target: str, extra: dict
     bad = [k for k, v in extra.items() if "=" in k or any(c in f"{k}{v}" for c in "\n\r")]
     if bad:
         raise ParameterError(f"checkpoint header entry {bad[0]!r} has '=' in its key or a line break")
+    taken = [k for k in extra if k.startswith(("model.", "stats."))]
+    if taken:
+        raise ParameterError(f"checkpoint header entry {taken[0]!r} is under 'model.' or 'stats.', which the "
+                             "architecture and the normalization statistics own")
     lines = [
         f"model.{f.name}={FIELD_CODECS[f.type][0](getattr(config, f.name))}"
         for f in dataclasses.fields(ModelConfig)
@@ -390,6 +394,8 @@ def _parse_header(text: str) -> dict:
         if "=" not in line:
             raise CorruptionError(f"malformed checkpoint header line: {line!r}")
         key, _, value = line.partition("=")
+        if key in fields:
+            raise CorruptionError(f"checkpoint header names {key!r} twice")
         fields[key] = value
     return fields
 

@@ -3,6 +3,7 @@ emitted CSV/SVG artifacts."""
 
 import ctypes
 import dataclasses
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -599,6 +600,24 @@ def test_non_utf8_csv_exit_code_names_file(workdir, tmp_path, capsys, command, c
     }[command]
     assert run(command, *inputs) == code
     assert "latin1.csv: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", [("preprocess", 3), ("train", 3), ("evaluate", 2)])
+def test_csv_field_over_the_size_limit_exit_code_names_file_and_line(workdir, tmp_path, capsys, command, code):
+    # A stray quote opens a field that runs over csv.field_size_limit (128 KiB):
+    # the csv module's error once ended the call in a traceback.
+    bad = tmp_path / "quote.csv"
+    rows = "".join(f"{i}.5,3.3,3.3,3.3\n" for i in range(12000))
+    bad.write_text(f'time_h,Utot_V,true_V,pred_V\n0.0,3.3,3.3,3.3\n"{rows}', encoding="utf-8")
+    inputs = {
+        "preprocess": ["--in", bad, "--out", tmp_path / "pre.csv"],
+        "train": ["--data", bad, "--config", workdir / "run.cfg", "--out-checkpoint", tmp_path / "x.ckpt"],
+        "evaluate": ["--forecast", bad, "--out", tmp_path / "r.csv"],
+    }[command]
+    assert run(command, *inputs) == code
+    err = capsys.readouterr().err
+    assert re.search(r"quote\.csv: line (\d+): field larger than field limit", err), err
+    assert int(re.search(r"line (\d+)", err).group(1)) > 3  # where the field outgrew the limit
 
 
 def test_non_utf8_config_exit_2(workdir, tmp_path, capsys):

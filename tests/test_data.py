@@ -3,6 +3,7 @@ splitting, windowing, and the synthetic degradation generator."""
 
 import csv
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import first_crossing_by_bisection, stacked_windows
+from tstransformer import data
 from tstransformer.data import (
     CsvSchema,
     DegradationSpec,
@@ -120,6 +122,104 @@ def test_ingest_rejects_column_names_the_csv_writers_cannot_hold(tmp_path, name)
     with open(p, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([["time_h", "Utot_V", name], [0.0, 3.3, 70], [0.1, 3.29, 71]])
     with pytest.raises(SchemaError, match=re.escape(repr(name))):
+        ingest_csv(p)
+
+
+def ingest_outcome(path, schema=None):
+    """Every field of ``ingest_csv``'s series, bit for bit, or its error."""
+    try:
+        ts = ingest_csv(path, schema)
+    except (DataError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return ts.time.tobytes(), ts.features.tobytes(), ts.features.shape, ts.channel_names, ts.dropped_rows
+
+
+def ingest_rows_outcome(path, schema=None):
+    """``ingest_outcome`` of the per-row parse alone, the reference."""
+    with mock.patch.object(data, "_parse_plain", return_value=None):
+        return ingest_outcome(path, schema)
+
+
+# Lines and cells that the csv module and float() read otherwise than a plain
+# parse would, or not at all; a body holding any of them takes the per-row parse.
+ODD_LINES = ["space", "comment", "short"]
+ODD_CELLS = [
+    '"1.5"', '"2,5"', '"3', "1_0", "١٢", "\xa01.5", "1.5\xa0", "\x1c1.5", "1.5\x1c", "1.5\x1d",
+    "\x1e2", "2\x1f", "nan", "inf", "-inf", "1e999", "-1e999", "", " ", "\t", "e", "1e", "+", ".", "1..5",
+    "1 5", "0x1", "#4",
+]
+PLAIN_FORMATS = [repr, "{:.17g}".format, "{:.6e}".format, "{:+.3E}".format, "{:.4f}".format]
+
+
+@st.composite
+def csv_texts(draw):
+    """(odd kinds, text) of a ``time_h,Utot_V,X,I_A`` file: plain numeric rows
+    and blank lines, with up to two kinds of odd line or cell mixed in."""
+    odd = draw(st.lists(st.sampled_from(ODD_LINES + ODD_CELLS), max_size=2, unique=True))
+    kinds = ["ok", "ok", "ok", "blank", "long", "trailing"] + ["odd"] * bool(odd)
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    number = st.builds(lambda fmt, x: fmt(x), st.sampled_from(PLAIN_FORMATS), st.floats(-1e307, 1e307))
+    lines = [draw(st.sampled_from(["", "# a note\n", "\n"])) + "time_h,Utot_V,X,I_A"]
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        cells = [draw(st.sampled_from([str(i), f"{i}.5", f"{i}e0", f"{10 * i}E-1"])),
+                 draw(number), draw(st.sampled_from(["", "7"])), draw(number)]
+        cells = [draw(pad) + cell + draw(pad) for cell in cells]
+        if kind == "odd":
+            kind = draw(st.sampled_from(odd))
+            if kind in ODD_CELLS:
+                cells[draw(st.integers(0, 3))] = kind
+        line = {
+            "blank": "",
+            "space": draw(st.sampled_from([" ", "\t", " \t "])),
+            "comment": "#" + ",".join(cells),
+            "short": ",".join(cells[: draw(st.integers(1, 3))]),
+            "long": ",".join(cells + ["8", "9"]),
+            "trailing": ",".join(cells) + ",",
+        }.get(kind, ",".join(cells))
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return odd, text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=csv_texts())
+def test_ingest_bulk_and_per_row_parses_agree(tmp_path_factory, case):
+    odd, text = case
+    path = tmp_path_factory.getbasetemp() / "ingest_case.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    schema = CsvSchema(covariates=("I_A",))
+    with mock.patch.object(data, "_parse_rows", wraps=data._parse_rows) as per_row:
+        assert ingest_outcome(path, schema) == ingest_rows_outcome(path, schema)
+    if not odd:
+        assert per_row.call_count == 1  # only the reference's: a plain body took the bulk parse
+
+
+def test_ingest_drops_a_row_with_a_control_character_numpy_would_strip(tmp_path):
+    # numpy strips 0x1c-0x1f around a number and float() does not, so an
+    # unguarded np.loadtxt would keep the middle row as 3.2.
+    p = tmp_path / "ctl.csv"
+    p.write_text("time_h,Utot_V\n0.0,3.3\n0.1,3.2\x1c\n0.2,3.1\n", encoding="utf-8")
+    ts = ingest_csv(p)
+    assert ts.time.tolist() == [0.0, 0.2] and ts.dropped_rows == 1
+    assert ingest_outcome(p) == ingest_rows_outcome(p)
+
+
+def test_ingest_parses_a_plain_body_in_bulk(tmp_path):
+    p = tmp_path / "plain.csv"
+    p.write_text("#marker\ntime_h,Utot_V,I_A\r\n0.0,3.3,70\r\n\r\n0.1, 3.29 ,7.1e1\r\n", encoding="utf-8")
+    with mock.patch.object(data, "_parse_rows", side_effect=AssertionError("per-row parse used")):
+        ts = ingest_csv(p)
+    assert ts.time.tolist() == [0.0, 0.1] and ts.features.tolist() == [[3.3, 70.0], [3.29, 71.0]]
+    assert ingest_outcome(p) == ingest_rows_outcome(p)
+
+
+def test_ingest_csv_field_over_the_size_limit_is_data_error(tmp_path):
+    p = tmp_path / "quote.csv"
+    p.write_text('time_h,Utot_V\n0.0,3.3\n"' + "0.1,3.2\n" * 20000, encoding="utf-8")
+    with pytest.raises(DataError, match=r"quote\.csv: line \d+: field larger than field limit"):
         ingest_csv(p)
 
 

@@ -710,6 +710,32 @@ def test_checkpoint_header_rejects_unstorable_extra(tmp_path, extra):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("extra", [{"stats.target": "I_A"}, {"model.width": "8"}, {"stats.note": "x"}])
+def test_checkpoint_header_rejects_extra_keys_it_owns(tmp_path, extra):
+    # Extra entries were written after the model.* and stats.* lines, and the
+    # last of a repeated key won: stats.target=I_A reloaded with target I_A,
+    # and model.width=8 wrote a checkpoint that could not be loaded.
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ParameterError, match=f"{next(iter(extra))!r} is under 'model.' or 'stats.'"):
+        save_checkpoint(path, model, stats, "Utot_V", extra)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key, repeat", [
+    ("stats.target", "I_A"),
+    ("model.width", "8"),
+    ("train.seed", "1"),
+])
+def test_checkpoint_header_with_a_repeated_key_is_corruption(tmp_path, key, repeat):
+    series, stats, windows, model, cfg = tiny_setup(epochs=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, stats, "Utot_V", {"train.seed": "0"})
+    edit_checkpoint_header(path, key, lambda v: f"{v}\n{key}={repeat}")
+    with pytest.raises(CorruptionError, match=f"names {key!r} twice"):
+        load_checkpoint(path)
+
+
 def test_save_checkpoint_writes_the_given_target_and_requires_one(tmp_path):
     # Channels ordered (I_A, Utot_V) with target Utot_V: a save without a
     # target once wrote the first channel, I_A, as stats.target.
