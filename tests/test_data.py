@@ -216,13 +216,6 @@ def test_ingest_parses_a_plain_body_in_bulk(tmp_path):
     assert ingest_outcome(p) == ingest_rows_outcome(p)
 
 
-def test_ingest_csv_field_over_the_size_limit_is_data_error(tmp_path):
-    p = tmp_path / "quote.csv"
-    p.write_text('time_h,Utot_V\n0.0,3.3\n"' + "0.1,3.2\n" * 20000, encoding="utf-8")
-    with pytest.raises(DataError, match=r"quote\.csv: line \d+: field larger than field limit"):
-        ingest_csv(p)
-
-
 # ---------------------------------------------------------------------------
 # condense
 
