@@ -9,7 +9,10 @@ slicing and scalar reductions. For the model's one-node forward,
 ``_stage_forward`` and ``_stage_backward`` run a whole encoder stage on arrays
 from those primitives' numpy helpers; only they skip work: a one-key stage's
 q and k, and, given the one token row to keep, every other row's q, out
-projection, layer norms and FFN.
+projection, layer norms and FFN. On the rollout's small arrays each numpy call
+costs about a microsecond of dispatch, so the helpers call ``np.add.reduce``
+and ``np.maximum.reduce`` directly, the same reductions as ``.sum`` and ``.max``
+without numpy's Python wrappers around them.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -28,6 +31,7 @@ the model exclusively.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import threading
@@ -283,12 +287,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -298,14 +302,20 @@ def softmax_last(x: Tensor) -> Tensor:
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(..., rows, D) -> (..., H, rows, D / H)."""
+    """(..., rows, D) -> (..., H, rows, D / H); one head is ``a`` itself, with
+    no head axis: each product then meets the same (rows, D) matrices, so it
+    rounds the same, without a reshape and swap per array."""
+    if heads == 1:
+        return a
     *lead, rows, d = a.shape
     return a.reshape(*lead, rows, heads, d // heads).swapaxes(-3, -2)
 
 
-def _merge_heads(a: np.ndarray) -> np.ndarray:
+def _merge_heads(a: np.ndarray, heads: int) -> np.ndarray:
     """(..., H, rows, hd) -> (..., rows, H * hd), the inverse of _split_heads."""
-    *lead, heads, rows, hd = a.shape
+    if heads == 1:
+        return a
+    *lead, _, rows, hd = a.shape
     return a.swapaxes(-3, -2).reshape(*lead, rows, heads * hd)
 
 
@@ -316,15 +326,15 @@ def _attention(q, k, v, heads):
     kt = np.ascontiguousarray(_split_heads(k, heads).swapaxes(-1, -2))
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
     p = _softmax((qh @ kt) * c)
-    return _merge_heads(p @ vh), (qh, kt, vh, p, c)
+    return _merge_heads(p @ vh, heads), (qh, kt, vh, p, c, heads)
 
 
-def _attention_grads(g, qh, kt, vh, p, c):
-    gh = _split_heads(g, p.shape[-3])
+def _attention_grads(g, qh, kt, vh, p, c, heads):
+    gh = _split_heads(g, heads)
     gs = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
-    gq = _merge_heads(gs @ kt.swapaxes(-1, -2))
-    gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-    gv = _merge_heads(p.swapaxes(-1, -2) @ gh)
+    gq = _merge_heads(gs @ kt.swapaxes(-1, -2), heads)
+    gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), heads)
+    gv = _merge_heads(p.swapaxes(-1, -2) @ gh, heads)
     return gq, gk, gv
 
 
@@ -349,14 +359,14 @@ def _single_key_grads(g, heads):
     """:func:`attention`'s v gradient for one key (softmax weight exactly 1):
     each head's n row gradients summed in attention's order, bit for bit."""
     n = g.shape[-2]
-    return _merge_heads(np.ones((heads, 1, n)) @ _split_heads(g, heads))
+    return _merge_heads(np.ones((1, n)) @ _split_heads(g, heads), heads)
 
 
 def _layer_norm(z, eps):
     """Forward of :func:`layer_norm` on arrays: the output and what its backward needs."""
     n = z.shape[-1]
-    c = z - z.sum(axis=-1, keepdims=True) / n
-    sigma = np.sqrt((c * c).sum(axis=-1, keepdims=True) / n)
+    c = z - np.add.reduce(z, axis=-1, keepdims=True) / n
+    sigma = np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n)
     s = sigma + eps
     return c / s, (c, sigma, s)
 
@@ -366,8 +376,8 @@ def _layer_norm_grads(g, c, sigma, s):
     inv_s = 1.0 / s
     # d sigma / d c_j = c_j / (n * sigma); zero at exactly-constant slices
     coef = np.where(sigma > 0.0, inv_s * inv_s / (n * np.where(sigma > 0.0, sigma, 1.0)), 0.0)
-    gc = g * inv_s - c * ((g * c).sum(axis=-1, keepdims=True) * coef)
-    return gc - gc.sum(axis=-1, keepdims=True) / n
+    gc = g * inv_s - c * (np.add.reduce(g * c, axis=-1, keepdims=True) * coef)
+    return gc - np.add.reduce(gc, axis=-1, keepdims=True) / n
 
 
 def layer_norm(z: Tensor, eps: float = 1e-5) -> Tensor:
@@ -383,6 +393,15 @@ def layer_norm(z: Tensor, eps: float = 1e-5) -> Tensor:
     return _result(y, (z,), lambda g: (_layer_norm_grads(g, *saved),))
 
 
+@functools.lru_cache(maxsize=256)
+def _pad_index(n: int, rows: int) -> np.ndarray:
+    """Read-only row index that edge-pads n rows to ``rows``: 0 .. n-1, then
+    n-1 repeated; one ``take`` over it builds the padded input."""
+    index = np.minimum(np.arange(rows), n - 1)
+    index.flags.writeable = False
+    return index
+
+
 def _depthwise_conv1d(x, kernel, bias):
     """Forward of :func:`depthwise_conv1d` on arrays: the output and what the
     backward needs, the input as (..., J, r', D) blocks and the (r', D) taps
@@ -393,15 +412,15 @@ def _depthwise_conv1d(x, kernel, bias):
     r, d = kernel.shape
     n = x.shape[-2]
     if n < r:
-        taps = np.concatenate([kernel[: n - 1], kernel[n - 1 :].sum(axis=0, keepdims=True)])
+        taps = np.concatenate([kernel[: n - 1], np.add.reduce(kernel[n - 1 :], axis=0, keepdims=True)])
         xr = x[..., None, :, :]
     else:
         taps = kernel
         j = -(-n // r)  # ceil
         if j * r > n:
-            x = np.concatenate([x, np.repeat(x[..., -1:, :], j * r - n, axis=-2)], axis=-2)
+            x = x.take(_pad_index(n, j * r), axis=-2)
         xr = x.reshape(x.shape[:-2] + (j, r, d))
-    return (xr * taps).sum(axis=-2) + bias, (xr, taps)
+    return np.add.reduce(xr * taps, axis=-2) + bias, (xr, taps)
 
 
 def _depthwise_conv1d_grads(g, saved, r, n):
@@ -411,14 +430,14 @@ def _depthwise_conv1d_grads(g, saved, r, n):
     same sum each of them gets from the padded blocks."""
     xr, taps = saved
     *lead, j, rb, d = xr.shape
-    gk = (xr * g[..., :, None, :]).reshape(-1, rb, d).sum(axis=0)
+    gk = np.add.reduce((xr * g[..., :, None, :]).reshape(-1, rb, d), axis=0)
     if rb < r:
         gk = np.concatenate([gk, np.repeat(gk[-1:], r - rb, axis=0)])
-    gb = g.reshape(-1, d).sum(axis=0)
+    gb = np.add.reduce(g.reshape(-1, d), axis=0)
     gxp = (g[..., :, None, :] * taps).reshape(*lead, j * rb, d)
     gx = np.ascontiguousarray(gxp[..., :n, :])
     if j * rb > n:
-        gx[..., n - 1, :] += gxp[..., n:, :].sum(axis=-2)
+        gx[..., n - 1, :] += np.add.reduce(gxp[..., n:, :], axis=-2)
     return gx, gk, gb
 
 

@@ -248,7 +248,7 @@ class TSTransformerModel:
             raise ParameterError(f"channel {channel} out of range [0, {cfg.n_variates})")
         ad._check_data(arr)  # before centring, which would compute inf - inf
         with np.errstate(over="ignore"):  # a finite window's sum can overflow; the check below raises
-            mu = arr.sum(axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
+            mu = np.add.reduce(arr, axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
             centered = arr - mu
         ad._check_data(centered)
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)

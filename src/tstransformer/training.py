@@ -252,7 +252,9 @@ def rolling_forecast(
     (default: the full horizon). Predicted target values re-enter later
     windows; covariates come from the recorded test rows (``oracle``) or
     repeat the last pre-boundary row (``hold_last``). Output is
-    denormalized and aligned exactly with the test timestamps.
+    denormalized and aligned exactly with the test timestamps. A round
+    whose forward overflows, or whose forecast is not finite, raises a
+    NumericalError naming the row the round starts at.
     """
     cfg = model.config
     s = rollout_step(cfg.horizon, step, covariate_mode)
@@ -282,13 +284,19 @@ def rolling_forecast(
 
     preds = np.empty(n - origin)
     pos = origin
-    with ad.no_grad():
+    # A layer norm maps an overflowed row to zeros, so an overflow can leave
+    # the forecast finite: it raises here instead. forward's ValueError is a
+    # window whose values are finite but whose mean overflows.
+    with ad.no_grad(), np.errstate(over="raise", invalid="raise"):
         while pos < n:
             window = work[pos - cfg.lookback : pos]
-            out = model.forward(window)  # (M, S)
+            try:
+                out = model.forward(window)  # (M, S)
+            except (FloatingPointError, ValueError) as exc:
+                raise NumericalError(f"non-finite forecast in the round starting at row {pos}: {exc}") from None
             take = min(s, n - pos)
             chunk = out.data[ti, :take]
-            if not np.all(np.isfinite(chunk)):
+            if not np.isfinite(chunk).all():
                 raise NumericalError(f"non-finite forecast in the round starting at row {pos}")
             work[pos : pos + take, ti] = chunk
             preds[pos - origin : pos - origin + take] = chunk

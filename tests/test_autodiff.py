@@ -188,12 +188,14 @@ def test_conv_edge_replication():
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])
-@pytest.mark.parametrize("n, r", [(5, 16), (5, 32), (3, 4), (1, 4), (1, 32), (4, 4), (32, 32), (5, 4), (19, 16)])
+@pytest.mark.parametrize("n, r", [(5, 16), (5, 32), (3, 4), (1, 4), (1, 32), (4, 4), (32, 32), (5, 4), (19, 16),
+                                  (6, 4), (7, 4), (17, 16), (33, 32), (5, 1), (1, 1)])
 def test_conv_matches_edge_padded_reference(n, r, lead):
     # N < r (one partial block) folds the padding into the last tap: output and
     # x gradient within 2 r eps of the padded sums' magnitude (each side's
     # r-term sum, then the bias add, rounds within r eps of it), the kernel
-    # gradient bit for bit; N >= r (no padding, or J > 1 blocks) is unchanged
+    # gradient bit for bit; N >= r (no padding, or J > 1 blocks gathered by
+    # one take over a cached index) is unchanged
     rng = np.random.default_rng(n * 100 + r)
     x_a, k_a, b_a = rng.normal(size=lead + (n, 5)), rng.normal(size=(r, 5)), rng.normal(size=5)
     cot = rng.normal(size=lead + (-(-n // r), 5))
@@ -205,6 +207,11 @@ def test_conv_matches_edge_padded_reference(n, r, lead):
     assert np.array_equal(k.grad, want_gk) and np.array_equal(b.grad, want_gb)
     if n >= r:
         assert np.array_equal(out.data, want_out) and np.array_equal(x.grad, want_gx)
+        if n % r:  # the index the convolution gathered by: shared, so read-only, and unchanged
+            rows = -(-n // r) * r
+            index = ad._pad_index(n, rows)
+            assert not index.flags.writeable
+            assert np.array_equal(index, np.minimum(np.arange(rows), n - 1))
         return
     eps = np.finfo(np.float64).eps
     xp = np.concatenate([x_a, np.repeat(x_a[..., -1:, :], r - n, axis=-2)], axis=-2)

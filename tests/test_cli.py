@@ -651,6 +651,46 @@ def test_predict_non_finite_forecast_exit_4(workdir, tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+def _set_before_split(workdir, path, channel, value, offsets):
+    """Copy the preprocessed fixture to ``path`` with ``channel`` set to the text
+    ``value`` in the rows ``offsets`` places before the 40 h split (1 is the
+    last row before it); returns the split's row index, the rollout's first round."""
+    head, cols, *rows = (workdir / "pre.csv").read_text().splitlines()
+    origin = sum(float(row.split(",")[0]) < 40.0 for row in rows)
+    col = cols.split(",").index(channel)
+    for k in offsets:
+        cells = rows[origin - k].split(",")
+        cells[col] = value
+        rows[origin - k] = ",".join(cells)
+    path.write_text("\n".join([head, cols, *rows]) + "\n")
+    return origin
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_predict_overflow_hidden_by_layer_norm_exit_4(workdir, tmp_path, capsys):
+    # The sum of squares in the first layer norm overflows on this row, and
+    # the norm maps it to zeros: the forecast came out finite, and predict
+    # wrote it and exited 0 with only a RuntimeWarning.
+    origin = _set_before_split(workdir, tmp_path / "bad.csv", "I_A", "1e155", [5])
+    assert run("predict", "--data", tmp_path / "bad.csv", "--checkpoint", workdir / "model.ckpt",
+               "--out", tmp_path / "f.csv") == 4
+    assert f"non-finite forecast in the round starting at row {origin}: overflow" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_predict_overflowing_window_mean_exit_4(workdir, tmp_path, capsys):
+    # Six target values of 0.3 times the float64 maximum after z-scoring: each
+    # is finite, the window's sum is not, and forward's ValueError once ended
+    # predict in a traceback.
+    mean, std = load_checkpoint(workdir / "model.ckpt").stats.channel("Utot_V")
+    value = repr(float(mean + 0.3 * np.finfo(np.float64).max * std))
+    origin = _set_before_split(workdir, tmp_path / "bad.csv", "Utot_V", value, range(1, 7))
+    assert run("predict", "--data", tmp_path / "bad.csv", "--checkpoint", workdir / "model.ckpt",
+               "--out", tmp_path / "f.csv") == 4
+    assert f"non-finite forecast in the round starting at row {origin}: tensor data" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # allocator
 

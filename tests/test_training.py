@@ -522,6 +522,42 @@ def test_rolling_covariate_modes_differ_only_with_varying_covariates():
     assert not np.array_equal(a2.pred, b2.pred)
 
 
+@pytest.mark.parametrize("horizon, step", [(1, None), (4, 2)])
+@pytest.mark.parametrize("mode", ["oracle", "hold_last"])
+def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(horizon, step, mode):
+    # The benchmark checks the first forecast value against a full-row forward
+    # of the reloaded model, bit for bit: a rollout that runs another product
+    # (one row, say) must change that check with it. At five variates a
+    # one-row rollout differs from this one in the last bit of some values.
+    series = synth_degradation(3, 60.0, 5, DegradationSpec(noise_std_volts=0.0))
+    boundary = 20.0
+    train_ts = split_at(series, boundary)[0]
+    stats = zscore_fit(train_ts)
+    cfg = ModelConfig(n_variates=5, lookback=16, horizon=horizon, ratios=(1.0, 0.5, 0.25))
+    model = TSTransformerModel(cfg, seed=2)  # r = 2 and r = 4 pad the 5 tokens
+    train(model, make_windows(zscore_apply(train_ts, stats), 16, horizon), TrainConfig(epochs=1, batch_size=32))
+    fc = rolling_forecast(model, series, stats, boundary, step=step, covariate_mode=mode)
+
+    normed = zscore_apply(series, stats).features
+    work = normed.copy()
+    origin, ti = int(np.searchsorted(series.time, boundary)), series.target_index
+    if mode == "hold_last":
+        covariates = [c for c in range(work.shape[1]) if c != ti]
+        work[origin:, covariates] = work[origin - 1, covariates]
+    preds = []
+    with ad.no_grad():
+        for pos in range(origin, len(series), step or horizon):
+            out = model.forward(work[pos - cfg.lookback : pos]).data
+            take = min(step or horizon, len(series) - pos)
+            work[pos : pos + take, ti] = out[ti, :take]
+            preds.extend(out[ti, :take])
+        fresh = TSTransformerModel.from_arrays(cfg, [p.data for p in model.parameters()])
+        first = fresh.forward(normed[origin - cfg.lookback : origin]).data[ti, 0]
+    mean, std = stats.channel(series.target_channel)
+    assert fc.pred.tobytes() == (np.array(preds) * std + mean).tobytes()
+    assert fc.pred[0] == first * std + mean
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
