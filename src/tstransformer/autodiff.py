@@ -12,7 +12,9 @@ q and k, and, given the one token row to keep, every other row's q, out
 projection, layer norms and FFN. On the rollout's small arrays each numpy call
 costs about a microsecond of dispatch, so the helpers call ``np.add.reduce``
 and ``np.maximum.reduce`` directly, the same reductions as ``.sum`` and ``.max``
-without numpy's Python wrappers around them.
+without numpy's Python wrappers around them, and ``_stage_forward`` runs on
+the joined arrays of ``_fuse_stage``: one product for q, k and v and one
+convolution for K and V, whose column blocks round as the separate ones.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -138,7 +140,7 @@ def _result(arr, inputs, grad_fn) -> Tensor:
 def _reduce_leading(g: np.ndarray, shape: tuple) -> np.ndarray:
     # Sum out leading stack axes introduced by batched inputs.
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     return g
 
 
@@ -264,7 +266,7 @@ def _affine_grads(g, x, w, want_x):
     k, n = w.shape
     g2 = g.reshape(-1, n)
     gx = (g2 @ w.T).reshape(*g.shape[:-1], k) if want_x else None
-    return gx, x.reshape(-1, k).T @ g2, g2.sum(axis=0)
+    return gx, x.reshape(-1, k).T @ g2, np.add.reduce(g2, axis=0)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -402,24 +404,32 @@ def _pad_index(n: int, rows: int) -> np.ndarray:
     return index
 
 
+def _fold_taps(kernel, n):
+    """The (r', D) taps n tokens meet: the (r, D) kernel itself (r' = r), except
+    when the whole token axis is one partial block (n < r): then the padding is
+    not built, and the n real rows meet n taps (r' = n), the last of which is
+    kernel rows n-1 .. r-1 summed, the rows the replicated last token meets.
+    Folded taps fold to themselves."""
+    if n >= len(kernel):
+        return kernel
+    return np.concatenate([kernel[: n - 1], np.add.reduce(kernel[n - 1 :], axis=0, keepdims=True)])
+
+
 def _depthwise_conv1d(x, kernel, bias):
     """Forward of :func:`depthwise_conv1d` on arrays: the output and what the
-    backward needs, the input as (..., J, r', D) blocks and the (r', D) taps
-    they meet. That is the edge-padded input and the kernel (r' = r), except
-    when the whole token axis is one partial block (N < r): then the padding
-    is not built, and the N real rows meet N taps (r' = N), the last of which
-    is kernel rows N-1 .. r-1 summed, the rows the replicated last token meets."""
-    r, d = kernel.shape
+    backward needs, the input as (..., J, r', D) blocks and the
+    :func:`_fold_taps` they meet. ``kernel`` may be taps already folded for x's
+    token count, as a one-key stage passes them. One tap (r' = 1) is a
+    per-channel multiply and add, without blocks to reduce."""
     n = x.shape[-2]
-    if n < r:
-        taps = np.concatenate([kernel[: n - 1], np.add.reduce(kernel[n - 1 :], axis=0, keepdims=True)])
-        xr = x[..., None, :, :]
-    else:
-        taps = kernel
-        j = -(-n // r)  # ceil
-        if j * r > n:
-            x = x.take(_pad_index(n, j * r), axis=-2)
-        xr = x.reshape(x.shape[:-2] + (j, r, d))
+    taps = _fold_taps(kernel, n)
+    rb, d = taps.shape
+    if rb == 1:
+        return x * taps + bias, (x[..., None, :], taps)
+    j = -(-n // rb)  # ceil
+    if j * rb > n:
+        x = x.take(_pad_index(n, j * rb), axis=-2)
+    xr = x.reshape(x.shape[:-2] + (j, rb, d))
     return np.add.reduce(xr * taps, axis=-2) + bias, (xr, taps)
 
 
@@ -470,10 +480,25 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
 # encoder stage (array helpers for the model's forward node)
 
 
-def _stage_forward(x, arrays, r, heads, eps, row=None):
+def _fuse_stage(arrays, r, n):
+    """The joined arrays :func:`_stage_forward` runs a stage on for n tokens,
+    from the stage's 14 parameters in checkpoint order. With more tokens than
+    the reduction factor (n > r) they are the (D, 3D) weight [q|k|v] and its
+    bias, and the (r, 2D) K|V reducer [k|v] and its bias; with one key (n <= r)
+    only the v reducer's taps, folded for n (:func:`_fold_taps`). They are
+    copies: build them again after the parameters change."""
+    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb = arrays[:10]
+    if n <= r:
+        return (_fold_taps(vk, n),)
+    return (np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv]),
+            np.concatenate([kk, vk], axis=1), np.concatenate([kb, vb]))
+
+
+def _stage_forward(x, arrays, r, heads, eps, row=None, fused=None):
     """A post-norm encoder stage on tokens x (..., N, D): y and what
     :func:`_stage_backward` needs. ``arrays`` are the stage's 14 parameters in
-    checkpoint order (q, k, v, k and v reducers, out, ffn); reduce is the
+    checkpoint order (q, k, v, k and v reducers, out, ffn), and ``fused`` their
+    :func:`_fuse_stage` for N tokens (built here if not given); reduce is the
     stride-r :func:`depthwise_conv1d`. y equals the primitives' chain bit for bit:
 
         a = affine(attention(affine(xr, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
@@ -481,18 +506,33 @@ def _stage_forward(x, arrays, r, heads, eps, row=None):
 
     where xr is x, or with ``row`` set only token ``row`` (``slice_axis``), so
     y is (..., 1, D): K and V read every token, q, out, the layer norms and
-    the FFN run on the kept row alone. When N <= r K/V reduce to one key,
-    whose softmax weight is exactly 1: q, k and the k reducer are skipped and
-    their saved entries are None."""
+    the FFN run on the kept row alone. q, k and v come from one product with
+    [q|k|v], or with ``row`` set k and v from one with its [k|v] columns and q
+    from the row's own product with q (a one-row product may round otherwise
+    than that row of an N-row one); one convolution reduces K|V. Each column
+    block of a joined product equals its own product under this BLAS, and the
+    views of the blocks are what attention and the backward read. When
+    N <= r K/V reduce to one key, whose softmax weight is exactly 1: q, k and
+    the k reducer are skipped and their saved entries are None."""
     wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
-    n = x.shape[-2]
+    n, d = x.shape[-2:]
+    if fused is None:
+        fused = _fuse_stage(arrays, r, n)
     xr = x if row is None else np.ascontiguousarray(x[..., row : row + 1, :])
-    v_red, v_conv = _depthwise_conv1d(_affine(x, wv, bv), vk, vb)
     if n <= r:
+        v_red, v_conv = _depthwise_conv1d(_affine(x, wv, bv), fused[0], vb)
         att, k_conv, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None, None
     else:
-        k_red, k_conv = _depthwise_conv1d(_affine(x, wk, bk), kk, kb)
-        att, att_saved = _attention(_affine(xr, wq, bq), k_red, v_red, heads)
+        wqkv, bqkv, kv_kernel, kv_bias = fused
+        if row is None:
+            qkv = _affine(x, wqkv, bqkv)
+            q, kv = qkv[..., :d], qkv[..., d:]
+        else:
+            q, kv = _affine(xr, wq, bq), _affine(x, wqkv[:, d:], bqkv[d:])
+        kv_red, (kv_blocks, kv_taps) = _depthwise_conv1d(kv, kv_kernel, kv_bias)
+        k_conv = kv_blocks[..., :d], kv_taps[:, :d]
+        v_conv = kv_blocks[..., d:], kv_taps[:, d:]
+        att, att_saved = _attention(q, kv_red[..., :d], kv_red[..., d:], heads)
     normed, ln1 = _layer_norm(xr + _affine(att, wo, bo), eps)
     f = _affine(normed, wf, bf)
     mask = f > 0.0

@@ -10,6 +10,7 @@ inverted-transformer attention.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -155,6 +156,25 @@ class TSTransformerModel:
         # forward's per-stage arrays: views of the vector, so in-place updates reach them
         self._stage_arrays = tuple(tuple(view for name, view in views if name.startswith(f"stage{i}."))
                                    for i in range(config.stages))
+        self._fused = None  # set only inside _fused_once
+
+    def _fuse_stages(self) -> tuple:
+        """Every stage's :func:`autodiff._fuse_stage` arrays for the M-token
+        forward, built from the parameters as they are now."""
+        m = self.config.n_variates
+        return tuple(ad._fuse_stage(arrays, r, m) for arrays, r in zip(self._stage_arrays, self._factors))
+
+    @contextlib.contextmanager
+    def _fused_once(self):
+        """Inside the block every :meth:`forward` runs on one build of the fused
+        stage arrays instead of building them per call, as a rollout's rounds
+        do; the parameters must not change inside it."""
+        outer = self._fused
+        self._fused = self._fuse_stages()
+        try:
+            yield
+        finally:
+            self._fused = outer
 
     # -- parameter access ---------------------------------------------------
 
@@ -233,6 +253,9 @@ class TSTransformerModel:
         (``embed``, post-norm stages, the last with ``slice_axis`` before its q
         and residual when ``channel`` is set, head affine, mean add) bit for
         bit, but a one-key stage's q, k and k reducer get None, not zeros.
+        Each call joins every stage's q, k and v weights and its K and V
+        reducers anew (``ad._fuse_stage``), as the parameters may have changed
+        since the last; a rollout's rounds share one build (``_fused_once``).
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -259,9 +282,10 @@ class TSTransformerModel:
         x = ad._affine(xt, we, be)
         recording = ad._state.recording
         rows = [None] * (cfg.stages - 1) + [channel]  # the last stage runs on the asked-for row alone
+        fused = self._fused or self._fuse_stages()
         stages = []  # each stage's input and saved state, kept only for the backward
-        for arrays, r, row in zip(self._stage_arrays, self._factors, rows):
-            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps, row)
+        for arrays, r, row, joined in zip(self._stage_arrays, self._factors, rows, fused):
+            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps, row, joined)
             if recording:
                 stages.append((x, saved))
             x = y

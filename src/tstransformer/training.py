@@ -286,8 +286,9 @@ def rolling_forecast(
     pos = origin
     # A layer norm maps an overflowed row to zeros, so an overflow can leave
     # the forecast finite: it raises here instead. forward's ValueError is a
-    # window whose values are finite but whose mean overflows.
-    with ad.no_grad(), np.errstate(over="raise", invalid="raise"):
+    # window whose values are finite but whose mean overflows. The rounds
+    # change no parameter, so they share one build of the fused stage arrays.
+    with ad.no_grad(), model._fused_once(), np.errstate(over="raise", invalid="raise"):
         while pos < n:
             window = work[pos - cfg.lookback : pos]
             try:

@@ -222,6 +222,26 @@ def test_conv_matches_edge_padded_reference(n, r, lead):
     assert np.array_equal(x.grad[..., : n - 1, :], want_gx[..., : n - 1, :])  # only the last token's taps fold
 
 
+@pytest.mark.parametrize("rows", [1, 5, 24, 64 * 5, 64 * 24])  # one token row, M, and a batch of 64 windows
+def test_blas_rounds_each_column_block_as_its_own_product(rows):
+    # The encoder stage reads q, k and v as column blocks of one product with
+    # [q|k|v], or k and v of one with its [k|v] columns, and the model matches
+    # the chain of primitives bit for bit only if this BLAS rounds each block as
+    # the block's own (rows, 16) @ (16, 16) product. A build that breaks this
+    # fails here by name, not as a puzzling mismatch of the composed chain.
+    rng = np.random.default_rng(rows)
+    d = 16
+    x = rng.normal(size=(rows, d))
+    parts = [rng.normal(size=(d, d)) for _ in range(3)]
+    joined = np.concatenate(parts, axis=1)
+    for cols, blocks in ((joined, parts), (joined[:, d:], parts[1:])):
+        product = x @ cols
+        for i, w in enumerate(blocks):
+            if not np.array_equal(product[:, i * d : (i + 1) * d], x @ w):
+                pytest.fail(f"BLAS premise broken: column block {i} of the ({rows}, {d}) @ {cols.shape} "
+                            f"product rounds otherwise than its own ({rows}, {d}) @ ({d}, {d}) product")
+
+
 def test_conv_rejects_bad_reduction():
     x = t(np.ones((4, 1)))
     with pytest.raises(ParameterError):

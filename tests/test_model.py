@@ -374,6 +374,19 @@ def test_encoder_stage_matches_composed_block_bit_for_bit(heads, m, mode, lead):
     assert_forward_matches_composed(model, x, cot)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("m", [9, 24])  # 9 tokens pad the last stage's r = 4 blocks to 12; 24 fill six
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_two_key_last_stage_on_one_row_matches_composed_bit_for_bit(heads, m, lead):
+    # the last stage's K and V from one product with its fused [k|v] columns and
+    # one convolution, its q from the kept row's own product, against the chain
+    model = perturbed_model(toy_config(n_variates=m, heads=heads, ratios=(1.0, 0.25)), seed=5)
+    rng = np.random.default_rng(heads * 100 + m)
+    x = rng.normal(size=lead + (32, m))
+    for channel in (0, m - 1):
+        assert_forward_matches_composed(model, x, rng.normal(size=lead + (1, 1)), channel)
+
+
 EVERY_BIAS = tuple(name for name, _ in param_shapes(toy_config(n_variates=5)) if name.endswith(".bias"))
 
 
@@ -477,21 +490,34 @@ def test_forward_channel_is_the_full_forward_row_within_ulps(lead):
 def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
     # the head's and the last stage's q, out and FFN affines see (..., 1, .)
     # arrays in the forward and in both backward products, not (..., M, .);
-    # only K and V read every token
-    watched = {}
-    affine, affine_grads = ad._affine, ad._affine_grads
+    # only K and V read every token: in the forward through one product with
+    # the [k|v] columns of the stage's fused weight ("stage3.kv"), in the
+    # backward through k's and v's own weights
+    watched, fused = {}, []
+    affine, affine_grads, fuse_stage = ad._affine, ad._affine_grads, ad._fuse_stage
+
+    def watched_fuse_stage(arrays, r, n):
+        fused.append(fuse_stage(arrays, r, n))
+        return fused[-1]
+
+    def name_of(w):
+        if id(w) in watched:
+            return watched[id(w)]
+        last = fused[-1] if fused else ()  # stages fuse in order, so the last stage's arrays come last
+        return "stage3.kv" if len(last) > 1 and np.shares_memory(w, last[0]) else None
 
     def watched_affine(x, w, b):
         out = affine(x, w, b)
-        if id(w) in watched:
-            watched[id(w)][1].append(out.shape[-2])
+        if name_of(w) is not None:
+            rows[name_of(w)].append(out.shape[-2])
         return out
 
     def watched_affine_grads(g, x, w, want_x):
-        if id(w) in watched:
-            watched[id(w)][1].append(g.shape[-2])
+        if name_of(w) is not None:
+            rows[name_of(w)].append(g.shape[-2])
         return affine_grads(g, x, w, want_x)
 
+    monkeypatch.setattr(ad, "_fuse_stage", watched_fuse_stage)
     monkeypatch.setattr(ad, "_affine", watched_affine)
     monkeypatch.setattr(ad, "_affine_grads", watched_affine_grads)
     x = np.random.default_rng(12).normal(size=lead + (32, 5))
@@ -499,11 +525,12 @@ def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
         model = TSTransformerModel(toy_config(n_variates=5, horizon=7, mode=mode), seed=15)
         names = ("project", "stage3.out", "stage3.ffn", "stage3.q", "stage3.k", "stage3.v")
         watched.clear()
-        watched.update((id(model.param(f"{name}.weight").data), (name, [])) for name in names)
+        watched.update((id(model.param(f"{name}.weight").data), name) for name in names)
+        rows = {name: [] for name in names + ("stage3.kv",)}
         ad.backward(ad.sum_all(model.forward(x, channel=3)))
-        rows = dict(watched.values())
         assert rows == {"project": [1, 1], "stage3.out": [1, 1], "stage3.ffn": [1, 1], "stage3.q": q_rows,
-                        "stage3.k": [5, 5] if q_rows else [], "stage3.v": [5, 5]}, mode
+                        "stage3.kv": [5] if q_rows else [], "stage3.k": [5] if q_rows else [],
+                        "stage3.v": [5] if q_rows else [5, 5]}, mode
 
 
 @pytest.mark.parametrize("channel", [-1, 6])

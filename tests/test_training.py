@@ -455,20 +455,51 @@ def test_rolling_covers_test_span_exactly():
 
 @pytest.mark.parametrize("step", [1, 4])
 def test_rolling_calls_forward_once_per_round(step, monkeypatch):
-    # the benchmark's tracer counts rollout rounds as model.forward calls
+    # the benchmark's tracer counts rollout rounds as model.forward calls; the
+    # rounds share one build of the fused stage arrays, which a forward outside
+    # a rollout builds for itself
     series, stats, _, model, _ = tiny_setup(horizon=4)
-    calls = []
-    forward = TSTransformerModel.forward
+    calls, builds = [], []
+    forward, fuse_stages = TSTransformerModel.forward, TSTransformerModel._fuse_stages
 
     def counted(self, window, channel=None):
         calls.append(window.shape)
         return forward(self, window, channel)
 
     monkeypatch.setattr(TSTransformerModel, "forward", counted)
+    monkeypatch.setattr(TSTransformerModel, "_fuse_stages", lambda self: builds.append(self) or fuse_stages(self))
     boundary = 20.0
     fc = rolling_forecast(model, series, stats, boundary, step=step)
-    assert len(calls) == math.ceil(len(fc.pred) / step)
+    assert len(calls) == math.ceil(len(fc.pred) / step) > 1
     assert set(calls) == {(16, 3)}
+    assert builds == [model]
+    with ad.no_grad():
+        model.forward(np.zeros((16, 3)))
+    assert builds == [model, model]
+
+
+def test_rollout_after_an_in_place_update_runs_the_updated_parameters():
+    # nothing a rollout builds outlives it: after load_arrays the next rollout
+    # is a loop of full-row forwards of the updated model, and the rollout of
+    # a model that never ran one, bit for bit
+    series = synth_degradation(3, 60.0, 5, DegradationSpec(noise_std_volts=0.0))
+    boundary = 20.0
+    stats = zscore_fit(split_at(series, boundary)[0])
+    cfg = ModelConfig(n_variates=5, lookback=16, horizon=1, ratios=(1.0, 0.25, 0.125))  # two, two, one key
+    model, donor = TSTransformerModel(cfg, seed=2), TSTransformerModel(cfg, seed=3)
+    before = rolling_forecast(model, series, stats, boundary)
+    model.load_arrays([p.data for p in donor.parameters()])
+    after = rolling_forecast(model, series, stats, boundary)
+    assert after.pred.tobytes() == rolling_forecast(donor, series, stats, boundary).pred.tobytes()
+
+    work = zscore_apply(series, stats).features.copy()
+    origin, ti = int(np.searchsorted(series.time, boundary)), series.target_index
+    with ad.no_grad():
+        for pos in range(origin, len(series)):
+            work[pos, ti] = model.forward(work[pos - cfg.lookback : pos]).data[ti, 0]
+    mean, std = stats.channel(series.target_channel)
+    assert after.pred.tobytes() == (work[origin:, ti] * std + mean).tobytes()
+    assert not np.array_equal(after.pred, before.pred)
 
 
 def test_rolling_perfect_on_constant_series():
@@ -797,6 +828,7 @@ def test_rolling_forecast_non_finite_round_is_numerical_error():
     model.param("embed.weight").data *= 1e306
     with pytest.raises(NumericalError, match="non-finite forecast"):
         rolling_forecast(model, series, stats, 20.0)
+    assert model._fused is None  # a failed rollout leaves no fused arrays behind either
 
 
 # ---------------------------------------------------------------------------
