@@ -510,18 +510,18 @@ def _stage_forward(x, arrays, r, heads, eps, row=None, fused=None):
     [q|k|v], or with ``row`` set k and v from one with its [k|v] columns and q
     from the row's own product with q (a one-row product may round otherwise
     than that row of an N-row one); one convolution reduces K|V. Each column
-    block of a joined product equals its own product under this BLAS, and the
-    views of the blocks are what attention and the backward read. When
-    N <= r K/V reduce to one key, whose softmax weight is exactly 1: q, k and
-    the k reducer are skipped and their saved entries are None."""
+    block of a joined product equals its own product under this BLAS, and
+    attention reads views of the blocks. When N <= r K/V reduce to one key,
+    whose softmax weight is exactly 1: q, k and the k reducer are skipped, the
+    saved convolution is V's alone and the saved attention state None."""
     wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
     n, d = x.shape[-2:]
     if fused is None:
         fused = _fuse_stage(arrays, r, n)
     xr = x if row is None else np.ascontiguousarray(x[..., row : row + 1, :])
     if n <= r:
-        v_red, v_conv = _depthwise_conv1d(_affine(x, wv, bv), fused[0], vb)
-        att, k_conv, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None, None
+        v_red, conv = _depthwise_conv1d(_affine(x, wv, bv), fused[0], vb)
+        att, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None
     else:
         wqkv, bqkv, kv_kernel, kv_bias = fused
         if row is None:
@@ -529,15 +529,13 @@ def _stage_forward(x, arrays, r, heads, eps, row=None, fused=None):
             q, kv = qkv[..., :d], qkv[..., d:]
         else:
             q, kv = _affine(xr, wq, bq), _affine(x, wqkv[:, d:], bqkv[d:])
-        kv_red, (kv_blocks, kv_taps) = _depthwise_conv1d(kv, kv_kernel, kv_bias)
-        k_conv = kv_blocks[..., :d], kv_taps[:, :d]
-        v_conv = kv_blocks[..., d:], kv_taps[:, d:]
+        kv_red, conv = _depthwise_conv1d(kv, kv_kernel, kv_bias)
         att, att_saved = _attention(q, kv_red[..., :d], kv_red[..., d:], heads)
     normed, ln1 = _layer_norm(xr + _affine(att, wo, bo), eps)
     f = _affine(normed, wf, bf)
     mask = f > 0.0
     out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
-    return out, (v_conv, k_conv, att, att_saved, normed, ln1, mask, ln2)
+    return out, (conv, att, att_saved, normed, ln1, mask, ln2)
 
 
 def _stage_backward(g, x, arrays, saved, heads, row=None):
@@ -545,34 +543,36 @@ def _stage_backward(g, x, arrays, saved, heads, row=None):
     output gradient g: x's, then the 14 arrays', all computed (:func:`backward`
     drops those of arrays that need none). A one-key stage's q, k and k reducer
     get None (exact zeros in the primitives' chain); the rest equal that
-    chain's bit for bit. With ``row`` set, the other tokens get gradient only
-    through K and V; the kept row's residual and q gradients are added to it
-    in the order of the full stage: ((residual + v) + k) + q."""
+    chain's bit for bit. The K and V reducers' gradients come from one pass
+    over the joined K|V block: column by column the same sums as each alone.
+    With ``row`` set, the other tokens get gradient only through K and V; the
+    kept row's residual and q gradients are added to it in the order of the
+    full stage: ((residual + v) + k) + q."""
     wq, _, wk, _, wv, _, kk, _, vk, _, wo, _, wf, _ = arrays
-    v_conv, k_conv, att, att_saved, normed, ln1, mask, ln2 = saved
-    n = x.shape[-2]
+    conv, att, att_saved, normed, ln1, mask, ln2 = saved
+    n, d = x.shape[-2:]
     rows = slice(None) if row is None else slice(row, row + 1)
     g2 = _layer_norm_grads(g, *ln2)
     gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True)
     g1 = _layer_norm_grads(g2 + gn, *ln1)
     ga, gwo, gbo = _affine_grads(g1, att, wo, True)
+    if att_saved is None:
+        gvp, gvk, gvb = _depthwise_conv1d_grads(_single_key_grads(ga, heads), conv, len(vk), n)
+        gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
+        gx[..., rows, :] += g1
+        return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
+    gq, gk, gv = _attention_grads(ga, *att_saved)
+    gkvp, gkvk, gkvb = _depthwise_conv1d_grads(np.concatenate([gk, gv], axis=-1), conv, len(kk), n)
     # composed primitives hand gradients on C-contiguous (backward's first
     # write); a strided view can make matmul sum in another order
-    if k_conv is None:
-        gv = _single_key_grads(ga, heads)
-    else:
-        gq, gk, gv = (np.ascontiguousarray(a) for a in _attention_grads(ga, *att_saved))
-    gvp, gvk, gvb = _depthwise_conv1d_grads(gv, v_conv, len(vk), n)
+    gvp, gkp, gq = (np.ascontiguousarray(a) for a in (gkvp[..., d:], gkvp[..., :d], gq))
     gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
     gx[..., rows, :] += g1
-    if k_conv is None:
-        return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
-    gkp, gkk, gkb = _depthwise_conv1d_grads(gk, k_conv, len(kk), n)
     gxk, gwk, gbk = _affine_grads(gkp, x, wk, True)
     gxq, gwq, gbq = _affine_grads(gq, np.ascontiguousarray(x[..., rows, :]), wq, True)
     gx += gxk
     gx[..., rows, :] += gxq
-    return gx, gwq, gbq, gwk, gbk, gwv, gbv, gkk, gkb, gvk, gvb, gwo, gbo, gwf, gbf
+    return gx, gwq, gbq, gwk, gbk, gwv, gbv, gkvk[:, :d], gkvb[:d], gkvk[:, d:], gkvb[d:], gwo, gbo, gwf, gbf
 
 
 # ---------------------------------------------------------------------------

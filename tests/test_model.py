@@ -508,13 +508,13 @@ def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
 
     def watched_affine(x, w, b):
         out = affine(x, w, b)
-        if name_of(w) is not None:
-            rows[name_of(w)].append(out.shape[-2])
+        if (name := name_of(w)) is not None:
+            rows[name].append(out.shape[-2])
         return out
 
     def watched_affine_grads(g, x, w, want_x):
-        if name_of(w) is not None:
-            rows[name_of(w)].append(g.shape[-2])
+        if (name := name_of(w)) is not None:
+            rows[name].append(g.shape[-2])
         return affine_grads(g, x, w, want_x)
 
     monkeypatch.setattr(ad, "_fuse_stage", watched_fuse_stage)
