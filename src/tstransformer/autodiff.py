@@ -15,6 +15,10 @@ and ``np.maximum.reduce`` directly, the same reductions as ``.sum`` and ``.max``
 without numpy's Python wrappers around them, and ``_stage_forward`` runs on
 the joined arrays of ``_fuse_stage``: one product for q, k and v and one
 convolution for K and V, whose column blocks round as the separate ones.
+A ufunc dispatches about twice as fast on operands of the output's shape: the
+helpers' scalars are cached read-only 0-d arrays (``_const``), a rollout's
+biases come at the shape they are added to (``_at_rows``), and the forward
+helpers work in place on their own temporaries: the same IEEE operations.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -93,13 +97,37 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
+class _NonFiniteError(ValueError):
+    """:func:`_check_data`'s error for a NaN or an infinity, the one ValueError
+    a rollout reports as a numerical failure."""
+
+
 def _check_data(arr: np.ndarray) -> np.ndarray:
     """``arr`` if it is valid tensor data: positive extents, all finite."""
     if arr.size == 0:
         raise DimensionError(f"tensor extents must be positive, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("tensor data must be finite (no NaN/Inf)")
+        raise _NonFiniteError("tensor data must be finite (no NaN/Inf)")
     return arr
+
+
+@functools.lru_cache(maxsize=256)
+def _const(value) -> np.ndarray:
+    """Read-only 0-d float64 array of ``value``: the same operand as the Python
+    number in a ufunc, which numpy dispatches in about half the time on the
+    rollout's small arrays."""
+    out = np.array(float(value))
+    out.flags.writeable = False
+    return out
+
+
+def _at_rows(b: np.ndarray, rows: int) -> np.ndarray:
+    """Read-only (rows, n) copy of the bias b (n,): the same adds over ``rows``
+    rows as b broadcast, with an operand of the output's shape, which numpy
+    adds in about half the time on the rollout's small arrays."""
+    out = np.repeat(b[None, :], rows, axis=0)
+    out.flags.writeable = False
+    return out
 
 
 class _State(threading.local):
@@ -289,8 +317,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -326,8 +356,10 @@ def _attention(q, k, v, heads):
     qh, vh = _split_heads(q, heads), _split_heads(v, heads)
     # contiguous like transpose()'s output, so scores equal matmul(q, transpose(k)) bit for bit
     kt = np.ascontiguousarray(_split_heads(k, heads).swapaxes(-1, -2))
-    c = 1.0 / math.sqrt(q.shape[-1] // heads)
-    p = _softmax((qh @ kt) * c)
+    c = _const(1.0 / math.sqrt(q.shape[-1] // heads))
+    scores = qh @ kt
+    scores *= c
+    p = _softmax(scores)
     return _merge_heads(p @ vh, heads), (qh, kt, vh, p, c, heads)
 
 
@@ -366,10 +398,14 @@ def _single_key_grads(g, heads):
 
 def _layer_norm(z, eps):
     """Forward of :func:`layer_norm` on arrays: the output and what its backward needs."""
-    n = z.shape[-1]
-    c = z - np.add.reduce(z, axis=-1, keepdims=True) / n
-    sigma = np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n)
-    s = sigma + eps
+    n = _const(z.shape[-1])
+    mean = np.add.reduce(z, axis=-1, keepdims=True)
+    mean /= n
+    c = z - mean
+    sigma = np.add.reduce(c * c, axis=-1, keepdims=True)
+    sigma /= n
+    np.sqrt(sigma, out=sigma)
+    s = sigma + _const(eps)
     return c / s, (c, sigma, s)
 
 
@@ -425,12 +461,16 @@ def _depthwise_conv1d(x, kernel, bias):
     taps = _fold_taps(kernel, n)
     rb, d = taps.shape
     if rb == 1:
-        return x * taps + bias, (x[..., None, :], taps)
+        out = x * taps
+        out += bias
+        return out, (x[..., None, :], taps)
     j = -(-n // rb)  # ceil
     if j * rb > n:
         x = x.take(_pad_index(n, j * rb), axis=-2)
     xr = x.reshape(x.shape[:-2] + (j, rb, d))
-    return np.add.reduce(xr * taps, axis=-2) + bias, (xr, taps)
+    out = np.add.reduce(xr * taps, axis=-2)
+    out += bias
+    return out, (xr, taps)
 
 
 def _depthwise_conv1d_grads(g, saved, r, n):
@@ -480,26 +520,35 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
 # encoder stage (array helpers for the model's forward node)
 
 
-def _fuse_stage(arrays, r, n):
-    """The joined arrays :func:`_stage_forward` runs a stage on for n tokens,
-    from the stage's 14 parameters in checkpoint order. With more tokens than
-    the reduction factor (n > r) they are the (D, 3D) weight [q|k|v] and its
-    bias, and the (r, 2D) K|V reducer [k|v] and its bias; with one key (n <= r)
-    only the v reducer's taps, folded for n (:func:`_fold_taps`). They are
-    copies: build them again after the parameters change."""
-    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb = arrays[:10]
+def _fuse_stage(arrays, r, n, round_shape=False):
+    """The arrays :func:`_stage_forward` runs a stage on for n tokens, from the
+    stage's 14 parameters in checkpoint order. With more tokens than the
+    reduction factor (n > r) they are the (D, 3D) weight [q|k|v] and its bias,
+    the (r, 2D) K|V reducer [k|v] and its bias, the out and FFN biases; with
+    one key (n <= r) the v reducer's taps folded for n (:func:`_fold_taps`), the
+    v, v reducer, out and FFN biases. They are copies or views: build them again
+    after the parameters change. With ``round_shape`` each bias is a read-only
+    copy at the shape of the unbatched output it is added to (:func:`_at_rows`):
+    n rows, or ceil(n / r) for a reducer's; a batch broadcasts over it."""
+    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
+
+    def at(b, rows):
+        return _at_rows(b, rows) if round_shape else b
+
     if n <= r:
-        return (_fold_taps(vk, n),)
-    return (np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv]),
-            np.concatenate([kk, vk], axis=1), np.concatenate([kb, vb]))
+        return _fold_taps(vk, n), at(bv, n), at(vb, 1), at(bo, n), at(bf, n)
+    return (np.concatenate([wq, wk, wv], axis=1), at(np.concatenate([bq, bk, bv]), n),
+            np.concatenate([kk, vk], axis=1), at(np.concatenate([kb, vb]), -(-n // r)), at(bo, n), at(bf, n))
 
 
 def _stage_forward(x, arrays, r, heads, eps, row=None, fused=None):
     """A post-norm encoder stage on tokens x (..., N, D): y and what
     :func:`_stage_backward` needs. ``arrays`` are the stage's 14 parameters in
     checkpoint order (q, k, v, k and v reducers, out, ffn), and ``fused`` their
-    :func:`_fuse_stage` for N tokens (built here if not given); reduce is the
-    stride-r :func:`depthwise_conv1d`. y equals the primitives' chain bit for bit:
+    :func:`_fuse_stage` for N tokens (built here if not given), whose biases it
+    adds, whatever their shape (at round shape only without ``row``); reduce is
+    the stride-r :func:`depthwise_conv1d`. y equals the primitives' chain bit
+    for bit, as addition commutes exactly:
 
         a = affine(attention(affine(xr, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
         normed = layer_norm(xr + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
@@ -514,16 +563,17 @@ def _stage_forward(x, arrays, r, heads, eps, row=None, fused=None):
     attention reads views of the blocks. When N <= r K/V reduce to one key,
     whose softmax weight is exactly 1: q, k and the k reducer are skipped, the
     saved convolution is V's alone and the saved attention state None."""
-    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
+    wq, bq, _, _, wv, _, _, _, _, _, wo, _, wf, _ = arrays
     n, d = x.shape[-2:]
     if fused is None:
         fused = _fuse_stage(arrays, r, n)
     xr = x if row is None else np.ascontiguousarray(x[..., row : row + 1, :])
     if n <= r:
-        v_red, conv = _depthwise_conv1d(_affine(x, wv, bv), fused[0], vb)
+        taps, bv, vb, bo, bf = fused
+        v_red, conv = _depthwise_conv1d(_affine(x, wv, bv), taps, vb)
         att, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None
     else:
-        wqkv, bqkv, kv_kernel, kv_bias = fused
+        wqkv, bqkv, kv_kernel, kv_bias, bo, bf = fused
         if row is None:
             qkv = _affine(x, wqkv, bqkv)
             q, kv = qkv[..., :d], qkv[..., d:]
@@ -531,10 +581,14 @@ def _stage_forward(x, arrays, r, heads, eps, row=None, fused=None):
             q, kv = _affine(xr, wq, bq), _affine(x, wqkv[:, d:], bqkv[d:])
         kv_red, conv = _depthwise_conv1d(kv, kv_kernel, kv_bias)
         att, att_saved = _attention(q, kv_red[..., :d], kv_red[..., d:], heads)
-    normed, ln1 = _layer_norm(xr + _affine(att, wo, bo), eps)
+    a = _affine(att, wo, bo)
+    a += xr
+    normed, ln1 = _layer_norm(a, eps)
     f = _affine(normed, wf, bf)
-    mask = f > 0.0
-    out, ln2 = _layer_norm(normed + np.where(mask, f, 0.0), eps)
+    mask = f > _const(0.0)
+    h = np.where(mask, f, 0.0)
+    h += normed
+    out, ln2 = _layer_norm(h, eps)
     return out, (conv, att, att_saved, normed, ln1, mask, ln2)
 
 

@@ -158,19 +158,27 @@ class TSTransformerModel:
                                    for i in range(config.stages))
         self._fused = None  # set only inside _fused_once
 
-    def _fuse_stages(self) -> tuple:
-        """Every stage's :func:`autodiff._fuse_stage` arrays for the M-token
-        forward, built from the parameters as they are now."""
+    def _fuse_stages(self, round_shape: bool = False) -> tuple:
+        """The embed and head biases, then every stage's
+        :func:`autodiff._fuse_stage` arrays for the M-token forward, built from
+        the parameters as they are now; with ``round_shape`` each bias is a
+        read-only copy at the shape of the unbatched output it is added to."""
         m = self.config.n_variates
-        return tuple(ad._fuse_stage(arrays, r, m) for arrays, r in zip(self._stage_arrays, self._factors))
+        be, bp = self._params["embed.bias"].data, self._params["project.bias"].data
+        if round_shape:
+            be, bp = ad._at_rows(be, m), ad._at_rows(bp, m)
+        return be, bp, tuple(ad._fuse_stage(arrays, r, m, round_shape)
+                             for arrays, r in zip(self._stage_arrays, self._factors))
 
     @contextlib.contextmanager
     def _fused_once(self):
-        """Inside the block every :meth:`forward` runs on one build of the fused
-        stage arrays instead of building them per call, as a rollout's rounds
-        do; the parameters must not change inside it."""
+        """Inside the block every :meth:`forward` without ``channel`` runs on one
+        build of the fused stage arrays, its biases at the rounds' shape,
+        instead of building them per call, as a rollout's rounds do; a
+        ``channel`` forward, whose last stage adds them to one row, builds its
+        own. The parameters must not change inside the block."""
         outer = self._fused
-        self._fused = self._fuse_stages()
+        self._fused = self._fuse_stages(round_shape=True)
         try:
             yield
         finally:
@@ -255,7 +263,9 @@ class TSTransformerModel:
         bit, but a one-key stage's q, k and k reducer get None, not zeros.
         Each call joins every stage's q, k and v weights and its K and V
         reducers anew (``ad._fuse_stage``), as the parameters may have changed
-        since the last; a rollout's rounds share one build (``_fused_once``).
+        since the last; a rollout's rounds share one build (``_fused_once``),
+        which also holds every bias at the shape of the output it is added to,
+        for numpy adds same-shape operands faster than a broadcast row.
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -271,18 +281,17 @@ class TSTransformerModel:
             raise ParameterError(f"channel {channel} out of range [0, {cfg.n_variates})")
         ad._check_data(arr)  # before centring, which would compute inf - inf
         with np.errstate(over="ignore"):  # a finite window's sum can overflow; the check below raises
-            mu = np.add.reduce(arr, axis=-2, keepdims=True) / arr.shape[-2]  # (..., 1, M) window mean
+            mu = np.add.reduce(arr, axis=-2, keepdims=True)  # (..., 1, M) window mean
+            mu /= ad._const(arr.shape[-2])
             centered = arr - mu
         ad._check_data(centered)
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
-        p = self._params
-        we, be = p["embed.weight"].data, p["embed.bias"].data
-        wp, bp = p["project.weight"].data, p["project.bias"].data
+        we, wp = self._params["embed.weight"].data, self._params["project.weight"].data
+        be, bp, fused = self._fused if self._fused is not None and channel is None else self._fuse_stages()
         xt = np.ascontiguousarray(centered.swapaxes(-1, -2))  # (..., M, lookback)
         x = ad._affine(xt, we, be)
         recording = ad._state.recording
         rows = [None] * (cfg.stages - 1) + [channel]  # the last stage runs on the asked-for row alone
-        fused = self._fused or self._fuse_stages()
         stages = []  # each stage's input and saved state, kept only for the backward
         for arrays, r, row, joined in zip(self._stage_arrays, self._factors, rows, fused):
             y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps, row, joined)

@@ -285,15 +285,16 @@ def rolling_forecast(
     preds = np.empty(n - origin)
     pos = origin
     # A layer norm maps an overflowed row to zeros, so an overflow can leave
-    # the forecast finite: it raises here instead. forward's ValueError is a
-    # window whose values are finite but whose mean overflows. The rounds
-    # change no parameter, so they share one build of the fused stage arrays.
+    # the forecast finite: it raises here instead. forward's non-finite data
+    # error is a window whose values are finite but whose mean overflows; any
+    # other error is not the data's and propagates. The rounds change no
+    # parameter, so they share one build of the fused stage arrays.
     with ad.no_grad(), model._fused_once(), np.errstate(over="raise", invalid="raise"):
         while pos < n:
             window = work[pos - cfg.lookback : pos]
             try:
                 out = model.forward(window)  # (M, S)
-            except (FloatingPointError, ValueError) as exc:
+            except (FloatingPointError, ad._NonFiniteError) as exc:
                 raise NumericalError(f"non-finite forecast in the round starting at row {pos}: {exc}") from None
             take = min(s, n - pos)
             chunk = out.data[ti, :take]

@@ -142,6 +142,12 @@ def test_layer_norm_sum_over_n_means_match_np_mean_bit_for_bit(shape):
     ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
     assert np.array_equal(out.data, c / s)
     assert np.array_equal(z.grad, gc - gc.mean(axis=-1, keepdims=True))
+    for value in (shape[-1], eps):  # the 0-d operands it divided and added by: shared, so read-only
+        const = ad._const(value)
+        assert const is ad._const(value) and const.shape == () and const == value
+        assert not const.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            const[...] = 0.0
 
 
 def test_layer_norm_eps_validation():

@@ -30,7 +30,7 @@ from tstransformer.data import (
 )
 from tstransformer.errors import ContractError, CorruptionError, DimensionError, NumericalError, ParameterError
 from tstransformer.metrics import rmse
-from tstransformer.model import ModelConfig, TSTransformerModel
+from tstransformer.model import DEFAULT_RATIOS, MULTI_SCALE, VANILLA, ModelConfig, TSTransformerModel
 from tstransformer.training import (
     TrainConfig,
     adam_init,
@@ -467,7 +467,8 @@ def test_rolling_calls_forward_once_per_round(step, monkeypatch):
         return forward(self, window, channel)
 
     monkeypatch.setattr(TSTransformerModel, "forward", counted)
-    monkeypatch.setattr(TSTransformerModel, "_fuse_stages", lambda self: builds.append(self) or fuse_stages(self))
+    monkeypatch.setattr(TSTransformerModel, "_fuse_stages",
+                        lambda self, *args, **kwargs: builds.append(self) or fuse_stages(self, *args, **kwargs))
     boundary = 20.0
     fc = rolling_forecast(model, series, stats, boundary, step=step)
     assert len(calls) == math.ceil(len(fc.pred) / step) > 1
@@ -553,19 +554,39 @@ def test_rolling_covariate_modes_differ_only_with_varying_covariates():
     assert not np.array_equal(a2.pred, b2.pred)
 
 
-@pytest.mark.parametrize("horizon, step", [(1, None), (4, 2)])
-@pytest.mark.parametrize("mode", ["oracle", "hold_last"])
-def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(horizon, step, mode):
+@pytest.mark.parametrize("mode, horizon, step, m, heads, vanilla", [
+    pytest.param("hold_last", 1, None, 5, 1, False, id="hold_last-1-None"),
+    pytest.param("hold_last", 4, 2, 5, 1, False, id="hold_last-4-2"),
+    pytest.param("oracle", 1, None, 5, 1, False, id="oracle-1-None"),
+    pytest.param("oracle", 4, 2, 5, 1, False, id="oracle-4-2"),
+    # the default ratios: padded two-key blocks and one-key last stages
+    pytest.param("oracle", 1, None, 9, 1, False, id="oracle-1-None-m9"),
+    pytest.param("oracle", 4, 2, 9, 2, False, id="oracle-4-2-m9-heads2"),
+    pytest.param("hold_last", 7, 3, 24, 2, False, id="hold_last-7-3-m24-heads2"),
+    pytest.param("oracle", 1, None, 24, 1, False, id="oracle-1-None-m24"),
+    # every stage r = 1
+    pytest.param("oracle", 1, None, 5, 1, True, id="oracle-1-None-vanilla"),
+    pytest.param("hold_last", 7, 3, 5, 2, True, id="hold_last-7-3-vanilla-heads2"),
+])
+def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(mode, horizon, step, m, heads, vanilla):
     # The benchmark checks the first forecast value against a full-row forward
     # of the reloaded model, bit for bit: a rollout that runs another product
     # (one row, say) must change that check with it. At five variates a
     # one-row rollout differs from this one in the last bit of some values.
-    series = synth_degradation(3, 60.0, 5, DegradationSpec(noise_std_volts=0.0))
+    # The rollout's build holds every bias at its output's shape; a batched
+    # forward broadcasts over them and a channel forward builds its own.
+    series = synth_degradation(3, 60.0, min(m, 9), DegradationSpec(noise_std_volts=0.0))
+    if m > 9:  # the synthetic series has at most 9 channels: add covariates with their own wobble
+        extra = [series.features[:, 1 + k % 8] + 0.05 * np.sin(series.time / (3.0 + k)) for k in range(m - 9)]
+        series = TimeSeries(series.time, np.column_stack([series.features, *extra]),
+                            series.channel_names + tuple(f"extra{k}" for k in range(m - 9)))
     boundary = 20.0
     train_ts = split_at(series, boundary)[0]
     stats = zscore_fit(train_ts)
-    cfg = ModelConfig(n_variates=5, lookback=16, horizon=horizon, ratios=(1.0, 0.5, 0.25))
-    model = TSTransformerModel(cfg, seed=2)  # r = 2 and r = 4 pad the 5 tokens
+    ratios = (1.0, 0.5, 0.25) if m == 5 else DEFAULT_RATIOS  # at M = 5 r = 2 and r = 4 pad the tokens
+    cfg = ModelConfig(n_variates=m, lookback=16, horizon=horizon, ratios=ratios, heads=heads,
+                      mode=VANILLA if vanilla else MULTI_SCALE)
+    model = TSTransformerModel(cfg, seed=2)
     train(model, make_windows(zscore_apply(train_ts, stats), 16, horizon), TrainConfig(epochs=1, batch_size=32))
     fc = rolling_forecast(model, series, stats, boundary, step=step, covariate_mode=mode)
 
@@ -587,6 +608,44 @@ def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(horizon, step, mode):
     mean, std = stats.channel(series.target_channel)
     assert fc.pred.tobytes() == (np.array(preds) * std + mean).tobytes()
     assert fc.pred[0] == first * std + mean
+
+    batch = np.stack([normed[p - cfg.lookback : p] for p in (origin, origin + 1, origin + 2)])
+    with ad.no_grad():
+        outside = model.forward(batch).data, model.forward(batch[0], channel=m - 1).data
+        with model._fused_once():
+            inside = model.forward(batch).data, model.forward(batch[0], channel=m - 1).data
+            be, bp, stages = model._fused
+            d = cfg.width
+            biases = [(be, (m, d)), (bp, (m, horizon))]
+            for r, fused in zip(cfg.reduction_factors, stages):
+                keys = -(-m // r)
+                if keys == 1:
+                    biases += zip(fused[1:], [(m, d), (1, d), (m, d), (m, d)])
+                else:
+                    biases += zip(fused[1:2] + fused[3:], [(m, 3 * d), (keys, 2 * d), (m, d), (m, d)])
+    assert [a.tobytes() for a in inside] == [a.tobytes() for a in outside]
+    for bias, shape in biases:  # built once for the rollout: read-only
+        assert bias.shape == shape and not bias.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bias[...] = 0.0
+
+
+def test_rollout_lets_a_forward_error_that_is_not_non_finite_data_propagate(monkeypatch):
+    # only forward's non-finite data error is a numerical failure of the data;
+    # any other, such as an operand of the wrong shape, is raised as it is
+    series, stats, _, model, _ = tiny_setup()
+    forward, calls = TSTransformerModel.forward, []
+
+    def failing(self, window, channel=None):
+        calls.append(window.shape)
+        if len(calls) == 2:
+            raise ValueError("operands could not be broadcast together")
+        return forward(self, window, channel)
+
+    monkeypatch.setattr(TSTransformerModel, "forward", failing)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        rolling_forecast(model, series, stats, 20.0)
+    assert len(calls) == 2 and model._fused is None
 
 
 # ---------------------------------------------------------------------------
