@@ -16,7 +16,7 @@ without numpy's Python wrappers around them, and ``_stage_forward`` runs on
 the joined arrays of ``_fuse_stage``: one product for q, k and v and one
 convolution for K and V, whose column blocks round as the separate ones.
 A ufunc dispatches about twice as fast on operands of the output's shape: the
-helpers' scalars are cached read-only 0-d arrays (``_const``), a rollout's
+helpers' scalars are cached read-only 0-d arrays (``_const``), the stages'
 biases come at the shape they are added to (``_at_rows``), and the forward
 helpers work in place on their own temporaries: the same IEEE operations.
 
@@ -125,7 +125,7 @@ def _at_rows(b: np.ndarray, rows: int) -> np.ndarray:
     """Read-only (rows, n) copy of the bias b (n,): the same adds over ``rows``
     rows as b broadcast, with an operand of the output's shape, which numpy
     adds in about half the time on the rollout's small arrays."""
-    out = np.repeat(b[None, :], rows, axis=0)
+    out = b[None, :].repeat(rows, axis=0)
     out.flags.writeable = False
     return out
 
@@ -344,11 +344,13 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _merge_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(..., H, rows, hd) -> (..., rows, H * hd), the inverse of _split_heads."""
+    """(..., H, rows, hd) -> (..., rows, H * hd), the inverse of _split_heads,
+    C-ordered as a primitive's output is: at hd = 1 a merged view sums its
+    rows in another order in a product or a reduction."""
     if heads == 1:
         return a
     *lead, _, rows, hd = a.shape
-    return a.swapaxes(-3, -2).reshape(*lead, rows, heads * hd)
+    return np.ascontiguousarray(a.swapaxes(-3, -2).reshape(*lead, rows, heads * hd))
 
 
 def _attention(q, k, v, heads):
@@ -520,66 +522,63 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
 # encoder stage (array helpers for the model's forward node)
 
 
-def _fuse_stage(arrays, r, n, round_shape=False):
-    """The arrays :func:`_stage_forward` runs a stage on for n tokens, from the
-    stage's 14 parameters in checkpoint order. With more tokens than the
-    reduction factor (n > r) they are the (D, 3D) weight [q|k|v] and its bias,
-    the (r, 2D) K|V reducer [k|v] and its bias, the out and FFN biases; with
-    one key (n <= r) the v reducer's taps folded for n (:func:`_fold_taps`), the
-    v, v reducer, out and FFN biases. They are copies or views: build them again
-    after the parameters change. With ``round_shape`` each bias is a read-only
-    copy at the shape of the unbatched output it is added to (:func:`_at_rows`):
-    n rows, or ceil(n / r) for a reducer's; a batch broadcasts over it."""
+def _fuse_stage(arrays, r, n):
+    """The weight, its bias, the reducer kernel, its bias, and the out and FFN
+    biases that :func:`_stage_forward` runs a stage on for n tokens, from the
+    stage's 14 parameters in checkpoint order: the (D, 3D) [q|k|v] and the
+    (r, 2D) K|V reducer [k|v] when n > r, v's weight and its reducer's taps
+    folded for n (:func:`_fold_taps`) when n <= r (one key). Each bias is a
+    read-only copy at the rows of the unbatched output it is added to
+    (:func:`_at_rows`), n or ceil(n / r); a batch broadcasts over it. They are
+    copies or views: build them again after the parameters change."""
     wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
-
-    def at(b, rows):
-        return _at_rows(b, rows) if round_shape else b
-
     if n <= r:
-        return _fold_taps(vk, n), at(bv, n), at(vb, 1), at(bo, n), at(bf, n)
-    return (np.concatenate([wq, wk, wv], axis=1), at(np.concatenate([bq, bk, bv]), n),
-            np.concatenate([kk, vk], axis=1), at(np.concatenate([kb, vb]), -(-n // r)), at(bo, n), at(bf, n))
+        w, b, kernel, kernel_b = wv, bv, _fold_taps(vk, n), vb
+    else:
+        w, b = np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv])
+        kernel, kernel_b = np.concatenate([kk, vk], axis=1), np.concatenate([kb, vb])
+    return w, _at_rows(b, n), kernel, _at_rows(kernel_b, -(-n // r)), _at_rows(bo, n), _at_rows(bf, n)
 
 
-def _stage_forward(x, arrays, r, heads, eps, row=None, fused=None):
+def _stage_forward(x, arrays, r, heads, eps, fused, row=None):
     """A post-norm encoder stage on tokens x (..., N, D): y and what
     :func:`_stage_backward` needs. ``arrays`` are the stage's 14 parameters in
     checkpoint order (q, k, v, k and v reducers, out, ffn), and ``fused`` their
-    :func:`_fuse_stage` for N tokens (built here if not given), whose biases it
-    adds, whatever their shape (at round shape only without ``row``); reduce is
-    the stride-r :func:`depthwise_conv1d`. y equals the primitives' chain bit
-    for bit, as addition commutes exactly:
+    :func:`_fuse_stage` for N tokens, whose weights and biases it runs on;
+    reduce is the stride-r :func:`depthwise_conv1d`. y equals the primitives'
+    chain bit for bit, as addition commutes exactly:
 
         a = affine(attention(affine(xr, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
         normed = layer_norm(xr + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
 
     where xr is x, or with ``row`` set only token ``row`` (``slice_axis``), so
     y is (..., 1, D): K and V read every token, q, out, the layer norms and
-    the FFN run on the kept row alone. q, k and v come from one product with
-    [q|k|v], or with ``row`` set k and v from one with its [k|v] columns and q
-    from the row's own product with q (a one-row product may round otherwise
-    than that row of an N-row one); one convolution reduces K|V. Each column
-    block of a joined product equals its own product under this BLAS, and
-    attention reads views of the blocks. When N <= r K/V reduce to one key,
-    whose softmax weight is exactly 1: q, k and the k reducer are skipped, the
-    saved convolution is V's alone and the saved attention state None."""
-    wq, bq, _, _, wv, _, _, _, _, _, wo, _, wf, _ = arrays
+    the FFN run on the kept row alone, with its row of their biases. q, k and v
+    come from one product with [q|k|v], or with ``row`` set k and v from one
+    with its [k|v] columns and q from the row's own product with q (a one-row
+    product may round otherwise than that row of an N-row one); one
+    convolution reduces K|V. Each column block of a joined product equals its
+    own product under this BLAS, and attention reads views of the blocks. When
+    N <= r K/V reduce to one key, whose softmax weight is exactly 1: q, k and
+    the k reducer are skipped, the saved convolution is V's alone and the
+    saved attention state None."""
+    wq, bq, _, _, _, _, _, _, _, _, wo, _, wf, _ = arrays
+    w, b, kernel, kernel_b, bo, bf = fused
     n, d = x.shape[-2:]
-    if fused is None:
-        fused = _fuse_stage(arrays, r, n)
-    xr = x if row is None else np.ascontiguousarray(x[..., row : row + 1, :])
+    xr = x
+    if row is not None:
+        xr = np.ascontiguousarray(x[..., row : row + 1, :])
+        bo, bf = bo[row : row + 1], bf[row : row + 1]
     if n <= r:
-        taps, bv, vb, bo, bf = fused
-        v_red, conv = _depthwise_conv1d(_affine(x, wv, bv), taps, vb)
+        v_red, conv = _depthwise_conv1d(_affine(x, w, b), kernel, kernel_b)
         att, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None
     else:
-        wqkv, bqkv, kv_kernel, kv_bias, bo, bf = fused
         if row is None:
-            qkv = _affine(x, wqkv, bqkv)
+            qkv = _affine(x, w, b)
             q, kv = qkv[..., :d], qkv[..., d:]
         else:
-            q, kv = _affine(xr, wq, bq), _affine(x, wqkv[:, d:], bqkv[d:])
-        kv_red, conv = _depthwise_conv1d(kv, kv_kernel, kv_bias)
+            q, kv = _affine(xr, wq, bq), _affine(x, w[:, d:], b[:, d:])
+        kv_red, conv = _depthwise_conv1d(kv, kernel, kernel_b)
         att, att_saved = _attention(q, kv_red[..., :d], kv_red[..., d:], heads)
     a = _affine(att, wo, bo)
     a += xr

@@ -158,27 +158,22 @@ class TSTransformerModel:
                                    for i in range(config.stages))
         self._fused = None  # set only inside _fused_once
 
-    def _fuse_stages(self, round_shape: bool = False) -> tuple:
+    def _fuse_stages(self) -> tuple:
         """The embed and head biases, then every stage's
         :func:`autodiff._fuse_stage` arrays for the M-token forward, built from
-        the parameters as they are now; with ``round_shape`` each bias is a
-        read-only copy at the shape of the unbatched output it is added to."""
+        the parameters as they are now, each bias a read-only copy at the rows
+        of the unbatched output it is added to."""
         m = self.config.n_variates
-        be, bp = self._params["embed.bias"].data, self._params["project.bias"].data
-        if round_shape:
-            be, bp = ad._at_rows(be, m), ad._at_rows(bp, m)
-        return be, bp, tuple(ad._fuse_stage(arrays, r, m, round_shape)
-                             for arrays, r in zip(self._stage_arrays, self._factors))
+        return (ad._at_rows(self._params["embed.bias"].data, m), ad._at_rows(self._params["project.bias"].data, m),
+                tuple(ad._fuse_stage(arrays, r, m) for arrays, r in zip(self._stage_arrays, self._factors)))
 
     @contextlib.contextmanager
     def _fused_once(self):
-        """Inside the block every :meth:`forward` without ``channel`` runs on one
-        build of the fused stage arrays, its biases at the rounds' shape,
-        instead of building them per call, as a rollout's rounds do; a
-        ``channel`` forward, whose last stage adds them to one row, builds its
-        own. The parameters must not change inside the block."""
+        """Inside the block every :meth:`forward` runs on one build of
+        :meth:`_fuse_stages`, made on entry, instead of its own, as a rollout's
+        rounds do. The parameters must not change inside the block."""
         outer = self._fused
-        self._fused = self._fuse_stages(round_shape=True)
+        self._fused = self._fuse_stages()
         try:
             yield
         finally:
@@ -261,11 +256,12 @@ class TSTransformerModel:
         (``embed``, post-norm stages, the last with ``slice_axis`` before its q
         and residual when ``channel`` is set, head affine, mean add) bit for
         bit, but a one-key stage's q, k and k reducer get None, not zeros.
-        Each call joins every stage's q, k and v weights and its K and V
-        reducers anew (``ad._fuse_stage``), as the parameters may have changed
-        since the last; a rollout's rounds share one build (``_fused_once``),
-        which also holds every bias at the shape of the output it is added to,
-        for numpy adds same-shape operands faster than a broadcast row.
+        It runs on a build of the joined stage arrays (``_fuse_stages``): each
+        stage's q, k and v weights and its K and V reducers joined, and every
+        bias at the M rows of the unbatched output it is added to, which a
+        batch broadcasts over and a kept row reads one row of. Each call makes
+        its own build, as the parameters may have changed since the last;
+        inside ``_fused_once`` every call shares that block's one build.
 
         Each variate is centered on its own window mean before embedding
         and the forecast adds that mean back, so the network models
@@ -287,19 +283,19 @@ class TSTransformerModel:
         ad._check_data(centered)
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
         we, wp = self._params["embed.weight"].data, self._params["project.weight"].data
-        be, bp, fused = self._fused if self._fused is not None and channel is None else self._fuse_stages()
+        be, bp, fused = self._fused if self._fused is not None else self._fuse_stages()
         xt = np.ascontiguousarray(centered.swapaxes(-1, -2))  # (..., M, lookback)
         x = ad._affine(xt, we, be)
         recording = ad._state.recording
         rows = [None] * (cfg.stages - 1) + [channel]  # the last stage runs on the asked-for row alone
         stages = []  # each stage's input and saved state, kept only for the backward
         for arrays, r, row, joined in zip(self._stage_arrays, self._factors, rows, fused):
-            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps, row, joined)
+            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps, joined, row)
             if recording:
                 stages.append((x, saved))
             x = y
         if channel is not None:
-            mu_rows = mu_rows[..., channel : channel + 1, :]
+            mu_rows, bp = mu_rows[..., channel : channel + 1, :], bp[channel : channel + 1]
         out = ad._affine(x, wp, bp)
         out += mu_rows  # the same adds as the mean repeated to (..., rows, horizon)
         if not recording:

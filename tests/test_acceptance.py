@@ -153,7 +153,8 @@ def test_criterion_4_shape_and_clamp():
             k, v = model.reduce_kv(tokens, stage)
             expected = max(1, -(-n // r))
             assert k.shape == (expected, 16) and v.shape == (expected, 16)
-            out, _ = ad._stage_forward(tokens.data, model._stage_arrays[stage], r, cfg.heads, cfg.eps)
+            arrays = model._stage_arrays[stage]
+            out, _ = ad._stage_forward(tokens.data, arrays, r, cfg.heads, cfg.eps, ad._fuse_stage(arrays, r, n))
             assert out.shape == (n, 16)
     _report(4, "shape/clamp suite", time.perf_counter() - t0, 5.0)
 

@@ -1,11 +1,14 @@
 """Model tests: shape contracts, vanilla-attention equivalence,
 permutation equivariance, parameter accounting, block gradients."""
 
+import contextlib
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import composed_forward, count_nodes, per_head_attention_loop, vanilla_attention_reference
 from tstransformer import autodiff as ad
@@ -363,8 +366,11 @@ def assert_forward_matches_composed(model, window, cot, channel=None):
 
 @pytest.mark.parametrize("lead", [(), (8,)])
 @pytest.mark.parametrize("mode", ["multi_scale", "vanilla"])
-@pytest.mark.parametrize("m", [4, 5, 6])  # single-key stages 1-3 at M=4, 2-3 at 5 and 6
-@pytest.mark.parametrize("heads", [1, 2, 4])
+# single-key stages 1-3 at M=4, 2-3 at 5 and 6; at heads == width (head width
+# 1) and 8 or more keys the joined K|V gradient came out as a strided view,
+# whose reducer bias gradient summed in another order than the chain's
+@pytest.mark.parametrize("heads, m", [(h, m) for h in (1, 2, 4) for m in (4, 5, 6)]
+                         + [(16, m) for m in (8, 9, 12, 27)])
 def test_encoder_stage_matches_composed_block_bit_for_bit(heads, m, mode, lead):
     # the stages inside the one-node forward against composed stages,
     # reducers off their averaging init
@@ -387,6 +393,48 @@ def test_two_key_last_stage_on_one_row_matches_composed_bit_for_bit(heads, m, le
         assert_forward_matches_composed(model, x, rng.normal(size=lead + (1, 1)), channel)
 
 
+def test_head_width_one_out_weight_gradient_matches_composed_bit_for_bit():
+    # at heads == width the merged attention output was a strided view, whose
+    # out weight gradient summed its 16 rows in another order than the chain's
+    cfg = ModelConfig(n_variates=16, lookback=1, horizon=1, width=4, ratios=(1.0,), heads=4)
+    model = TSTransformerModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    model.load_arrays([0.5 * rng.normal(size=p.shape) for p in model.parameters()])
+    assert_forward_matches_composed(model, rng.normal(size=(1, 16)), rng.normal(size=(16, 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_forward_path_matches_the_composed_chain_bit_for_bit(data):
+    # one property over the paths a forward may mix: one- and two-key stages,
+    # padded and one-tap reducers, one head or head width 1, a kept row, lead
+    # axes, recorded or not, its own build or _fused_once's
+    draw = data.draw
+    m = draw(st.integers(1, 40), label="m")
+    width = draw(st.sampled_from([4, 8, 16]), label="width")
+    heads = draw(st.sampled_from([h for h in range(1, width + 1) if width % h == 0]), label="heads")
+    factors = draw(st.lists(st.integers(1, 48), min_size=1, max_size=4), label="factors")  # r > M too
+    cfg = ModelConfig(n_variates=m, lookback=draw(st.integers(1, 24), label="lookback"),
+                      horizon=draw(st.integers(1, 8), label="horizon"), width=width,
+                      ratios=tuple(1.0 / r for r in factors), heads=heads,
+                      mode=draw(st.sampled_from(["multi_scale", "vanilla"]), label="mode"))
+    lead = draw(st.sampled_from([(), (1,), (3,)]), label="lead")
+    channel = draw(st.none() | st.integers(0, m - 1), label="channel")
+    recorded, inside = draw(st.booleans(), label="recorded"), draw(st.booleans(), label="inside")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    model = TSTransformerModel(cfg, seed=0)
+    model.load_arrays([0.5 * rng.normal(size=p.shape) for p in model.parameters()])  # nonzero biases
+    window = rng.normal(size=lead + (cfg.lookback, m))
+    with model._fused_once() if inside else contextlib.nullcontext():
+        if recorded:
+            cot = rng.normal(size=lead + (m if channel is None else 1, cfg.horizon))
+            assert_forward_matches_composed(model, window, cot, channel)
+        else:
+            with ad.no_grad():
+                got, want = model.forward(window, channel), composed_forward(model, window, channel)
+            assert np.array_equal(got.data, want.data)
+
+
 EVERY_BIAS = tuple(name for name, _ in param_shapes(toy_config(n_variates=5)) if name.endswith(".bias"))
 
 
@@ -407,7 +455,8 @@ def test_trm_block_preserves_shape():
     cfg = model.config
     tokens = np.random.default_rng(6).normal(size=(9, 16))
     for arrays, r in zip(model._stage_arrays, cfg.reduction_factors):
-        assert ad._stage_forward(tokens, arrays, r, cfg.heads, cfg.eps)[0].shape == (9, 16)
+        fused = ad._fuse_stage(arrays, r, 9)
+        assert ad._stage_forward(tokens, arrays, r, cfg.heads, cfg.eps, fused)[0].shape == (9, 16)
 
 
 def test_trm_block_residual_only_path():
@@ -416,7 +465,8 @@ def test_trm_block_residual_only_path():
         if name.startswith("stage0."):
             p.data[...] = 0.0
     x = np.random.default_rng(7).normal(size=(5, 16))
-    got, _ = ad._stage_forward(x, model._stage_arrays[0], 1, model.config.heads, model.config.eps)
+    arrays = model._stage_arrays[0]
+    got, _ = ad._stage_forward(x, arrays, 1, model.config.heads, model.config.eps, ad._fuse_stage(arrays, 1, 5))
     want = ad.layer_norm(ad.layer_norm(Tensor(x), model.config.eps), model.config.eps).data
     assert np.allclose(got, want, atol=1e-12)
 

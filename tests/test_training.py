@@ -457,7 +457,8 @@ def test_rolling_covers_test_span_exactly():
 def test_rolling_calls_forward_once_per_round(step, monkeypatch):
     # the benchmark's tracer counts rollout rounds as model.forward calls; the
     # rounds share one build of the fused stage arrays, which a forward outside
-    # a rollout builds for itself
+    # a rollout builds for itself, and which a forward inside _fused_once
+    # shares, with or without a kept row
     series, stats, _, model, _ = tiny_setup(horizon=4)
     calls, builds = [], []
     forward, fuse_stages = TSTransformerModel.forward, TSTransformerModel._fuse_stages
@@ -474,9 +475,15 @@ def test_rolling_calls_forward_once_per_round(step, monkeypatch):
     assert len(calls) == math.ceil(len(fc.pred) / step) > 1
     assert set(calls) == {(16, 3)}
     assert builds == [model]
+    window = np.random.default_rng(1).normal(size=(16, 3))
     with ad.no_grad():
-        model.forward(np.zeros((16, 3)))
-    assert builds == [model, model]
+        outside = model.forward(window, channel=1).data
+        assert builds == [model, model]
+        with model._fused_once():
+            assert builds == [model] * 3
+            inside = model.forward(window, channel=1).data
+    assert builds == [model] * 3
+    assert inside.tobytes() == outside.tobytes()
 
 
 def test_rollout_after_an_in_place_update_runs_the_updated_parameters():
@@ -573,8 +580,8 @@ def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(mode, horizon, step, m, 
     # of the reloaded model, bit for bit: a rollout that runs another product
     # (one row, say) must change that check with it. At five variates a
     # one-row rollout differs from this one in the last bit of some values.
-    # The rollout's build holds every bias at its output's shape; a batched
-    # forward broadcasts over them and a channel forward builds its own.
+    # Every build holds every bias at its output's shape; a batched forward
+    # broadcasts over them and a channel forward reads its row of them.
     series = synth_degradation(3, 60.0, min(m, 9), DegradationSpec(noise_std_volts=0.0))
     if m > 9:  # the synthetic series has at most 9 channels: add covariates with their own wobble
         extra = [series.features[:, 1 + k % 8] + 0.05 * np.sin(series.time / (3.0 + k)) for k in range(m - 9)]
@@ -614,20 +621,20 @@ def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(mode, horizon, step, m, 
         outside = model.forward(batch).data, model.forward(batch[0], channel=m - 1).data
         with model._fused_once():
             inside = model.forward(batch).data, model.forward(batch[0], channel=m - 1).data
-            be, bp, stages = model._fused
-            d = cfg.width
-            biases = [(be, (m, d)), (bp, (m, horizon))]
-            for r, fused in zip(cfg.reduction_factors, stages):
-                keys = -(-m // r)
-                if keys == 1:
-                    biases += zip(fused[1:], [(m, d), (1, d), (m, d), (m, d)])
-                else:
-                    biases += zip(fused[1:2] + fused[3:], [(m, 3 * d), (keys, 2 * d), (m, d), (m, d)])
+            builds = [model._fused]
+        builds.append(model._fuse_stages())  # the per-call build has the same layout
     assert [a.tobytes() for a in inside] == [a.tobytes() for a in outside]
-    for bias, shape in biases:  # built once for the rollout: read-only
-        assert bias.shape == shape and not bias.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            bias[...] = 0.0
+    d = cfg.width
+    for be, bp, stages in builds:
+        biases = [(be, (m, d)), (bp, (m, horizon))]
+        for r, fused in zip(cfg.reduction_factors, stages):
+            keys = -(-m // r)
+            width, kv_width = (d, d) if keys == 1 else (3 * d, 2 * d)  # a one-key stage runs v alone
+            biases += zip(fused[1:2] + fused[3:], [(m, width), (keys, kv_width), (m, d), (m, d)])
+        for bias, shape in biases:  # shared by the forwards of a build: read-only
+            assert bias.shape == shape and not bias.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bias[...] = 0.0
 
 
 def test_rollout_lets_a_forward_error_that_is_not_non_finite_data_propagate(monkeypatch):
