@@ -9,16 +9,14 @@ slicing and scalar reductions. For the model's one-node forward,
 ``_stage_forward`` and ``_stage_backward`` run a whole encoder stage on arrays
 from those primitives' numpy helpers; only they skip work: a one-key stage's
 q and k, and, given the one token row to keep, every other row's q, out
-projection, layer norms and FFN. On the rollout's small arrays each numpy call
-costs about a microsecond of dispatch, so the helpers call ``np.add.reduce``
-and ``np.maximum.reduce`` directly, the same reductions as ``.sum`` and ``.max``
-without numpy's Python wrappers around them, and ``_stage_forward`` runs on
-the joined arrays of ``_fuse_stage``: one product for q, k and v and one
-convolution for K and V, whose column blocks round as the separate ones.
-A ufunc dispatches about twice as fast on operands of the output's shape: the
-helpers' scalars are cached read-only 0-d arrays (``_const``), the stages'
-biases come at the shape they are added to (``_at_rows``), and the forward
-helpers work in place on their own temporaries: the same IEEE operations.
+projection, layer norms and FFN. The helpers call ``np.add.reduce`` and
+``np.maximum.reduce`` directly, the same reductions as ``.sum`` and ``.max``,
+and ``_stage_forward`` runs on the joined arrays of ``_fuse_stage``: one
+product for q, k and v and one convolution for K and V, whose column blocks
+round as the separate ones. The helpers' scalars are cached read-only 0-d
+arrays (``_const``), the stages' biases come at the shape they are added to
+(``_at_rows``), and the forward helpers work in place on their own
+temporaries: the same IEEE operations as the plain forms.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -114,8 +112,7 @@ def _check_data(arr: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _const(value) -> np.ndarray:
     """Read-only 0-d float64 array of ``value``: the same operand as the Python
-    number in a ufunc, which numpy dispatches in about half the time on the
-    rollout's small arrays."""
+    number in a ufunc."""
     out = np.array(float(value))
     out.flags.writeable = False
     return out
@@ -123,8 +120,7 @@ def _const(value) -> np.ndarray:
 
 def _at_rows(b: np.ndarray, rows: int) -> np.ndarray:
     """Read-only (rows, n) copy of the bias b (n,): the same adds over ``rows``
-    rows as b broadcast, with an operand of the output's shape, which numpy
-    adds in about half the time on the rollout's small arrays."""
+    rows as b broadcast, with an operand of the output's shape."""
     out = b[None, :].repeat(rows, axis=0)
     out.flags.writeable = False
     return out
@@ -276,8 +272,7 @@ def _affine(x, w, b):
     An x with leading axes is multiplied as one (rows, k) @ (k, n) product
     over all its rows, not as a stack that numpy runs as one small BLAS call
     per leading index. A 1-D or 2-D x, as in the unbatched rollout, is the
-    plain ``x @ w``: the same product without the two reshapes, whose Python
-    cost slowed the rollout's forecast by about 7 %."""
+    plain ``x @ w``, without the two reshapes."""
     if x.ndim > 2:
         out = (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
     else:

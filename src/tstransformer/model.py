@@ -10,7 +10,6 @@ inverted-transformer attention.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -156,7 +155,6 @@ class TSTransformerModel:
         # forward's per-stage arrays: views of the vector, so in-place updates reach them
         self._stage_arrays = tuple(tuple(view for name, view in views if name.startswith(f"stage{i}."))
                                    for i in range(config.stages))
-        self._fused = None  # set only inside _fused_once
 
     def _fuse_stages(self) -> tuple:
         """The embed and head biases, then every stage's
@@ -166,18 +164,6 @@ class TSTransformerModel:
         m = self.config.n_variates
         return (ad._at_rows(self._params["embed.bias"].data, m), ad._at_rows(self._params["project.bias"].data, m),
                 tuple(ad._fuse_stage(arrays, r, m) for arrays, r in zip(self._stage_arrays, self._factors)))
-
-    @contextlib.contextmanager
-    def _fused_once(self):
-        """Inside the block every :meth:`forward` runs on one build of
-        :meth:`_fuse_stages`, made on entry, instead of its own, as a rollout's
-        rounds do. The parameters must not change inside the block."""
-        outer = self._fused
-        self._fused = self._fuse_stages()
-        try:
-            yield
-        finally:
-            self._fused = outer
 
     # -- parameter access ---------------------------------------------------
 
@@ -233,42 +219,28 @@ class TSTransformerModel:
         attended = ad.attention(q, *self.reduce_kv(tokens, stage), self.config.heads)
         return self._affine(attended, f"stage{stage}.out")
 
-    def forward(self, window, channel: int | None = None) -> Tensor:
+    def forward(self, window, channel: int | None = None, *, _build: tuple | None = None) -> Tensor:
         """(lookback, n_variates) -> (n_variates, horizon) forecast.
 
-        A leading batch axis is accepted: (B, lookback, n_variates)
-        yields (B, n_variates, horizon). With ``channel`` set, the last
-        stage keeps only that variate's token: its K and V still read every
-        token, but its q, out projection, layer norms and FFN, then the head
-        and the mean add, run on that row alone: shape (..., 1, horizon).
-        The row is the same maths as that row of the full output, but its
-        products run on fewer rows, and BLAS may pick another kernel for them.
-        With OpenBLAS a (1, width) product, as for one window or a batch of
-        one, runs as a matrix-vector kernel and rounds differently from the
-        (M, width) matrix-matrix one, a few ulps apart; so does a horizon-1
-        head at any batch size. Batches of several windows at a longer
-        horizon matched bit for bit in trials, which is not a guarantee.
+        A leading batch axis is accepted: (B, lookback, n_variates) yields
+        (B, n_variates, horizon). With ``channel`` set, the last stage keeps
+        only that variate's token (its K and V still read every token), so
+        the shape is (..., 1, horizon): the same maths as that row of the
+        full output, though a one-row product may round a few ulps apart.
 
-        It runs on arrays and records nothing under ``ad.no_grad()``; outside
-        it records one graph node over every parameter, whose backward computes
-        every parameter's gradient and leaves dropping those of frozen parameters
-        to ``ad.backward``. Outputs and gradients equal the chain of primitives'
-        (``embed``, post-norm stages, the last with ``slice_axis`` before its q
-        and residual when ``channel`` is set, head affine, mean add) bit for
-        bit, but a one-key stage's q, k and k reducer get None, not zeros.
-        It runs on a build of the joined stage arrays (``_fuse_stages``): each
-        stage's q, k and v weights and its K and V reducers joined, and every
-        bias at the M rows of the unbatched output it is added to, which a
-        batch broadcasts over and a kept row reads one row of. Each call makes
-        its own build, as the parameters may have changed since the last;
-        inside ``_fused_once`` every call shares that block's one build.
+        Each variate is centred on its own window mean before embedding and
+        the forecast adds that mean back, so the network models movement
+        relative to the window while the level rides the window statistic.
 
-        Each variate is centered on its own window mean before embedding
-        and the forecast adds that mean back, so the network models
-        window-relative movement while the level rides the window
-        statistic. Without this the stacked normalizations pin outputs
-        to the training range, and monotone degradation, which always
-        exits that range, cannot be tracked over long rollouts.
+        Under ``ad.no_grad()`` it records nothing; outside it records one
+        graph node over every parameter, and ``ad.backward`` drops the
+        gradients of frozen ones. Outputs and gradients equal the chain of
+        primitives' (``embed``, the stages, the head affine, the mean add)
+        bit for bit, but a one-key stage's q, k and k reducer get None, not
+        zeros. ``_build`` is a :meth:`_fuse_stages`
+        build of the current parameters, which a caller running many
+        forwards on unchanged parameters makes once; when None, the forward
+        builds its own from the parameters as they are now.
         """
         cfg = self.config
         arr = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
@@ -283,7 +255,7 @@ class TSTransformerModel:
         ad._check_data(centered)
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
         we, wp = self._params["embed.weight"].data, self._params["project.weight"].data
-        be, bp, fused = self._fused if self._fused is not None else self._fuse_stages()
+        be, bp, fused = self._fuse_stages() if _build is None else _build
         xt = np.ascontiguousarray(centered.swapaxes(-1, -2))  # (..., M, lookback)
         x = ad._affine(xt, we, be)
         recording = ad._state.recording

@@ -255,6 +255,10 @@ def rolling_forecast(
     denormalized and aligned exactly with the test timestamps. A round
     whose forward overflows, or whose forecast is not finite, raises a
     NumericalError naming the row the round starts at.
+
+    Every round runs on one build of the model's fused stage arrays, made
+    on entry, so the parameters must not change while a rollout runs.
+    Overlapping rollouts of one model are safe: each holds its own build.
     """
     cfg = model.config
     s = rollout_step(cfg.horizon, step, covariate_mode)
@@ -287,13 +291,13 @@ def rolling_forecast(
     # A layer norm maps an overflowed row to zeros, so an overflow can leave
     # the forecast finite: it raises here instead. forward's non-finite data
     # error is a window whose values are finite but whose mean overflows; any
-    # other error is not the data's and propagates. The rounds change no
-    # parameter, so they share one build of the fused stage arrays.
-    with ad.no_grad(), model._fused_once(), np.errstate(over="raise", invalid="raise"):
+    # other error is not the data's and propagates.
+    build = model._fuse_stages()
+    with ad.no_grad(), np.errstate(over="raise", invalid="raise"):
         while pos < n:
             window = work[pos - cfg.lookback : pos]
             try:
-                out = model.forward(window)  # (M, S)
+                out = model.forward(window, _build=build)  # (M, S)
             except (FloatingPointError, ad._NonFiniteError) as exc:
                 raise NumericalError(f"non-finite forecast in the round starting at row {pos}: {exc}") from None
             take = min(s, n - pos)

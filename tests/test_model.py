@@ -1,7 +1,7 @@
 """Model tests: shape contracts, vanilla-attention equivalence,
 permutation equivariance, parameter accounting, block gradients."""
 
-import contextlib
+import functools
 import hashlib
 import tracemalloc
 
@@ -339,14 +339,15 @@ def perturbed_model(cfg, seed):
 ONE_KEY_SKIPS = ("q.weight", "q.bias", "k.weight", "k.bias", "k_reduce.kernel", "k_reduce.bias")
 
 
-def assert_forward_matches_composed(model, window, cot, channel=None):
-    """The one-node forward against the chain of primitives: the output and
-    every parameter gradient bit for bit, except that a one-key stage's q, k
-    and k reducer get None where the chain gives exact zeros. A parameter
-    that does not require a gradient gets none from either."""
+def assert_forward_matches_composed(model, window, cot, channel=None, build=None):
+    """The one-node forward, on ``build`` if given, against the chain of
+    primitives: the output and every parameter gradient bit for bit, except
+    that a one-key stage's q, k and k reducer get None where the chain gives
+    exact zeros. A parameter that does not require a gradient gets none from
+    either."""
     cfg = model.config
     outs, grads = [], []
-    for forward in (TSTransformerModel.forward, composed_forward):
+    for forward in (functools.partial(TSTransformerModel.forward, _build=build), composed_forward):
         out = forward(model, window, channel)
         ad.backward(ad.sum_all(ad.mul(out, Tensor(cot))))
         outs.append(out.data)
@@ -408,7 +409,7 @@ def test_head_width_one_out_weight_gradient_matches_composed_bit_for_bit():
 def test_every_forward_path_matches_the_composed_chain_bit_for_bit(data):
     # one property over the paths a forward may mix: one- and two-key stages,
     # padded and one-tap reducers, one head or head width 1, a kept row, lead
-    # axes, recorded or not, its own build or _fused_once's
+    # axes, recorded or not, its own build or one handed to it
     draw = data.draw
     m = draw(st.integers(1, 40), label="m")
     width = draw(st.sampled_from([4, 8, 16]), label="width")
@@ -425,14 +426,14 @@ def test_every_forward_path_matches_the_composed_chain_bit_for_bit(data):
     model = TSTransformerModel(cfg, seed=0)
     model.load_arrays([0.5 * rng.normal(size=p.shape) for p in model.parameters()])  # nonzero biases
     window = rng.normal(size=lead + (cfg.lookback, m))
-    with model._fused_once() if inside else contextlib.nullcontext():
-        if recorded:
-            cot = rng.normal(size=lead + (m if channel is None else 1, cfg.horizon))
-            assert_forward_matches_composed(model, window, cot, channel)
-        else:
-            with ad.no_grad():
-                got, want = model.forward(window, channel), composed_forward(model, window, channel)
-            assert np.array_equal(got.data, want.data)
+    build = model._fuse_stages() if inside else None
+    if recorded:
+        cot = rng.normal(size=lead + (m if channel is None else 1, cfg.horizon))
+        assert_forward_matches_composed(model, window, cot, channel, build)
+    else:
+        with ad.no_grad():
+            got, want = model.forward(window, channel, _build=build), composed_forward(model, window, channel)
+        assert np.array_equal(got.data, want.data)
 
 
 EVERY_BIAS = tuple(name for name, _ in param_shapes(toy_config(n_variates=5)) if name.endswith(".bias"))

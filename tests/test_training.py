@@ -4,6 +4,7 @@ checkpoint round-trips, and the rolling forecast."""
 import dataclasses
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -456,16 +457,16 @@ def test_rolling_covers_test_span_exactly():
 @pytest.mark.parametrize("step", [1, 4])
 def test_rolling_calls_forward_once_per_round(step, monkeypatch):
     # the benchmark's tracer counts rollout rounds as model.forward calls; the
-    # rounds share one build of the fused stage arrays, which a forward outside
-    # a rollout builds for itself, and which a forward inside _fused_once
-    # shares, with or without a kept row
+    # rollout hands every round its one build of the fused stage arrays, which
+    # a forward given none builds for itself, with or without a kept row
     series, stats, _, model, _ = tiny_setup(horizon=4)
-    calls, builds = [], []
+    calls, handed, builds = [], [], []
     forward, fuse_stages = TSTransformerModel.forward, TSTransformerModel._fuse_stages
 
-    def counted(self, window, channel=None):
+    def counted(self, window, channel=None, **kwargs):
         calls.append(window.shape)
-        return forward(self, window, channel)
+        handed.append(kwargs.get("_build"))
+        return forward(self, window, channel, **kwargs)
 
     monkeypatch.setattr(TSTransformerModel, "forward", counted)
     monkeypatch.setattr(TSTransformerModel, "_fuse_stages",
@@ -475,13 +476,13 @@ def test_rolling_calls_forward_once_per_round(step, monkeypatch):
     assert len(calls) == math.ceil(len(fc.pred) / step) > 1
     assert set(calls) == {(16, 3)}
     assert builds == [model]
+    assert handed[0] is not None and all(build is handed[0] for build in handed)
     window = np.random.default_rng(1).normal(size=(16, 3))
     with ad.no_grad():
         outside = model.forward(window, channel=1).data
         assert builds == [model, model]
-        with model._fused_once():
-            assert builds == [model] * 3
-            inside = model.forward(window, channel=1).data
+        build = model._fuse_stages()
+        inside = model.forward(window, channel=1, _build=build).data
     assert builds == [model] * 3
     assert inside.tobytes() == outside.tobytes()
 
@@ -508,6 +509,56 @@ def test_rollout_after_an_in_place_update_runs_the_updated_parameters():
     mean, std = stats.channel(series.target_channel)
     assert after.pred.tobytes() == (work[origin:, ti] * std + mean).tobytes()
     assert not np.array_equal(after.pred, before.pred)
+
+
+def test_overlapping_rollouts_on_two_threads_leave_no_stale_build(monkeypatch):
+    # Two rollouts of one model overlap as A enters, B enters, A exits, B
+    # exits. Neither may leave behind a build that a later forward reads: after
+    # load_arrays, forward runs the new parameters.
+    series = synth_degradation(3, 40.0, 3)
+    boundary = 20.0
+    stats = zscore_fit(split_at(series, boundary)[0])
+    cfg = ModelConfig(n_variates=3, lookback=16, horizon=4)
+    model, donor = TSTransformerModel(cfg, seed=0), TSTransformerModel(cfg, seed=1)
+    alone = rolling_forecast(model, series, stats, boundary).pred
+    forward = TSTransformerModel.forward
+    a_entered, b_entered, a_exited = threading.Event(), threading.Event(), threading.Event()
+    waits, results = [], {}
+
+    def ordered(self, window, *args, **kwargs):
+        name = threading.current_thread().name
+        if name == "A" and not a_entered.is_set():
+            a_entered.set()
+            waits.append(b_entered.wait(timeout=30))
+        elif name == "B" and not b_entered.is_set():
+            b_entered.set()
+            waits.append(a_exited.wait(timeout=30))
+        return forward(self, window, *args, **kwargs)
+
+    def run():
+        try:
+            results[threading.current_thread().name] = rolling_forecast(model, series, stats, boundary).pred
+        except Exception as exc:  # reported by the main thread
+            results[threading.current_thread().name] = exc
+        finally:
+            if threading.current_thread().name == "A":
+                a_exited.set()
+
+    monkeypatch.setattr(TSTransformerModel, "forward", ordered)
+    a, b = threading.Thread(target=run, name="A"), threading.Thread(target=run, name="B")
+    a.start()
+    waits.append(a_entered.wait(timeout=30))
+    b.start()
+    a.join(timeout=60)
+    b.join(timeout=60)
+    assert waits == [True, True, True] and not a.is_alive() and not b.is_alive()
+    assert all(isinstance(results[name], np.ndarray) for name in "AB"), results
+    assert [results[name].tobytes() for name in "AB"] == [alone.tobytes()] * 2
+
+    model.load_arrays([p.data for p in donor.parameters()])
+    window = np.random.default_rng(5).normal(size=(16, 3))
+    with ad.no_grad():
+        assert model.forward(window).data.tobytes() == donor.forward(window).data.tobytes()
 
 
 def test_rolling_perfect_on_constant_series():
@@ -617,24 +668,22 @@ def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(mode, horizon, step, m, 
     assert fc.pred[0] == first * std + mean
 
     batch = np.stack([normed[p - cfg.lookback : p] for p in (origin, origin + 1, origin + 2)])
+    build = model._fuse_stages()
     with ad.no_grad():
         outside = model.forward(batch).data, model.forward(batch[0], channel=m - 1).data
-        with model._fused_once():
-            inside = model.forward(batch).data, model.forward(batch[0], channel=m - 1).data
-            builds = [model._fused]
-        builds.append(model._fuse_stages())  # the per-call build has the same layout
+        inside = model.forward(batch, _build=build).data, model.forward(batch[0], channel=m - 1, _build=build).data
     assert [a.tobytes() for a in inside] == [a.tobytes() for a in outside]
     d = cfg.width
-    for be, bp, stages in builds:
-        biases = [(be, (m, d)), (bp, (m, horizon))]
-        for r, fused in zip(cfg.reduction_factors, stages):
-            keys = -(-m // r)
-            width, kv_width = (d, d) if keys == 1 else (3 * d, 2 * d)  # a one-key stage runs v alone
-            biases += zip(fused[1:2] + fused[3:], [(m, width), (keys, kv_width), (m, d), (m, d)])
-        for bias, shape in biases:  # shared by the forwards of a build: read-only
-            assert bias.shape == shape and not bias.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                bias[...] = 0.0
+    be, bp, stages = build
+    biases = [(be, (m, d)), (bp, (m, horizon))]
+    for r, fused in zip(cfg.reduction_factors, stages):
+        keys = -(-m // r)
+        width, kv_width = (d, d) if keys == 1 else (3 * d, 2 * d)  # a one-key stage runs v alone
+        biases += zip(fused[1:2] + fused[3:], [(m, width), (keys, kv_width), (m, d), (m, d)])
+    for bias, shape in biases:  # shared by the forwards of a build: read-only
+        assert bias.shape == shape and not bias.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bias[...] = 0.0
 
 
 def test_rollout_lets_a_forward_error_that_is_not_non_finite_data_propagate(monkeypatch):
@@ -643,16 +692,16 @@ def test_rollout_lets_a_forward_error_that_is_not_non_finite_data_propagate(monk
     series, stats, _, model, _ = tiny_setup()
     forward, calls = TSTransformerModel.forward, []
 
-    def failing(self, window, channel=None):
+    def failing(self, window, channel=None, **kwargs):
         calls.append(window.shape)
         if len(calls) == 2:
             raise ValueError("operands could not be broadcast together")
-        return forward(self, window, channel)
+        return forward(self, window, channel, **kwargs)
 
     monkeypatch.setattr(TSTransformerModel, "forward", failing)
     with pytest.raises(ValueError, match="could not be broadcast"):
         rolling_forecast(model, series, stats, 20.0)
-    assert len(calls) == 2 and model._fused is None
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +943,6 @@ def test_rolling_forecast_non_finite_round_is_numerical_error():
     model.param("embed.weight").data *= 1e306
     with pytest.raises(NumericalError, match="non-finite forecast"):
         rolling_forecast(model, series, stats, 20.0)
-    assert model._fused is None  # a failed rollout leaves no fused arrays behind either
 
 
 # ---------------------------------------------------------------------------
