@@ -9,29 +9,42 @@ from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.model import ModelConfig, TSTransformerModel
 
+
+def stage_attention(model, tokens, stage):
+    """One stage's attention sublayer (one head) from the exported ops: the
+    reduced K, and the output of full-resolution queries over reduced K/V."""
+    p = lambda name: model.param(f"stage{stage}.{name}")
+    r = model.config.reduction_factors[stage]
+    q = ad.affine(tokens, p("q.weight"), p("q.bias"))
+    k, v = (ad.depthwise_conv1d(ad.affine(tokens, p(f"{n}.weight"), p(f"{n}.bias")),
+                                p(f"{n}_reduce.kernel"), p(f"{n}_reduce.bias"), r) for n in ("k", "v"))
+    scores = ad.matmul(q, Tensor(k.data.T / np.sqrt(q.shape[-1])))
+    return k, ad.affine(ad.matmul(ad.softmax_last(scores), v), p("out.weight"), p("out.bias"))
+
+
 cfg = ModelConfig(n_variates=6, lookback=32, horizon=1, width=16)
 model = TSTransformerModel(cfg, seed=0)
 print("ratio schedule:", cfg.ratios)
 print("reduction factors:", cfg.reduction_factors)
 
-# Inference only: under no_grad these forwards record no autodiff graph.
+# Inference only: under no_grad these ops and forwards record no autodiff graph.
 with ad.no_grad():
     tokens = Tensor(np.random.default_rng(0).normal(size=(20, 16)))
     print("\ntoken axis through each stage (20 input tokens):")
     for stage, r in enumerate(cfg.reduction_factors):
-        k, v = model.reduce_kv(tokens, stage)
-        out = model.multi_scale_attention(tokens, stage)
+        k, out = stage_attention(model, tokens, stage)
         print(f"  stage {stage}: K/V reduced 20 -> {k.shape[0]:2d} (factor {r:2d}); "
               f"attention output stays {out.shape}")
 
-    # With every ratio at 1 the attention is plain scaled dot-product over
-    # variate tokens (the inverted-transformer ablation).
+    # With every ratio at 1 the reducers start as the identity, so the
+    # attention is plain scaled dot-product over variate tokens (the
+    # inverted-transformer ablation).
     vanilla = TSTransformerModel(
         ModelConfig(n_variates=6, lookback=32, horizon=1, width=16, mode="vanilla"),
         seed=0,
     )
     x = np.random.default_rng(1).normal(size=(6, 16))
-    got = vanilla.multi_scale_attention(Tensor(x), 0).data
+    got = stage_attention(vanilla, Tensor(x), 0)[1].data
 
     q = x @ vanilla.param("stage0.q.weight").data + vanilla.param("stage0.q.bias").data
     k = x @ vanilla.param("stage0.k.weight").data + vanilla.param("stage0.k.bias").data

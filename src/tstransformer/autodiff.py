@@ -1,22 +1,23 @@
 """Dense float64 tensors with graph-based reverse-mode differentiation.
 
 Everything runs at 64-bit precision so finite-difference gradient checks
-can be held to tight tolerances. The op set is exactly what the
-forecasting model needs: matrix products, affine maps, ReLU, last-axis
-softmax, multi-head scaled dot-product attention, per-slice layer
-normalization, strided depthwise 1-D convolution, elementwise arithmetic,
-slicing and scalar reductions. For the model's one-node forward,
-``_stage_forward`` and ``_stage_backward`` run a whole encoder stage on arrays
-from those primitives' numpy helpers; only they skip work: a one-key stage's
-q and k, and, given the one token row to keep, every other row's q, out
-projection, layer norms and FFN. The helpers call ``np.add.reduce`` and
-``np.maximum.reduce`` directly, the same reductions as ``.sum`` and ``.max``,
-and ``_stage_forward`` runs on the joined arrays of ``_fuse_stage``: one
-product for q, k and v and one convolution for K and V, whose column blocks
-round as the separate ones. The helpers' scalars are cached read-only 0-d
-arrays (``_const``), the stages' biases come at the shape they are added to
-(``_at_rows``), and the forward helpers work in place on their own
-temporaries: the same IEEE operations as the plain forms.
+can be held to tight tolerances. The taped ops are the model's building
+blocks: matrix products, affine maps, ReLU, last-axis softmax, per-slice
+layer normalization and strided depthwise 1-D convolution. The model's
+one-node forward runs each encoder stage on arrays, through
+``_stage_forward`` and ``_stage_backward``, built from those ops' numpy
+helpers and the multi-head attention ones (``_attention``); the taped
+chain they match bit for bit is ``tests/helpers.py::composed_forward``.
+Only they skip work: a one-key stage's q and k, and, given the one token
+row to keep, every other row's q, out projection, layer norms and FFN. The
+helpers call ``np.add.reduce`` and ``np.maximum.reduce`` directly, the same
+reductions as ``.sum`` and ``.max``, and ``_stage_forward`` runs on the
+joined arrays of ``_fuse_stage``: one product for q, k and v and one
+convolution for K and V, whose column blocks round as the separate ones.
+The helpers' scalars are cached read-only 0-d arrays (``_const``), the
+stages' biases come at the shape they are added to (``_at_rows``), and the
+forward helpers work in place on their own temporaries: the same IEEE
+operations as the plain forms.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -169,83 +170,7 @@ def _reduce_leading(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / structural primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"add requires equal shapes, got {a.shape} and {b.shape}")
-    return _result(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"sub requires equal shapes, got {a.shape} and {b.shape}")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
-    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _result(a.data * c, (a,), lambda g: (g * c,))
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    return _result(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if x.data.ndim < 2:
-        raise DimensionError(f"transpose requires >= 2 axes, got shape {x.shape}")
-    return _result(
-        np.ascontiguousarray(x.data.swapaxes(-1, -2)),
-        (x,),
-        lambda g: (g.swapaxes(-1, -2),),
-    )
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = x.data[idx].copy()
-    if out.size == 0:
-        raise DimensionError(f"empty slice [{start}:{stop}] on axis {axis} of shape {x.shape}")
-
-    def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return (gx,)
-
-    return _result(out, (x,), grad_fn)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return _result(
-        np.array([x.data.sum()]),
-        (x,),
-        lambda g: (np.full_like(x.data, g[0]),),
-    )
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    return _result(
-        np.array([x.data.mean()]),
-        (x,),
-        lambda g: (np.full_like(x.data, g[0] / n),),
-    )
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
+# linear maps and ReLU
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -307,6 +232,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def relu(x: Tensor) -> Tensor:
+    mask = x.data > 0.0
+    return _result(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+
+
 # ---------------------------------------------------------------------------
 # normalizations and convolution
 
@@ -349,9 +279,11 @@ def _merge_heads(a: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _attention(q, k, v, heads):
-    """Forward of :func:`attention` on arrays: the output and what its backward needs."""
+    """softmax(q k^T / sqrt(hd)) v per head on arrays, q (..., N, D) and k, v
+    (..., J, D), head h on last-axis block h of width hd = D / heads: the
+    (..., N, D) output and what :func:`_attention_grads` needs."""
     qh, vh = _split_heads(q, heads), _split_heads(v, heads)
-    # contiguous like transpose()'s output, so scores equal matmul(q, transpose(k)) bit for bit
+    # contiguous like a transposed tensor's data, so scores equal a matmul with it bit for bit
     kt = np.ascontiguousarray(_split_heads(k, heads).swapaxes(-1, -2))
     c = _const(1.0 / math.sqrt(q.shape[-1] // heads))
     scores = qh @ kt
@@ -369,26 +301,9 @@ def _attention_grads(g, qh, kt, vh, p, c, heads):
     return gq, gk, gv
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """softmax(q k^T / sqrt(hd)) v per head, for q (..., N, D) and k, v (..., J, D).
-
-    Head h attends with last-axis block h of width hd = D / heads; the
-    (..., N, D) output holds the head results side by side.
-    """
-    if (q.data.ndim < 2 or k.data.ndim != q.data.ndim or k.shape != v.shape
-            or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1]):
-        raise DimensionError(f"attention expects q (..., N, D) and k, v (..., J, D), "
-                             f"got {q.shape}, {k.shape}, {v.shape}")
-    d = q.shape[-1]
-    if heads < 1 or d % heads:
-        raise DimensionError(f"heads ({heads}) must divide the model width ({d})")
-    out, saved = _attention(q.data, k.data, v.data, heads)
-    return _result(out, (q, k, v), lambda g: _attention_grads(g, *saved))
-
-
 def _single_key_grads(g, heads):
-    """:func:`attention`'s v gradient for one key (softmax weight exactly 1):
-    each head's n row gradients summed in attention's order, bit for bit."""
+    """:func:`_attention_grads`'s v gradient for one key (softmax weight
+    exactly 1): each head's n row gradients summed in its order, bit for bit."""
     n = g.shape[-2]
     return _merge_heads(np.ones((1, n)) @ _split_heads(g, heads), heads)
 
@@ -540,13 +455,14 @@ def _stage_forward(x, arrays, r, heads, eps, fused, row=None):
     :func:`_stage_backward` needs. ``arrays`` are the stage's 14 parameters in
     checkpoint order (q, k, v, k and v reducers, out, ffn), and ``fused`` their
     :func:`_fuse_stage` for N tokens, whose weights and biases it runs on;
-    reduce is the stride-r :func:`depthwise_conv1d`. y equals the primitives'
-    chain bit for bit, as addition commutes exactly:
+    reduce is the stride-r :func:`depthwise_conv1d`. y equals bit for bit,
+    as addition commutes exactly, the taped stage of the reference chain
+    ``tests/helpers.py::composed_forward``:
 
         a = affine(attention(affine(xr, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
         normed = layer_norm(xr + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
 
-    where xr is x, or with ``row`` set only token ``row`` (``slice_axis``), so
+    where xr is x, or with ``row`` set only token ``row``, so
     y is (..., 1, D): K and V read every token, q, out, the layer norms and
     the FFN run on the kept row alone, with its row of their biases. q, k and v
     come from one product with [q|k|v], or with ``row`` set k and v from one
@@ -590,7 +506,7 @@ def _stage_backward(g, x, arrays, saved, heads, row=None):
     """Gradients of :func:`_stage_forward` (with the same ``row``) for an
     output gradient g: x's, then the 14 arrays', all computed (:func:`backward`
     drops those of arrays that need none). A one-key stage's q, k and k reducer
-    get None (exact zeros in the primitives' chain); the rest equal that
+    get None (exact zeros in the reference chain); the rest equal that
     chain's bit for bit. The K and V reducers' gradients come from one pass
     over the joined K|V block: column by column the same sums as each alone.
     With ``row`` set, the other tokens get gradient only through K and V; the

@@ -344,13 +344,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _trained_values(ckpt) -> dict:
+    """The checkpoint's ``train.*`` values of the keys predict reads, each
+    decoded and checked as a ``--set`` value would be; a bad one is corruption."""
+    trained = {key: ckpt.header[f"train.{key}"] for key in _PREDICT_KEYS if f"train.{key}" in ckpt.header}
+    for key, value in trained.items():
+        try:
+            run = RunConfig({**DEFAULTS, key: value}).settings()
+            rollout_step(ckpt.config.horizon, run.forecast_step or None, run.covariate_mode)
+        except (ConfigError, ParameterError) as exc:
+            raise CorruptionError(f"checkpoint train.{key}={value}: {exc}") from None
+    return trained
+
+
 def cmd_predict(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
     except OSError as exc:
         raise CorruptionError(f"checkpoint not readable: {exc}") from exc
-    # The run's train.* header values, overlaid by this call's --set values.
-    trained = {k.removeprefix("train."): v for k, v in ckpt.header.items() if k.startswith("train.")}
+    trained = _trained_values(ckpt)
     overrides = dict(_entry(item, "--set") for item in args.set or ())
     unread = [key for key in overrides if key not in _PREDICT_KEYS]
     if unread:

@@ -184,41 +184,6 @@ class TSTransformerModel:
         """Overwrite parameters from arrays given in declared order, all checked before any is written."""
         self._theta[...] = self.from_arrays(self.config, arrays)._theta
 
-    # -- forward pieces -----------------------------------------------------
-
-    def _affine(self, x, prefix: str) -> Tensor:
-        return ad.affine(x, self.param(f"{prefix}.weight"), self.param(f"{prefix}.bias"))
-
-    def embed(self, window) -> Tensor:
-        """Map a (lookback, n_variates) window to one token per variate.
-
-        Every variate's full history passes through the same affine, so
-        the output row f depends only on input column f.
-        """
-        win = window if isinstance(window, Tensor) else Tensor(window)
-        self._check_window(win.shape)
-        return self._affine(ad.transpose(win), "embed")
-
-    def reduce_kv(self, tokens: Tensor, stage: int) -> tuple:
-        """Project tokens to K and V and shrink each along the token axis."""
-        self._check_stage(stage)
-        p = f"stage{stage}."
-        return tuple(ad.depthwise_conv1d(self._affine(tokens, p + name), self.param(f"{p}{name}_reduce.kernel"),
-                                         self.param(f"{p}{name}_reduce.bias"), self._factors[stage])
-                     for name in ("k", "v"))
-
-    def multi_scale_attention(self, tokens: Tensor, stage: int) -> Tensor:
-        """Attention with full-resolution queries over reduced keys/values.
-
-        Output token count always matches the input, whatever the
-        stage's reduction factor. Built from the generic primitives, with q,
-        k and attention in every stage, as the reference for :meth:`forward`.
-        """
-        self._check_stage(stage)
-        q = self._affine(tokens, f"stage{stage}.q")
-        attended = ad.attention(q, *self.reduce_kv(tokens, stage), self.config.heads)
-        return self._affine(attended, f"stage{stage}.out")
-
     def forward(self, window, channel: int | None = None, *, _build: tuple | None = None) -> Tensor:
         """(lookback, n_variates) -> (n_variates, horizon) forecast.
 
@@ -234,13 +199,13 @@ class TSTransformerModel:
 
         Under ``ad.no_grad()`` it records nothing; outside it records one
         graph node over every parameter, and ``ad.backward`` drops the
-        gradients of frozen ones. Outputs and gradients equal the chain of
-        primitives' (``embed``, the stages, the head affine, the mean add)
-        bit for bit, but a one-key stage's q, k and k reducer get None, not
-        zeros. ``_build`` is a :meth:`_fuse_stages`
-        build of the current parameters, which a caller running many
-        forwards on unchanged parameters makes once; when None, the forward
-        builds its own from the parameters as they are now.
+        gradients of frozen ones. Outputs and gradients equal those of the
+        taped reference chain ``tests/helpers.py::composed_forward`` bit for
+        bit, but a one-key stage's q, k and k reducer get None, not zeros.
+        ``_build`` is a :meth:`_fuse_stages` build of the current parameters,
+        which a caller running many forwards on unchanged parameters makes
+        once; when None, the forward builds its own from the parameters as
+        they are now.
         """
         cfg = self.config
         arr = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
@@ -287,7 +252,3 @@ class TSTransformerModel:
         if len(shape) < 2 or shape[-2:] != (cfg.lookback, cfg.n_variates):
             raise DimensionError(f"window shape {shape} does not end in "
                                  f"(lookback={cfg.lookback}, n_variates={cfg.n_variates})")
-
-    def _check_stage(self, stage: int) -> None:
-        if not 0 <= stage < self.config.stages:
-            raise ParameterError(f"stage {stage} out of range [0, {self.config.stages})")

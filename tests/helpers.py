@@ -1,25 +1,28 @@
 """Shared reference implementations and fixture builders for the tests.
 
+The library's taped ops are the model's building blocks; the taped chain
+that tests hold the one-node ``forward`` to lives here. ``add`` through
+``attention`` are the elementwise, structural and attention primitives
+only that chain and the graph tests use, and ``embed``, ``reduce_kv`` and
+``multi_scale_attention`` the model's sublayers as taped ops over a
+model's parameters. ``composed_forward`` chains them into the recorded
+forward (``composed_trm_block`` per encoder stage, which runs q, k, the k
+reducer and attention in every stage, and the last stage on one token row
+when one is asked for), so the model's one-node forward, with its one-key
+and one-row shortcuts, can be held to it bit for bit.
 ``vanilla_attention_reference`` is deliberately independent of the
 library ops: plain numpy, written straight from the classic
-scaled-dot-product formulation, so the model's multi-scale path can be
-checked against it. ``per_head_attention_loop`` is the opposite: the
+scaled-dot-product formulation. ``per_head_attention_loop`` is the
 model's former attention, op for op in taped primitives, kept so the
-fused ``autodiff.attention`` can be held to it bit for bit. In the same
-way ``composed_forward`` keeps the recorded forward as a chain of taped
-primitives (``composed_trm_block`` per encoder stage, which runs q, k, the
-k reducer and attention in every stage, and the last stage after a
-``slice_axis`` when one row is asked for), and ``adam_step_per_parameter``
-the optimizer that updated one parameter at a time, so the model's one-node
-forward, with its one-key and one-row shortcuts, and the flat Adam update
-can be held to them. ``composed_mse_loss`` keeps the loss as the ``sub``,
-``mul``, ``mean_all`` chain, so the one-node ``mse_loss`` can be held to it
-bit for bit. ``edge_padded_conv1d`` is the strided depthwise convolution
-with its edge padding built, in plain numpy, so the convolution that folds
-that padding into its last tap can be held to it. ``stacked_windows`` is
-the former ``make_windows``, which copied every window into stacked arrays,
-so the strided views can be held to it. ``count_nodes`` counts the graph
-nodes a call records.
+fused ``attention`` can be held to it bit for bit; in the same way
+``adam_step_per_parameter`` is the optimizer that updated one parameter
+at a time, and ``composed_mse_loss`` the loss as the ``sub``, ``mul``,
+``mean_all`` chain. ``edge_padded_conv1d`` is the strided depthwise
+convolution with its edge padding built, in plain numpy, so the
+convolution that folds that padding into its last tap can be held to it.
+``stacked_windows`` is the former ``make_windows``, which copied every
+window into stacked arrays, so the strided views can be held to it.
+``count_nodes`` counts the graph nodes a call records.
 """
 
 import math
@@ -28,6 +31,114 @@ import numpy as np
 
 from tstransformer import autodiff as ad
 from tstransformer.data import DegradationSpec, WindowedDataset
+from tstransformer.errors import DimensionError, ParameterError
+
+
+def _same_shape(name, a, b):
+    if a.shape != b.shape:
+        raise DimensionError(f"{name} requires equal shapes, got {a.shape} and {b.shape}")
+
+
+def add(a, b):
+    _same_shape("add", a, b)
+    return ad._result(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def sub(a, b):
+    _same_shape("sub", a, b)
+    return ad._result(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def mul(a, b):
+    _same_shape("mul", a, b)
+    return ad._result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def scale(a, c: float):
+    c = float(c)
+    return ad._result(a.data * c, (a,), lambda g: (g * c,))
+
+
+def transpose(x):
+    """Swap the last two axes."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"transpose requires >= 2 axes, got shape {x.shape}")
+    return ad._result(np.ascontiguousarray(x.data.swapaxes(-1, -2)), (x,), lambda g: (g.swapaxes(-1, -2),))
+
+
+def slice_axis(x, axis: int, start: int, stop: int):
+    idx = [slice(None)] * x.data.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+    out = x.data[idx].copy()
+    if out.size == 0:
+        raise DimensionError(f"empty slice [{start}:{stop}] on axis {axis} of shape {x.shape}")
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        gx[idx] = g
+        return (gx,)
+
+    return ad._result(out, (x,), grad_fn)
+
+
+def sum_all(x):
+    return ad._result(np.array([x.data.sum()]), (x,), lambda g: (np.full_like(x.data, g[0]),))
+
+
+def mean_all(x):
+    n = x.data.size
+    return ad._result(np.array([x.data.mean()]), (x,), lambda g: (np.full_like(x.data, g[0] / n),))
+
+
+def attention(q, k, v, heads: int):
+    """softmax(q k^T / sqrt(hd)) v per head as one taped op, for q (..., N, D)
+    and k, v (..., J, D); the (..., N, D) output holds the heads side by side."""
+    if (q.data.ndim < 2 or k.data.ndim != q.data.ndim or k.shape != v.shape
+            or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1]):
+        raise DimensionError(f"attention expects q (..., N, D) and k, v (..., J, D), "
+                             f"got {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[-1]
+    if heads < 1 or d % heads:
+        raise DimensionError(f"heads ({heads}) must divide the model width ({d})")
+    out, saved = ad._attention(q.data, k.data, v.data, heads)
+    return ad._result(out, (q, k, v), lambda g: ad._attention_grads(g, *saved))
+
+
+def _affine(model, x, prefix: str):
+    return ad.affine(x, model.param(f"{prefix}.weight"), model.param(f"{prefix}.bias"))
+
+
+def _check_stage(model, stage: int) -> None:
+    if not 0 <= stage < model.config.stages:
+        raise ParameterError(f"stage {stage} out of range [0, {model.config.stages})")
+
+
+def embed(model, window):
+    """The model's (lookback, n_variates) window as one token per variate:
+    every variate's full history through the same affine, so the output row
+    f depends only on input column f."""
+    win = window if isinstance(window, ad.Tensor) else ad.Tensor(window)
+    model._check_window(win.shape)
+    return _affine(model, transpose(win), "embed")
+
+
+def reduce_kv(model, tokens, stage: int) -> tuple:
+    """Project tokens to K and V and shrink each along the token axis."""
+    _check_stage(model, stage)
+    p, r = f"stage{stage}.", model.config.reduction_factors[stage]
+    return tuple(ad.depthwise_conv1d(_affine(model, tokens, p + name), model.param(f"{p}{name}_reduce.kernel"),
+                                     model.param(f"{p}{name}_reduce.bias"), r)
+                 for name in ("k", "v"))
+
+
+def multi_scale_attention(model, tokens, stage: int, row=None):
+    """Attention with full-resolution queries over reduced keys/values, with
+    q, k and attention in every stage. The output keeps the input's token
+    count, or with ``row`` set only that token, the one q is taken from."""
+    _check_stage(model, stage)
+    q = _affine(model, tokens if row is None else slice_axis(tokens, -2, row, row + 1), f"stage{stage}.q")
+    return _affine(model, attention(q, *reduce_kv(model, tokens, stage), model.config.heads), f"stage{stage}.out")
 
 
 def per_head_attention_loop(q, k, v, heads: int) -> list:
@@ -37,15 +148,15 @@ def per_head_attention_loop(q, k, v, heads: int) -> list:
     """
     inv_scale = 1.0 / math.sqrt(q.shape[-1] / heads)
     if heads == 1:
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_scale)
+        scores = scale(ad.matmul(q, transpose(k)), inv_scale)
         return [ad.matmul(ad.softmax_last(scores), v)]
     hd = q.shape[-1] // heads
     outs = []
     for h in range(heads):
-        qh = ad.slice_axis(q, -1, h * hd, (h + 1) * hd)
-        kh = ad.slice_axis(k, -1, h * hd, (h + 1) * hd)
-        vh = ad.slice_axis(v, -1, h * hd, (h + 1) * hd)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_scale)
+        qh = slice_axis(q, -1, h * hd, (h + 1) * hd)
+        kh = slice_axis(k, -1, h * hd, (h + 1) * hd)
+        vh = slice_axis(v, -1, h * hd, (h + 1) * hd)
+        scores = scale(ad.matmul(qh, transpose(kh)), inv_scale)
         outs.append(ad.matmul(ad.softmax_last(scores), vh))
     return outs
 
@@ -53,22 +164,15 @@ def per_head_attention_loop(q, k, v, heads: int) -> list:
 def composed_trm_block(model, tokens, stage: int, row=None):
     """One encoder stage as a chain of taped primitives: residual attention
     and feed-forward sublayers, post-norm layout. With ``row`` set, q and the
-    residual take only that token (each its own ``slice_axis``, the residual's
-    made after K and V, so x's gradient sums in the full stage's order) and
-    the out projection, the layer norms and the FFN run on that row alone;
-    without it, the attention sublayer is the model's ``multi_scale_attention``."""
+    residual take only that token, each by its own ``slice_axis`` (the
+    residual's made after K and V, so x's gradient sums in the full stage's
+    order), and the out projection, the layer norms and the FFN run on that
+    row alone."""
     eps = model.config.eps
-    w = model.param(f"stage{stage}.ffn.weight")
-    b = model.param(f"stage{stage}.ffn.bias")
-    if row is None:
-        residual, att = tokens, model.multi_scale_attention(tokens, stage)
-    else:
-        q = model._affine(ad.slice_axis(tokens, -2, row, row + 1), f"stage{stage}.q")
-        kv = model.reduce_kv(tokens, stage)
-        residual = ad.slice_axis(tokens, -2, row, row + 1)
-        att = model._affine(ad.attention(q, *kv, model.config.heads), f"stage{stage}.out")
-    normed = ad.layer_norm(ad.add(residual, att), eps)
-    return ad.layer_norm(ad.add(normed, ad.relu(ad.affine(normed, w, b))), eps)
+    att = multi_scale_attention(model, tokens, stage, row)
+    residual = tokens if row is None else slice_axis(tokens, -2, row, row + 1)
+    normed = ad.layer_norm(add(residual, att), eps)
+    return ad.layer_norm(add(normed, ad.relu(_affine(model, normed, f"stage{stage}.ffn"))), eps)
 
 
 def composed_forward(model, window, channel=None):
@@ -79,13 +183,12 @@ def composed_forward(model, window, channel=None):
     cfg = model.config
     mu = window.sum(axis=-2, keepdims=True) / window.shape[-2]
     mu_rows = mu.swapaxes(-1, -2)
-    tokens = model.embed(window - mu)
+    tokens = embed(model, window - mu)
     for stage in range(cfg.stages):
         tokens = composed_trm_block(model, tokens, stage, channel if stage == cfg.stages - 1 else None)
     if channel is not None:
         mu_rows = mu_rows[..., channel : channel + 1, :]
-    delta = ad.affine(tokens, model.param("project.weight"), model.param("project.bias"))
-    return ad.add(delta, ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))
+    return add(_affine(model, tokens, "project"), ad.Tensor(np.repeat(mu_rows, cfg.horizon, axis=-1)))
 
 
 def edge_padded_conv1d(x, kernel, bias, g):
@@ -110,8 +213,8 @@ def composed_mse_loss(pred, truth):
     """``training.mse_loss`` as a chain of taped primitives, before it became
     one node: the truth copied into a Tensor, subtracted, squared and averaged."""
     truth_t = truth if isinstance(truth, ad.Tensor) else ad.Tensor(truth)
-    diff = ad.sub(pred, truth_t)
-    return ad.mean_all(ad.mul(diff, diff))
+    diff = sub(pred, truth_t)
+    return mean_all(mul(diff, diff))
 
 
 def count_nodes(fn):

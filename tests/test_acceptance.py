@@ -14,7 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import degradation_fixture_spec, vanilla_attention_reference
+from helpers import (
+    attention,
+    degradation_fixture_spec,
+    mul,
+    multi_scale_attention,
+    reduce_kv,
+    sum_all,
+    vanilla_attention_reference,
+)
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.cli import _write_series_csv, main
@@ -94,18 +102,18 @@ def test_criterion_2_gradient_suite():
     init = [p.data for p in TSTransformerModel(stage_cfg, seed=20).parameters()]
     stage_model = TSTransformerModel.from_arrays(stage_cfg, init[:2] + stage[2] + stage[4] + init[-2:])
     stage_window = np.random.default_rng(21).normal(size=(5, 4))
-    two_stages = lambda: ad.sum_all(ad.mul(stage_model.forward(stage_window), cot_stage))
+    two_stages = lambda: sum_all(mul(stage_model.forward(stage_window), cot_stage))
     primitives = {
-        "matmul": (lambda: ad.sum_all(ad.mul(ad.matmul(x, w), cot)), [x, w]),
-        "affine": (lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), cot)), [x, w, b]),
-        "softmax_last": (lambda: ad.sum_all(ad.mul(ad.softmax_last(x), cot)), [x]),
-        "layer_norm": (lambda: ad.sum_all(ad.mul(ad.layer_norm(x), cot)), [x]),
-        "relu": (lambda: ad.sum_all(ad.mul(ad.relu(x), cot)), [x]),
+        "matmul": (lambda: sum_all(mul(ad.matmul(x, w), cot)), [x, w]),
+        "affine": (lambda: sum_all(mul(ad.affine(x, w, b), cot)), [x, w, b]),
+        "softmax_last": (lambda: sum_all(mul(ad.softmax_last(x), cot)), [x]),
+        "layer_norm": (lambda: sum_all(mul(ad.layer_norm(x), cot)), [x]),
+        "relu": (lambda: sum_all(mul(ad.relu(x), cot)), [x]),
         "depthwise_conv1d": (
-            lambda: ad.sum_all(ad.mul(ad.depthwise_conv1d(x, k, b, 2), cot3)),
+            lambda: sum_all(mul(ad.depthwise_conv1d(x, k, b, 2), cot3)),
             [x, k, b],
         ),
-        "attention": (lambda: ad.sum_all(ad.mul(ad.attention(x, *kv, 2), cot)), [x, *kv]),
+        "attention": (lambda: sum_all(mul(attention(x, *kv, 2), cot)), [x, *kv]),
         "model with N > r and N <= r stages": (two_stages, stage_model.parameters()),
     }
     for name, (f, params) in primitives.items():
@@ -135,7 +143,7 @@ def test_criterion_3_vanilla_equivalence():
     for i in range(100):
         tokens = rng.normal(size=(6, 16))
         stage = i % cfg.stages
-        got = model.multi_scale_attention(Tensor(tokens), stage).data
+        got = multi_scale_attention(model, Tensor(tokens), stage).data
         ref = vanilla_attention_reference(tokens, model, stage)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     assert worst <= 1e-9
@@ -150,7 +158,7 @@ def test_criterion_4_shape_and_clamp():
     for n in range(1, 41):
         tokens = Tensor(rng.normal(size=(n, 16)))
         for stage, r in enumerate(cfg.reduction_factors):
-            k, v = model.reduce_kv(tokens, stage)
+            k, v = reduce_kv(model, tokens, stage)
             expected = max(1, -(-n // r))
             assert k.shape == (expected, 16) and v.shape == (expected, 16)
             arrays = model._stage_arrays[stage]

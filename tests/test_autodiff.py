@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import edge_padded_conv1d
+from helpers import add, attention, edge_padded_conv1d, mean_all, mul, scale, slice_axis, sub, sum_all, transpose
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.errors import ContractError, DimensionError, ParameterError
@@ -139,7 +139,7 @@ def test_layer_norm_sum_over_n_means_match_np_mean_bit_for_bit(shape):
     gc = g * inv_s - c * ((g * c).sum(axis=-1, keepdims=True) * coef)
     z = t(z_a, grad=True)
     out = ad.layer_norm(z, eps)
-    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    ad.backward(sum_all(mul(out, Tensor(g))))
     assert np.array_equal(out.data, c / s)
     assert np.array_equal(z.grad, gc - gc.mean(axis=-1, keepdims=True))
     for value in (shape[-1], eps):  # the 0-d operands it divided and added by: shared, so read-only
@@ -207,7 +207,7 @@ def test_conv_matches_edge_padded_reference(n, r, lead):
     cot = rng.normal(size=lead + (-(-n // r), 5))
     x, k, b = (t(a, grad=True) for a in (x_a, k_a, b_a))
     out = ad.depthwise_conv1d(x, k, b, r)
-    ad.backward(ad.sum_all(ad.mul(out, Tensor(cot))))
+    ad.backward(sum_all(mul(out, Tensor(cot))))
     want_out, want_gx, want_gk, want_gb = edge_padded_conv1d(x_a, k_a, b_a, cot)
     assert ad._depthwise_conv1d(x_a, k_a, b_a)[1][0].shape[-2] == min(n, r)  # no padded rows built
     assert np.array_equal(k.grad, want_gk) and np.array_equal(b.grad, want_gb)
@@ -269,7 +269,7 @@ def test_conv_rejects_bad_reduction():
 def test_attention_rejects_bad_shapes(q_shape, k_shape, v_shape, heads):
     q, k, v = (t(np.ones(shape)) for shape in (q_shape, k_shape, v_shape))
     with pytest.raises(DimensionError):
-        ad.attention(q, k, v, heads)
+        attention(q, k, v, heads)
 
 
 def test_attention_multi_head_batched_gradient():
@@ -278,7 +278,7 @@ def test_attention_multi_head_batched_gradient():
     k = t(rng.normal(size=(2, 3, 8)), grad=True)
     v = t(rng.normal(size=(2, 3, 8)), grad=True)
     c = Tensor(rng.normal(size=(2, 4, 8)))
-    f = lambda: ad.sum_all(ad.mul(ad.attention(q, k, v, 4), c))
+    f = lambda: sum_all(mul(attention(q, k, v, 4), c))
     assert ad.gradient_check(f, [q, k, v], h=1e-5) <= 1e-6
 
 
@@ -293,8 +293,8 @@ def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
     q_a, k_a, v_a = (rng.normal(size=lead + (rows, d)) for rows in (n, 1, 1))
     cot = Tensor(rng.normal(size=lead + (n, d)) * 10.0 ** rng.uniform(-3, 3, size=lead + (n, d)))
     q, k, v = (t(a, grad=True) for a in (q_a, k_a, v_a))
-    full = ad.attention(q, k, v, heads)
-    ad.backward(ad.sum_all(ad.mul(full, cot)))
+    full = attention(q, k, v, heads)
+    ad.backward(sum_all(mul(full, cot)))
     assert np.array_equal(np.repeat(v_a, n, axis=-2), full.data)
     assert np.array_equal(ad._single_key_grads(cot.data, heads), v.grad)
     assert not q.grad.any() and not k.grad.any()  # what the shortcut leaves out
@@ -356,28 +356,28 @@ def test_affine_of_a_matrix_is_the_plain_product(x_shape):
 
 def test_backward_linear():
     x = t([1.0, 2.0, 3.0], grad=True)
-    ad.backward(ad.sum_all(x))
+    ad.backward(sum_all(x))
     assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_sum_of_squares():
     x = t([1.0, 2.0], grad=True)
-    ad.backward(ad.sum_all(ad.mul(x, x)))
+    ad.backward(sum_all(mul(x, x)))
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_diamond_accumulates():
     # y = x^2 + 3x, dy/dx = 2x + 3
     x = t([2.0, -1.0], grad=True)
-    ad.backward(ad.sum_all(ad.add(ad.mul(x, x), ad.scale(x, 3.0))))
+    ad.backward(sum_all(add(mul(x, x), scale(x, 3.0))))
     assert np.array_equal(x.grad, [7.0, 1.0])
 
 
 def test_backward_add_of_itself():
     # add hands one gradient array to both inputs; a later sum must not write it
     x = t([1.0, -2.0], grad=True)
-    y = ad.add(x, x)
-    ad.backward(ad.sum_all(ad.mul(y, t([3.0, 5.0]))))
+    y = add(x, x)
+    ad.backward(sum_all(mul(y, t([3.0, 5.0]))))
     assert np.array_equal(x.grad, [6.0, 10.0])
     assert np.array_equal(y.grad, [3.0, 5.0])
 
@@ -386,24 +386,24 @@ def test_backward_second_consumer_leaves_the_other_add_input_alone():
     # a also feeds mul, recorded before add, so a.grad is summed again after
     # add's backward gave a and b the same array
     a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
-    u = ad.mul(a, t([10.0, 20.0]))
-    s = ad.add(a, b)
-    ad.backward(ad.sum_all(ad.add(ad.mul(s, t([2.0, 3.0])), u)))
+    u = mul(a, t([10.0, 20.0]))
+    s = add(a, b)
+    ad.backward(sum_all(add(mul(s, t([2.0, 3.0])), u)))
     assert np.array_equal(b.grad, [2.0, 3.0])
     assert np.array_equal(a.grad, [12.0, 23.0])
 
 
 @pytest.mark.parametrize("op", [
-    lambda x: ad.sub(x, t([[5.0, 7.0]])),  # hands on the upstream gradient itself
-    ad.transpose,  # hands on a view of it, C-contiguous for one row
+    lambda x: sub(x, t([[5.0, 7.0]])),  # hands on the upstream gradient itself
+    transpose,  # hands on a view of it, C-contiguous for one row
 ])
 def test_backward_first_write_keeps_the_upstream_gradient_intact(op):
     # x's first gradient comes from op (recorded last); mul's then accumulates into it
     x = t([[1.0, 2.0]], grad=True)
-    u = ad.sum_all(ad.mul(x, t([[10.0, 20.0]])))
+    u = sum_all(mul(x, t([[10.0, 20.0]])))
     y = op(x)
     w = t(np.arange(2.0).reshape(y.shape) + 3.0)
-    ad.backward(ad.add(ad.sum_all(ad.mul(y, w)), u))
+    ad.backward(add(sum_all(mul(y, w)), u))
     assert np.array_equal(y.grad, w.data)
     assert np.array_equal(x.grad, [[13.0, 24.0]])
 
@@ -412,27 +412,27 @@ def test_backward_copies_one_fresh_gradient_handed_to_two_inputs():
     # a node whose backward returns one new array for both inputs; a's
     # second consumer (mul, recorded first) accumulates into a.grad afterwards
     a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
-    u = ad.sum_all(ad.mul(a, t([10.0, 20.0])))
+    u = sum_all(mul(a, t([10.0, 20.0])))
     y = ad._result(a.data + b.data, (a, b), lambda g: (g * 2.0,) * 2)
-    ad.backward(ad.add(ad.sum_all(y), u))
+    ad.backward(add(sum_all(y), u))
     assert np.array_equal(b.grad, [2.0, 2.0])
     assert np.array_equal(a.grad, [12.0, 22.0])
 
 
 _PRIMITIVES = {  # every taped primitive, as (op over tensors, its input shapes)
-    "add": (ad.add, [(2, 3), (2, 3)]),
-    "sub": (ad.sub, [(2, 3), (2, 3)]),
-    "mul": (ad.mul, [(2, 3), (2, 3)]),
-    "scale": (lambda x: ad.scale(x, 1.5), [(2, 3)]),
+    "add": (add, [(2, 3), (2, 3)]),
+    "sub": (sub, [(2, 3), (2, 3)]),
+    "mul": (mul, [(2, 3), (2, 3)]),
+    "scale": (lambda x: scale(x, 1.5), [(2, 3)]),
     "relu": (ad.relu, [(2, 3)]),
-    "transpose": (ad.transpose, [(2, 3)]),
-    "slice_axis": (lambda x: ad.slice_axis(x, -1, 1, 3), [(2, 3)]),
-    "sum_all": (ad.sum_all, [(2, 3)]),
-    "mean_all": (ad.mean_all, [(2, 3)]),
+    "transpose": (transpose, [(2, 3)]),
+    "slice_axis": (lambda x: slice_axis(x, -1, 1, 3), [(2, 3)]),
+    "sum_all": (sum_all, [(2, 3)]),
+    "mean_all": (mean_all, [(2, 3)]),
     "matmul": (ad.matmul, [(2, 3), (3, 4)]),
     "affine": (ad.affine, [(2, 3), (3, 4), (4,)]),
     "softmax_last": (ad.softmax_last, [(2, 3)]),
-    "attention": (lambda q, k, v: ad.attention(q, k, v, 2), [(3, 4), (2, 4), (2, 4)]),
+    "attention": (lambda q, k, v: attention(q, k, v, 2), [(3, 4), (2, 4), (2, 4)]),
     "layer_norm": (ad.layer_norm, [(2, 3)]),
     "depthwise_conv1d": (lambda x, k, b: ad.depthwise_conv1d(x, k, b, 2), [(5, 3), (2, 3), (3,)]),
 }
@@ -449,21 +449,21 @@ def test_backward_gives_no_gradient_to_a_constant_operand(name):
         out = op(*inputs)
         grads = out._node[2](np.ones(out.shape))
         assert [g.shape for g in grads] == shapes
-        ad.backward(ad.sum_all(out))
+        ad.backward(sum_all(out))
         assert [x.grad is not None for x in inputs] == [i == tracked for i in range(len(shapes))]
 
 
 def test_backward_requires_scalar():
     x = t([1.0, 2.0], grad=True)
-    y = ad.mul(x, x)
+    y = mul(x, x)
     with pytest.raises(ContractError):
         ad.backward(y)
-    ad.backward(ad.sum_all(ad.mul(x, x)))  # a rejected call leaves backward usable
+    ad.backward(sum_all(mul(x, x)))  # a rejected call leaves backward usable
 
 
 def test_backward_twice_without_forward():
     x = t([1.0, 2.0], grad=True)
-    loss = ad.sum_all(ad.mul(x, x))
+    loss = sum_all(mul(x, x))
     ad.backward(loss)
     with pytest.raises(ContractError):
         ad.backward(loss)
@@ -472,18 +472,18 @@ def test_backward_twice_without_forward():
 def test_backward_runs_a_second_independent_loss():
     # each loss owns its graph, so running one leaves the other pending
     x = t([1.0, 2.0], grad=True)
-    first = ad.sum_all(ad.mul(x, x))
-    ad.backward(ad.sum_all(ad.scale(x, 3.0)))
+    first = sum_all(mul(x, x))
+    ad.backward(sum_all(scale(x, 3.0)))
     ad.backward(first)
     assert np.array_equal(x.grad, [5.0, 7.0])
 
 
 def test_backward_reaching_a_consumed_node_writes_no_gradient():
     x, w = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
-    y = ad.mul(x, x)
-    ad.backward(ad.sum_all(y))
+    y = mul(x, x)
+    ad.backward(sum_all(y))
     before = [(a, a.copy()) for a in (x.grad, y.grad)]
-    loss = ad.sum_all(ad.mul(y, w))
+    loss = sum_all(mul(y, w))
     with pytest.raises(ContractError):
         ad.backward(loss)
     assert [x.grad, y.grad] == [a for a, _ in before]  # the same arrays, with the same values
@@ -500,7 +500,7 @@ def test_backward_on_untaped_leaf():
 def test_no_grad_suppresses_tape():
     x = t([1.0, 2.0], grad=True)
     with ad.no_grad():
-        y = ad.sum_all(ad.mul(x, x))
+        y = sum_all(mul(x, x))
     assert not y.requires_grad
     with pytest.raises(ContractError):
         ad.backward(y)
@@ -513,7 +513,7 @@ def test_tape_replay_bit_identical():
 
     def run():
         wt = t(w.copy(), grad=True)
-        loss = ad.mean_all(ad.relu(ad.matmul(t(xv), wt)))
+        loss = mean_all(ad.relu(ad.matmul(t(xv), wt)))
         ad.backward(loss)
         return wt.grad.copy()
 
@@ -526,7 +526,7 @@ def test_tape_replay_bit_identical():
 
 def test_gradient_check_quadratic_near_exact():
     x = t([1.0, -2.0, 0.5], grad=True)
-    err = ad.gradient_check(lambda: ad.sum_all(ad.mul(x, x)), [x], h=1e-4)
+    err = ad.gradient_check(lambda: sum_all(mul(x, x)), [x], h=1e-4)
     assert err <= 1e-8
 
 
@@ -539,7 +539,7 @@ def test_gradient_check_reads_an_exact_zero_gradient_as_agreement():
     # x's gradient, w - w, is exactly 0; its central difference is the loss's
     # roundoff over the step, which a bare 1e-8 denominator read as 2.2e-3
     x, w, c = _zero_gradient_setup()
-    f = lambda: ad.add(ad.sum_all(ad.mul(x, w)), ad.sum_all(ad.mul(ad.sub(c, x), w)))
+    f = lambda: add(sum_all(mul(x, w)), sum_all(mul(sub(c, x), w)))
     ad.backward(f())
     assert not x.grad.any()
     ad.zero_grad([x])
@@ -550,13 +550,13 @@ def test_gradient_check_still_catches_a_gradient_one_percent_off():
     x, w, _ = _zero_gradient_setup()
     # the identity, with a backward 1.01 times too large
     too_large = lambda a: ad._result(a.data.copy(), (a,), lambda g: (1.01 * g,))
-    assert ad.gradient_check(lambda: ad.sum_all(ad.mul(too_large(x), w)), [x], h=1e-5) > 1e-3
+    assert ad.gradient_check(lambda: sum_all(mul(too_large(x), w)), [x], h=1e-5) > 1e-3
 
 
 def test_gradient_check_rejects_bad_step():
     x = t([1.0], grad=True)
     with pytest.raises(ParameterError):
-        ad.gradient_check(lambda: ad.sum_all(x), [x], h=1e-2)
+        ad.gradient_check(lambda: sum_all(x), [x], h=1e-2)
 
 
 @pytest.mark.parametrize(
@@ -570,43 +570,43 @@ def test_gradient_check_each_primitive(name):
     if name == "matmul":
         a = t(rng.normal(size=(4, 3)), grad=True)
         b = t(rng.normal(size=(3, 6)), grad=True)
-        f = lambda: ad.sum_all(ad.mul(ad.matmul(a, b), c))
+        f = lambda: sum_all(mul(ad.matmul(a, b), c))
         params = [a, b]
     elif name == "affine":
         x = t(rng.normal(size=(4, 3)), grad=True)
         w = t(rng.normal(size=(3, 6)), grad=True)
         b = t(rng.normal(size=6), grad=True)
-        f = lambda: ad.sum_all(ad.mul(ad.affine(x, w, b), c))
+        f = lambda: sum_all(mul(ad.affine(x, w, b), c))
         params = [x, w, b]
     elif name == "softmax":
         x = t(rng.normal(size=(4, 6)), grad=True)
-        f = lambda: ad.sum_all(ad.mul(ad.softmax_last(x), c))
+        f = lambda: sum_all(mul(ad.softmax_last(x), c))
         params = [x]
     elif name == "layer_norm":
         x = t(rng.normal(size=(4, 6)) * 2.0, grad=True)
-        f = lambda: ad.sum_all(ad.mul(ad.layer_norm(x), c))
+        f = lambda: sum_all(mul(ad.layer_norm(x), c))
         params = [x]
     elif name == "conv":
         x = t(rng.normal(size=(7, 6)), grad=True)
         k = t(rng.normal(size=(3, 6)), grad=True)
         b = t(rng.normal(size=6), grad=True)
         c3 = Tensor(rng.normal(size=(3, 6)))
-        f = lambda: ad.sum_all(ad.mul(ad.depthwise_conv1d(x, k, b, 3), c3))
+        f = lambda: sum_all(mul(ad.depthwise_conv1d(x, k, b, 3), c3))
         params = [x, k, b]
     elif name == "relu":
         # keep pre-activations away from the kink
         x = t(rng.normal(size=(4, 6)) + np.sign(rng.normal(size=(4, 6))) * 0.5, grad=True)
-        f = lambda: ad.sum_all(ad.mul(ad.relu(x), c))
+        f = lambda: sum_all(mul(ad.relu(x), c))
         params = [x]
     else:  # mix: transpose + slice + add + scale + sub + mean
         x = t(rng.normal(size=(4, 6)), grad=True)
 
         def f():
-            y = ad.transpose(x)  # (6, 4)
-            a = ad.slice_axis(y, -1, 0, 2)
-            b = ad.slice_axis(y, -1, 2, 4)
-            z = ad.add(a, ad.scale(b, 2.0))
-            return ad.mean_all(ad.mul(ad.sub(z, Tensor(np.ones((6, 2)))), z))
+            y = transpose(x)  # (6, 4)
+            a = slice_axis(y, -1, 0, 2)
+            b = slice_axis(y, -1, 2, 4)
+            z = add(a, scale(b, 2.0))
+            return mean_all(mul(sub(z, Tensor(np.ones((6, 2)))), z))
 
         params = [x]
 
@@ -616,7 +616,8 @@ def test_gradient_check_each_primitive(name):
 # ---------------------------------------------------------------------------
 # random graphs that reuse intermediate tensors
 
-_GRAPH_OPS = ("add", "sub", "mul", "scale", "matmul", "transpose", "slice_axis", "sum_all")
+_GRAPH_OPS = {"add": add, "sub": sub, "mul": mul, "scale": scale, "matmul": ad.matmul, "transpose": transpose,
+              "slice_axis": slice_axis, "sum_all": sum_all}
 _LEAF_SHAPES = ((3, 2), (2, 3), (3, 2))  # two parameters, then a constant
 
 
@@ -654,18 +655,18 @@ def _graph_loss(steps, leaves, weights) -> Tensor:
     ts = list(leaves)
     for op, i, arg in steps:
         if op in ("add", "sub", "mul", "matmul"):
-            ts.append(getattr(ad, op)(ts[i], ts[arg]))
+            ts.append(_GRAPH_OPS[op](ts[i], ts[arg]))
         elif op == "scale":
-            ts.append(ad.scale(ts[i], arg))
+            ts.append(scale(ts[i], arg))
         elif op == "slice_axis":
-            ts.append(ad.slice_axis(ts[i], *arg))
+            ts.append(slice_axis(ts[i], *arg))
         else:
-            ts.append(getattr(ad, op)(ts[i]))
-    terms = [ad.sum_all(ad.mul(x, t(w[: x.size].reshape(x.shape))))
+            ts.append(_GRAPH_OPS[op](ts[i]))
+    terms = [sum_all(mul(x, t(w[: x.size].reshape(x.shape))))
              for x, w in zip(ts[:2] + ts[len(leaves):], weights)]
     loss = terms[0]
     for term in terms[1:]:
-        loss = ad.add(loss, term)
+        loss = add(loss, term)
     return loss
 
 

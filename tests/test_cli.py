@@ -253,6 +253,22 @@ def test_predict_checkpoint_with_bad_stats_exit_3(workdir, tmp_path, capsys, key
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("forecast_step", "abc"), ("split_hours", "nan"), ("covariate_mode", "bogus"),
+])
+def test_predict_checkpoint_with_a_bad_train_value_exit_3(workdir, tmp_path, capsys, key, value):
+    # the checkpoint's value is corruption; the same value given through --set is a user error
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes((workdir / "model.ckpt").read_bytes())
+    edit_checkpoint_header(bad, f"train.{key}", lambda v: value)
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", bad,
+               "--out", tmp_path / "f.csv") == 3
+    assert f"train.{key}={value}" in capsys.readouterr().err
+    assert run("predict", "--data", workdir / "pre.csv", "--checkpoint", workdir / "model.ckpt",
+               "--out", tmp_path / "f.csv", "--set", f"{key}={value}") == 2
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_predict_checkpoint_with_a_subnormal_ratio_exit_3(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes((workdir / "model.ckpt").read_bytes())

@@ -10,7 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import composed_forward, count_nodes, per_head_attention_loop, vanilla_attention_reference
+from helpers import (
+    add,
+    attention,
+    composed_forward,
+    count_nodes,
+    embed,
+    mul,
+    multi_scale_attention,
+    per_head_attention_loop,
+    reduce_kv,
+    sum_all,
+    vanilla_attention_reference,
+)
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.cli import load_run_config
@@ -189,7 +201,7 @@ def test_from_arrays_and_load_arrays_reject_a_wrong_count_or_shape():
 
 def test_embed_shape():
     model = TSTransformerModel(toy_config(), seed=1)
-    out = model.embed(np.zeros((32, 6)))
+    out = embed(model, np.zeros((32, 6)))
     assert out.shape == (6, 16)
 
 
@@ -199,7 +211,7 @@ def test_embed_per_variate_independence():
     w1 = rng.normal(size=(32, 6))
     w2 = w1.copy()
     w2[:, 3] += rng.normal(size=32)
-    d = np.abs(model.embed(w1).data - model.embed(w2).data)
+    d = np.abs(embed(model, w1).data - embed(model, w2).data)
     assert d[3].max() > 0.0
     mask = np.ones(6, dtype=bool)
     mask[3] = False
@@ -208,13 +220,13 @@ def test_embed_per_variate_independence():
 
 def test_embed_zero_window_zero_bias():
     model = TSTransformerModel(toy_config(), seed=3)  # biases init to zero
-    assert np.array_equal(model.embed(np.zeros((32, 6))).data, np.zeros((6, 16)))
+    assert np.array_equal(embed(model, np.zeros((32, 6))).data, np.zeros((6, 16)))
 
 
 def test_embed_rejects_wrong_shape():
     model = TSTransformerModel(toy_config(), seed=3)
     with pytest.raises(DimensionError):
-        model.embed(np.zeros((30, 6)))
+        embed(model, np.zeros((30, 6)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def test_reduce_kv_token_counts():
     model = TSTransformerModel(toy_config(), seed=4)
     tokens = Tensor(np.random.default_rng(1).normal(size=(20, 16)))
     for stage, expected in ((0, 20), (1, 5), (3, 1)):
-        k, v = model.reduce_kv(tokens, stage)
+        k, v = reduce_kv(model, tokens, stage)
         assert k.shape == (expected, 16) and v.shape == (expected, 16)
 
 
@@ -233,7 +245,7 @@ def test_attention_preserves_shape_for_all_stages():
     model = TSTransformerModel(toy_config(), seed=5)
     tokens = Tensor(np.random.default_rng(2).normal(size=(11, 16)))
     for stage in range(4):
-        assert model.multi_scale_attention(tokens, stage).shape == (11, 16)
+        assert multi_scale_attention(model, tokens, stage).shape == (11, 16)
 
 
 def test_single_key_degeneracy():
@@ -241,7 +253,7 @@ def test_single_key_degeneracy():
     # is exactly 1, so all output rows coincide.
     model = TSTransformerModel(toy_config(), seed=6)
     tokens = Tensor(np.random.default_rng(3).normal(size=(6, 16)))
-    out = model.multi_scale_attention(tokens, 3).data
+    out = multi_scale_attention(model, tokens, 3).data
     assert np.array_equal(out, np.tile(out[:1], (6, 1)))
 
 
@@ -252,7 +264,7 @@ def test_vanilla_equivalence_at_init():
     for _ in range(10):
         x = rng.normal(size=(6, 16))
         for stage in range(4):
-            got = model.multi_scale_attention(Tensor(x), stage).data
+            got = multi_scale_attention(model, Tensor(x), stage).data
             ref = vanilla_attention_reference(x, model, stage)
             assert np.max(np.abs(got - ref)) <= 1e-9
 
@@ -261,7 +273,7 @@ def test_vanilla_equivalence_multihead():
     cfg = toy_config(mode="vanilla", heads=4)
     model = TSTransformerModel(cfg, seed=8)
     x = np.random.default_rng(5).normal(size=(6, 16))
-    got = model.multi_scale_attention(Tensor(x), 0).data
+    got = multi_scale_attention(model, Tensor(x), 0).data
     assert np.max(np.abs(got - vanilla_attention_reference(x, model, 0))) <= 1e-9
 
 
@@ -277,16 +289,16 @@ def test_attention_matches_per_head_loop_bit_for_bit(heads, j, lead):
     def run(fused):
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         if fused:
-            out = ad.attention(q, k, v, heads)
-            ad.backward(ad.sum_all(ad.mul(out, Tensor(cot))))
+            out = attention(q, k, v, heads)
+            ad.backward(sum_all(mul(out, Tensor(cot))))
             fwd = out.data
         else:
             outs = per_head_attention_loop(q, k, v, heads)
-            losses = [ad.sum_all(ad.mul(o, Tensor(cot[..., h * hd:(h + 1) * hd])))
+            losses = [sum_all(mul(o, Tensor(cot[..., h * hd:(h + 1) * hd])))
                       for h, o in enumerate(outs)]
             loss = losses[0]
             for extra in losses[1:]:
-                loss = ad.add(loss, extra)
+                loss = add(loss, extra)
             ad.backward(loss)
             fwd = np.concatenate([o.data for o in outs], axis=-1)
         return [fwd, q.grad, k.grad, v.grad]
@@ -319,7 +331,7 @@ def test_recorded_forward_tape_nodes(heads):
     x = np.random.default_rng(0).normal(size=(8, cfg.lookback, 5))
     out, nodes = count_nodes(lambda: model.forward(x))
     assert nodes == 1
-    ad.backward(ad.sum_all(out))
+    ad.backward(sum_all(out))
     loss, nodes = count_nodes(lambda: mse_loss(model.forward(x, channel=0), np.zeros((8, 1, cfg.horizon))))
     assert nodes == 2
     ad.backward(loss)
@@ -349,7 +361,7 @@ def assert_forward_matches_composed(model, window, cot, channel=None, build=None
     outs, grads = [], []
     for forward in (functools.partial(TSTransformerModel.forward, _build=build), composed_forward):
         out = forward(model, window, channel)
-        ad.backward(ad.sum_all(ad.mul(out, Tensor(cot))))
+        ad.backward(sum_all(mul(out, Tensor(cot))))
         outs.append(out.data)
         grads.append([p.grad for p in model.parameters()])
         ad.zero_grad(model.parameters())
@@ -480,7 +492,7 @@ def one_stage_gradient_check(seed, heads, rng_seed):
     # small cotangent keeps the loss ulp fine enough for the FD probe of
     # coordinates whose true gradient is zero by softmax shift invariance
     cot = Tensor(0.05 * np.random.default_rng(rng_seed + 1).normal(size=(5, 1)))
-    f = lambda: ad.sum_all(ad.mul(model.forward(window), cot))
+    f = lambda: sum_all(mul(model.forward(window), cot))
     return ad.gradient_check(f, model.parameters(), h=1e-4)
 
 
@@ -495,7 +507,7 @@ def test_trm_block_gradient_check_multi_head():
 def test_stage_index_out_of_range():
     model = TSTransformerModel(toy_config(), seed=12)
     with pytest.raises(ParameterError):
-        model.multi_scale_attention(Tensor(np.zeros((3, 16))), 4)
+        multi_scale_attention(model, Tensor(np.zeros((3, 16))), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +591,7 @@ def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
         watched.clear()
         watched.update((id(model.param(f"{name}.weight").data), name) for name in names)
         rows = {name: [] for name in names + ("stage3.kv",)}
-        ad.backward(ad.sum_all(model.forward(x, channel=3)))
+        ad.backward(sum_all(model.forward(x, channel=3)))
         assert rows == {"project": [1, 1], "stage3.out": [1, 1], "stage3.ffn": [1, 1], "stage3.q": q_rows,
                         "stage3.kv": [5] if q_rows else [], "stage3.k": [5] if q_rows else [],
                         "stage3.v": [5] if q_rows else [5, 5]}, mode
@@ -606,7 +618,7 @@ def test_untaped_forward_matches_recorded_bit_for_bit(heads, mode, m, horizon, l
     x = rng.normal(size=lead + (32, m))
     for channel in (None, m - 1):
         recorded = model.forward(x, channel=channel)
-        ad.backward(ad.sum_all(recorded))  # consumes its graph
+        ad.backward(sum_all(recorded))  # consumes its graph
         ad.zero_grad(model.parameters())
         with ad.no_grad():
             untaped = model.forward(x, channel=channel)

@@ -11,10 +11,13 @@ import pytest
 
 from helpers import (
     adam_step_per_parameter,
+    add,
     composed_forward,
     composed_mse_loss,
     edit_checkpoint_header,
+    mul,
     stacked_windows,
+    sum_all,
 )
 from tstransformer import autodiff as ad
 from tstransformer import training
@@ -152,7 +155,7 @@ def test_adam_minimizes_quadratic():
     state = adam_init([x])
     for _ in range(500):
         ad.zero_grad([x])
-        ad.backward(ad.sum_all(ad.mul(x, x)))
+        ad.backward(sum_all(mul(x, x)))
         adam_step([("x", x)], state, cfg)
     assert abs(x.data[0]) < 0.01
 
@@ -274,7 +277,7 @@ def test_adam_step_clips_by_the_global_norm():
 def test_adam_step_clips_a_shared_gradient_without_writing_it():
     # add hands its one upstream gradient array to both inputs
     a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
-    ad.backward(ad.sum_all(ad.mul(ad.add(a, b), Tensor([3.0, 4.0]))))
+    ad.backward(sum_all(mul(add(a, b), Tensor([3.0, 4.0]))))
     assert np.shares_memory(a.grad, b.grad)
     upstream = a.grad
     state = adam_init([a, b])
