@@ -3,21 +3,12 @@
 Everything runs at 64-bit precision so finite-difference gradient checks
 can be held to tight tolerances. The taped ops are the model's building
 blocks: matrix products, affine maps, ReLU, last-axis softmax, per-slice
-layer normalization and strided depthwise 1-D convolution. The model's
-one-node forward runs each encoder stage on arrays, through
-``_stage_forward`` and ``_stage_backward``, built from those ops' numpy
-helpers and the multi-head attention ones (``_attention``); the taped
-chain they match bit for bit is ``tests/helpers.py::composed_forward``.
-Only they skip work: a one-key stage's q and k, and, given the one token
-row to keep, every other row's q, out projection, layer norms and FFN. The
-helpers call ``np.add.reduce`` and ``np.maximum.reduce`` directly, the same
-reductions as ``.sum`` and ``.max``, and ``_stage_forward`` runs on the
-joined arrays of ``_fuse_stage``: one product for q, k and v and one
-convolution for K and V, whose column blocks round as the separate ones.
-The helpers' scalars are cached read-only 0-d arrays (``_const``), the
-stages' biases come at the shape they are added to (``_at_rows``), and the
-forward helpers work in place on their own temporaries: the same IEEE
-operations as the plain forms.
+layer normalization and strided depthwise 1-D convolution. Each op runs on
+array kernels (``_affine``, ``_softmax``, ``_layer_norm``,
+``_depthwise_conv1d`` and their gradients), which the model's one-node
+forward also calls directly; their scalars are cached read-only 0-d arrays
+(``_const``), and the forward kernels work in place on their own
+temporaries: the same IEEE operations as the plain forms.
 
 Ops accept leading batch axes (a stack of matrices behaves like one
 matrix per stack entry); the documented 2-D behaviour is unchanged.
@@ -115,14 +106,6 @@ def _const(value) -> np.ndarray:
     """Read-only 0-d float64 array of ``value``: the same operand as the Python
     number in a ufunc."""
     out = np.array(float(value))
-    out.flags.writeable = False
-    return out
-
-
-def _at_rows(b: np.ndarray, rows: int) -> np.ndarray:
-    """Read-only (rows, n) copy of the bias b (n,): the same adds over ``rows``
-    rows as b broadcast, with an operand of the output's shape."""
-    out = b[None, :].repeat(rows, axis=0)
     out.flags.writeable = False
     return out
 
@@ -258,56 +241,6 @@ def softmax_last(x: Tensor) -> Tensor:
     return _result(y, (x,), lambda g: (_softmax_grad(y, g),))
 
 
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(..., rows, D) -> (..., H, rows, D / H); one head is ``a`` itself, with
-    no head axis: each product then meets the same (rows, D) matrices, so it
-    rounds the same, without a reshape and swap per array."""
-    if heads == 1:
-        return a
-    *lead, rows, d = a.shape
-    return a.reshape(*lead, rows, heads, d // heads).swapaxes(-3, -2)
-
-
-def _merge_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(..., H, rows, hd) -> (..., rows, H * hd), the inverse of _split_heads,
-    C-ordered as a primitive's output is: at hd = 1 a merged view sums its
-    rows in another order in a product or a reduction."""
-    if heads == 1:
-        return a
-    *lead, _, rows, hd = a.shape
-    return np.ascontiguousarray(a.swapaxes(-3, -2).reshape(*lead, rows, heads * hd))
-
-
-def _attention(q, k, v, heads):
-    """softmax(q k^T / sqrt(hd)) v per head on arrays, q (..., N, D) and k, v
-    (..., J, D), head h on last-axis block h of width hd = D / heads: the
-    (..., N, D) output and what :func:`_attention_grads` needs."""
-    qh, vh = _split_heads(q, heads), _split_heads(v, heads)
-    # contiguous like a transposed tensor's data, so scores equal a matmul with it bit for bit
-    kt = np.ascontiguousarray(_split_heads(k, heads).swapaxes(-1, -2))
-    c = _const(1.0 / math.sqrt(q.shape[-1] // heads))
-    scores = qh @ kt
-    scores *= c
-    p = _softmax(scores)
-    return _merge_heads(p @ vh, heads), (qh, kt, vh, p, c, heads)
-
-
-def _attention_grads(g, qh, kt, vh, p, c, heads):
-    gh = _split_heads(g, heads)
-    gs = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
-    gq = _merge_heads(gs @ kt.swapaxes(-1, -2), heads)
-    gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), heads)
-    gv = _merge_heads(p.swapaxes(-1, -2) @ gh, heads)
-    return gq, gk, gv
-
-
-def _single_key_grads(g, heads):
-    """:func:`_attention_grads`'s v gradient for one key (softmax weight
-    exactly 1): each head's n row gradients summed in its order, bit for bit."""
-    n = g.shape[-2]
-    return _merge_heads(np.ones((1, n)) @ _split_heads(g, heads), heads)
-
-
 def _layer_norm(z, eps):
     """Forward of :func:`layer_norm` on arrays: the output and what its backward needs."""
     n = _const(z.shape[-1])
@@ -426,117 +359,6 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, reduction: int) ->
     out, saved = _depthwise_conv1d(x.data, kernel.data, bias.data)
     n = x.data.shape[-2]
     return _result(out, (x, kernel, bias), lambda g: _depthwise_conv1d_grads(g, saved, r, n))
-
-
-# ---------------------------------------------------------------------------
-# encoder stage (array helpers for the model's forward node)
-
-
-def _fuse_stage(arrays, r, n):
-    """The weight, its bias, the reducer kernel, its bias, and the out and FFN
-    biases that :func:`_stage_forward` runs a stage on for n tokens, from the
-    stage's 14 parameters in checkpoint order: the (D, 3D) [q|k|v] and the
-    (r, 2D) K|V reducer [k|v] when n > r, v's weight and its reducer's taps
-    folded for n (:func:`_fold_taps`) when n <= r (one key). Each bias is a
-    read-only copy at the rows of the unbatched output it is added to
-    (:func:`_at_rows`), n or ceil(n / r); a batch broadcasts over it. They are
-    copies or views: build them again after the parameters change."""
-    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
-    if n <= r:
-        w, b, kernel, kernel_b = wv, bv, _fold_taps(vk, n), vb
-    else:
-        w, b = np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv])
-        kernel, kernel_b = np.concatenate([kk, vk], axis=1), np.concatenate([kb, vb])
-    return w, _at_rows(b, n), kernel, _at_rows(kernel_b, -(-n // r)), _at_rows(bo, n), _at_rows(bf, n)
-
-
-def _stage_forward(x, arrays, r, heads, eps, fused, row=None):
-    """A post-norm encoder stage on tokens x (..., N, D): y and what
-    :func:`_stage_backward` needs. ``arrays`` are the stage's 14 parameters in
-    checkpoint order (q, k, v, k and v reducers, out, ffn), and ``fused`` their
-    :func:`_fuse_stage` for N tokens, whose weights and biases it runs on;
-    reduce is the stride-r :func:`depthwise_conv1d`. y equals bit for bit,
-    as addition commutes exactly, the taped stage of the reference chain
-    ``tests/helpers.py::composed_forward``:
-
-        a = affine(attention(affine(xr, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
-        normed = layer_norm(xr + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
-
-    where xr is x, or with ``row`` set only token ``row``, so
-    y is (..., 1, D): K and V read every token, q, out, the layer norms and
-    the FFN run on the kept row alone, with its row of their biases. q, k and v
-    come from one product with [q|k|v], or with ``row`` set k and v from one
-    with its [k|v] columns and q from the row's own product with q (a one-row
-    product may round otherwise than that row of an N-row one); one
-    convolution reduces K|V. Each column block of a joined product equals its
-    own product under this BLAS, and attention reads views of the blocks. When
-    N <= r K/V reduce to one key, whose softmax weight is exactly 1: q, k and
-    the k reducer are skipped, the saved convolution is V's alone and the
-    saved attention state None."""
-    wq, bq, _, _, _, _, _, _, _, _, wo, _, wf, _ = arrays
-    w, b, kernel, kernel_b, bo, bf = fused
-    n, d = x.shape[-2:]
-    xr = x
-    if row is not None:
-        xr = np.ascontiguousarray(x[..., row : row + 1, :])
-        bo, bf = bo[row : row + 1], bf[row : row + 1]
-    if n <= r:
-        v_red, conv = _depthwise_conv1d(_affine(x, w, b), kernel, kernel_b)
-        att, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None
-    else:
-        if row is None:
-            qkv = _affine(x, w, b)
-            q, kv = qkv[..., :d], qkv[..., d:]
-        else:
-            q, kv = _affine(xr, wq, bq), _affine(x, w[:, d:], b[:, d:])
-        kv_red, conv = _depthwise_conv1d(kv, kernel, kernel_b)
-        att, att_saved = _attention(q, kv_red[..., :d], kv_red[..., d:], heads)
-    a = _affine(att, wo, bo)
-    a += xr
-    normed, ln1 = _layer_norm(a, eps)
-    f = _affine(normed, wf, bf)
-    mask = f > _const(0.0)
-    h = np.where(mask, f, 0.0)
-    h += normed
-    out, ln2 = _layer_norm(h, eps)
-    return out, (conv, att, att_saved, normed, ln1, mask, ln2)
-
-
-def _stage_backward(g, x, arrays, saved, heads, row=None):
-    """Gradients of :func:`_stage_forward` (with the same ``row``) for an
-    output gradient g: x's, then the 14 arrays', all computed (:func:`backward`
-    drops those of arrays that need none). A one-key stage's q, k and k reducer
-    get None (exact zeros in the reference chain); the rest equal that
-    chain's bit for bit. The K and V reducers' gradients come from one pass
-    over the joined K|V block: column by column the same sums as each alone.
-    With ``row`` set, the other tokens get gradient only through K and V; the
-    kept row's residual and q gradients are added to it in the order of the
-    full stage: ((residual + v) + k) + q."""
-    wq, _, wk, _, wv, _, kk, _, vk, _, wo, _, wf, _ = arrays
-    conv, att, att_saved, normed, ln1, mask, ln2 = saved
-    n, d = x.shape[-2:]
-    rows = slice(None) if row is None else slice(row, row + 1)
-    g2 = _layer_norm_grads(g, *ln2)
-    gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True)
-    g1 = _layer_norm_grads(g2 + gn, *ln1)
-    ga, gwo, gbo = _affine_grads(g1, att, wo, True)
-    if att_saved is None:
-        gvp, gvk, gvb = _depthwise_conv1d_grads(_single_key_grads(ga, heads), conv, len(vk), n)
-        gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
-        gx[..., rows, :] += g1
-        return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
-    gq, gk, gv = _attention_grads(ga, *att_saved)
-    gkvp, gkvk, gkvb = _depthwise_conv1d_grads(np.concatenate([gk, gv], axis=-1), conv, len(kk), n)
-    # composed primitives hand gradients on C-contiguous (backward's first
-    # write); a strided view can make matmul sum in another order
-    gvp, gkp, gq = (np.ascontiguousarray(a) for a in (gkvp[..., d:], gkvp[..., :d], gq))
-    gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
-    gx[..., rows, :] += g1
-    gxk, gwk, gbk = _affine_grads(gkp, x, wk, True)
-    gxq, gwq, gbq = _affine_grads(gq, np.ascontiguousarray(x[..., rows, :]), wq, True)
-    gx += gxk
-    gx[..., rows, :] += gxq
-    return gx, gwq, gbq, gwk, gbk, gwv, gbv, gkvk[:, :d], gkvb[:d], gkvk[:, d:], gkvb[d:], gwo, gbo, gwf, gbf
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,32 @@ shrinks its key/value token axis by a per-stage reduction factor using
 two independent strided depthwise convolutions while queries stay at
 the original resolution; the vanilla mode (all ratios 1) recovers plain
 inverted-transformer attention.
+
+A stage with reduction factor r maps tokens x (..., N, D) to y:
+
+    a = affine(attention(affine(xr, q), reduce(affine(x, k)), reduce(affine(x, v))), out)
+    normed = layer_norm(xr + a);  y = layer_norm(normed + relu(affine(normed, ffn)))
+
+where reduce is the stride-r depthwise convolution of the K or V reducer,
+and xr is x, or token ``row`` alone when the stage keeps one row (the last
+stage of a ``channel`` forward). Its reference is the taped chain
+``tests/helpers.py::composed_forward``, which the forward equals bit for bit
+in outputs and gradients; only a one-key stage (N <= r, whose one key has
+softmax weight exactly 1) skips q, k and the k reducer, which get None, not
+zeros.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import (Tensor, _affine, _affine_grads, _check_data, _const, _depthwise_conv1d,
+                       _depthwise_conv1d_grads, _fold_taps, _layer_norm, _layer_norm_grads, _result, _softmax,
+                       _softmax_grad, _state)
 from .errors import DimensionError, ParameterError
 
 MULTI_SCALE = "multi_scale"
@@ -148,22 +163,20 @@ class TSTransformerModel:
     def _layout(self, config: ModelConfig) -> None:
         """Zero parameters, each a view of one flat vector in declared (checkpoint) order."""
         self.config = config
-        self._factors = config.reduction_factors
         self._theta = np.zeros(param_count(config))  # at most MAX_PARAMETERS, which the config checked
         views = _param_views(config, self._theta)
         self._params = {name: Tensor._wrap(view, True) for name, view in views}
-        # forward's per-stage arrays: views of the vector, so in-place updates reach them
+        # each stage's parameters, which _fuse_stages builds from: views of the vector
         self._stage_arrays = tuple(tuple(view for name, view in views if name.startswith(f"stage{i}."))
                                    for i in range(config.stages))
 
     def _fuse_stages(self) -> tuple:
-        """The embed and head biases, then every stage's
-        :func:`autodiff._fuse_stage` arrays for the M-token forward, built from
-        the parameters as they are now, each bias a read-only copy at the rows
-        of the unbatched output it is added to."""
-        m = self.config.n_variates
-        return (ad._at_rows(self._params["embed.bias"].data, m), ad._at_rows(self._params["project.bias"].data, m),
-                tuple(ad._fuse_stage(arrays, r, m) for arrays, r in zip(self._stage_arrays, self._factors)))
+        """The embed and head biases, then every stage's :func:`_fuse_stage` for
+        the M-token forward, built from the parameters as they are now, each
+        bias a read-only copy at the rows of the unbatched output it is added to."""
+        m, factors = self.config.n_variates, self.config.reduction_factors
+        return (_at_rows(self._params["embed.bias"].data, m), _at_rows(self._params["project.bias"].data, m),
+                tuple(_fuse_stage(arrays, r, m) for arrays, r in zip(self._stage_arrays, factors)))
 
     # -- parameter access ---------------------------------------------------
 
@@ -197,58 +210,220 @@ class TSTransformerModel:
         the forecast adds that mean back, so the network models movement
         relative to the window while the level rides the window statistic.
 
-        Under ``ad.no_grad()`` it records nothing; outside it records one
-        graph node over every parameter, and ``ad.backward`` drops the
-        gradients of frozen ones. Outputs and gradients equal those of the
-        taped reference chain ``tests/helpers.py::composed_forward`` bit for
-        bit, but a one-key stage's q, k and k reducer get None, not zeros.
-        ``_build`` is a :meth:`_fuse_stages` build of the current parameters,
-        which a caller running many forwards on unchanged parameters makes
-        once; when None, the forward builds its own from the parameters as
-        they are now.
+        Under ``autodiff.no_grad()`` it records nothing; outside it records
+        one graph node over every parameter, and ``autodiff.backward`` drops
+        the gradients of frozen ones. Outputs and gradients equal the
+        reference chain's as the module docstring states. ``_build`` is a
+        :meth:`_fuse_stages` build of the current parameters, which a caller
+        running many forwards on unchanged parameters makes once; when None,
+        the forward builds its own from the parameters as they are now.
         """
         cfg = self.config
         arr = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
         self._check_window(arr.shape)
         if channel is not None and not 0 <= channel < cfg.n_variates:
             raise ParameterError(f"channel {channel} out of range [0, {cfg.n_variates})")
-        ad._check_data(arr)  # before centring, which would compute inf - inf
+        _check_data(arr)  # before centring, which would compute inf - inf
         with np.errstate(over="ignore"):  # a finite window's sum can overflow; the check below raises
             mu = np.add.reduce(arr, axis=-2, keepdims=True)  # (..., 1, M) window mean
-            mu /= ad._const(arr.shape[-2])
+            mu /= _const(arr.shape[-2])
             centered = arr - mu
-        ad._check_data(centered)
+        _check_data(centered)
         mu_rows = mu.swapaxes(-1, -2)  # (..., M, 1)
         we, wp = self._params["embed.weight"].data, self._params["project.weight"].data
-        be, bp, fused = self._fuse_stages() if _build is None else _build
+        be, bp, built = self._fuse_stages() if _build is None else _build
         xt = np.ascontiguousarray(centered.swapaxes(-1, -2))  # (..., M, lookback)
-        x = ad._affine(xt, we, be)
-        recording = ad._state.recording
+        x = _affine(xt, we, be)
+        recording = _state.recording
         rows = [None] * (cfg.stages - 1) + [channel]  # the last stage runs on the asked-for row alone
-        stages = []  # each stage's input and saved state, kept only for the backward
-        for arrays, r, row, joined in zip(self._stage_arrays, self._factors, rows, fused):
-            y, saved = ad._stage_forward(x, arrays, r, cfg.heads, cfg.eps, joined, row)
+        stages = []  # each stage's input, build, row and saved state, kept only for the backward
+        for stage, row in zip(built, rows):
+            y, saved = _stage_forward(x, stage, cfg.heads, cfg.eps, row)
             if recording:
-                stages.append((x, saved))
+                stages.append((x, stage, row, saved))
             x = y
         if channel is not None:
             mu_rows, bp = mu_rows[..., channel : channel + 1, :], bp[channel : channel + 1]
-        out = ad._affine(x, wp, bp)
+        out = _affine(x, wp, bp)
         out += mu_rows  # the same adds as the mean repeated to (..., rows, horizon)
         if not recording:
             return Tensor._wrap(out, False)
 
         def grad_fn(g):
-            g, *grads = ad._affine_grads(g, x, wp, True)
-            for (xi, saved), arrays, row in zip(stages[::-1], self._stage_arrays[::-1], rows[::-1]):
-                g, *stage_grads = ad._stage_backward(g, xi, arrays, saved, cfg.heads, row)
+            g, *grads = _affine_grads(g, x, wp, True)
+            for xi, stage, row, saved in reversed(stages):
+                g, *stage_grads = _stage_backward(g, xi, stage, saved, cfg.heads, row)
                 grads[:0] = stage_grads
-            return [*ad._affine_grads(g, xt, we, False)[1:], *grads]
+            return [*_affine_grads(g, xt, we, False)[1:], *grads]
 
-        return ad._result(out, self.parameters(), grad_fn)
+        return _result(out, self.parameters(), grad_fn)
 
     def _check_window(self, shape: tuple) -> None:
         cfg = self.config
         if len(shape) < 2 or shape[-2:] != (cfg.lookback, cfg.n_variates):
             raise DimensionError(f"window shape {shape} does not end in "
                                  f"(lookback={cfg.lookback}, n_variates={cfg.n_variates})")
+
+
+# ---------------------------------------------------------------------------
+# encoder stage (array code of the forward node)
+
+
+def _at_rows(b: np.ndarray, rows: int) -> np.ndarray:
+    """Read-only (rows, n) copy of the bias b (n,): the same adds over ``rows``
+    rows as b broadcast, with an operand of the output's shape."""
+    out = b[None, :].repeat(rows, axis=0)
+    out.flags.writeable = False
+    return out
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., rows, D) -> (..., H, rows, D / H); one head is ``a`` itself, with
+    no head axis: each product then meets the same (rows, D) matrices, so it
+    rounds the same, without a reshape and swap per array."""
+    if heads == 1:
+        return a
+    return a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., H, rows, hd) -> (..., rows, H * hd), the inverse of _split_heads,
+    C-ordered as a primitive's output is: at hd = 1 a merged view sums its
+    rows in another order in a product or a reduction."""
+    if heads == 1:
+        return a
+    return np.ascontiguousarray(a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], heads * a.shape[-1]))
+
+
+def _attention(q, k, v, heads):
+    """softmax(q k^T / sqrt(hd)) v per head on arrays, q (..., N, D) and k, v
+    (..., J, D), head h on last-axis block h of width hd = D / heads: the
+    (..., N, D) output and what :func:`_attention_grads` needs."""
+    qh, vh = _split_heads(q, heads), _split_heads(v, heads)
+    # contiguous like a transposed tensor's data, so scores equal a matmul with it bit for bit
+    kt = np.ascontiguousarray(_split_heads(k, heads).swapaxes(-1, -2))
+    c = _const(1.0 / math.sqrt(q.shape[-1] // heads))
+    scores = qh @ kt
+    scores *= c
+    p = _softmax(scores)
+    return _merge_heads(p @ vh, heads), (qh, kt, vh, p, c, heads)
+
+
+def _attention_grads(g, qh, kt, vh, p, c, heads):
+    gh = _split_heads(g, heads)
+    gs = _softmax_grad(p, gh @ vh.swapaxes(-1, -2)) * c
+    gq = _merge_heads(gs @ kt.swapaxes(-1, -2), heads)
+    gk = _merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), heads)
+    gv = _merge_heads(p.swapaxes(-1, -2) @ gh, heads)
+    return gq, gk, gv
+
+
+def _single_key_grads(g, heads):
+    """:func:`_attention_grads`'s v gradient for one key (softmax weight
+    exactly 1): each head's n row gradients summed in its order, bit for bit."""
+    return _merge_heads(np.ones((1, g.shape[-2])) @ _split_heads(g, heads), heads)
+
+
+# One stage built for n tokens, all that _stage_forward and _stage_backward
+# read: the reduction factor r, the parameters they use as they are, and the
+# joined weight w, its bias b, the reducer kernel, its bias and the out and
+# FFN biases of _fuse_stage.
+_Stage = collections.namedtuple("_Stage", "r wq bq wk wv wo wf w b kernel kernel_b bo bf")
+
+
+def _fuse_stage(arrays, r, n):
+    """The :data:`_Stage` that :func:`_stage_forward` runs n tokens on, from the
+    stage's 14 parameters in :func:`param_shapes` order. w, b, kernel and
+    kernel_b are the (D, 3D) [q|k|v] and the (r, 2D) K|V reducer [k|v] with
+    their biases when n > r, v's weight and its reducer's taps folded for n
+    (:func:`_fold_taps`) when n <= r (one key). Each bias is a read-only copy
+    at the rows of the unbatched output it is added to (:func:`_at_rows`), n
+    or ceil(n / r); a batch broadcasts over it. They are copies or views:
+    build them again after the parameters change."""
+    wq, bq, wk, bk, wv, bv, kk, kb, vk, vb, wo, bo, wf, bf = arrays
+    if n <= r:
+        w, b, kernel, kernel_b = wv, bv, _fold_taps(vk, n), vb
+    else:
+        w, b = np.concatenate([wq, wk, wv], axis=1), np.concatenate([bq, bk, bv])
+        kernel, kernel_b = np.concatenate([kk, vk], axis=1), np.concatenate([kb, vb])
+    return _Stage(r, wq, bq, wk, wv, wo, wf, w, _at_rows(b, n), kernel, _at_rows(kernel_b, -(-n // r)),
+                  _at_rows(bo, n), _at_rows(bf, n))
+
+
+def _stage_forward(x, stage, heads, eps, row=None):
+    """The stage of the module docstring on tokens x (..., N, D), ``stage``
+    its :func:`_fuse_stage` for N tokens: y and what :func:`_stage_backward`
+    needs. With ``row`` set y is (..., 1, D): K and V read every token, q,
+    out, the layer norms and the FFN run on the kept row alone, with its row
+    of their biases. q, k and v come from one product with [q|k|v], or with
+    ``row`` set k and v from one with its [k|v] columns and q from the row's
+    own product with q (a one-row product may round otherwise than that row
+    of an N-row one); one convolution reduces K|V. Each column block of a
+    joined product equals its own product under this BLAS, and attention
+    reads views of the blocks, so y equals the reference bit for bit, as
+    addition commutes exactly. When N <= r the saved convolution is V's
+    alone and the saved attention state None."""
+    r, wq, bq, _, _, wo, wf, w, b, kernel, kernel_b, bo, bf = stage
+    n, d = x.shape[-2:]
+    xr = x
+    if row is not None:
+        xr = np.ascontiguousarray(x[..., row : row + 1, :])
+        bo, bf = bo[row : row + 1], bf[row : row + 1]
+    if n <= r:
+        v_red, conv = _depthwise_conv1d(_affine(x, w, b), kernel, kernel_b)
+        att, att_saved = v_red.repeat(xr.shape[-2], axis=-2), None
+    else:
+        if row is None:
+            qkv = _affine(x, w, b)
+            q, kv = qkv[..., :d], qkv[..., d:]
+        else:
+            q, kv = _affine(xr, wq, bq), _affine(x, w[:, d:], b[:, d:])
+        kv_red, conv = _depthwise_conv1d(kv, kernel, kernel_b)
+        att, att_saved = _attention(q, kv_red[..., :d], kv_red[..., d:], heads)
+    a = _affine(att, wo, bo)
+    a += xr
+    normed, ln1 = _layer_norm(a, eps)
+    f = _affine(normed, wf, bf)
+    mask = f > _const(0.0)
+    h = np.where(mask, f, 0.0)
+    h += normed
+    out, ln2 = _layer_norm(h, eps)
+    return out, (conv, att, att_saved, normed, ln1, mask, ln2)
+
+
+def _stage_backward(g, x, stage, saved, heads, row=None):
+    """Gradients of :func:`_stage_forward` (with the same ``stage`` and
+    ``row``) for an output gradient g: x's, then the stage's 14 parameters' in
+    :func:`param_shapes` order, all computed (``autodiff.backward`` drops
+    those of parameters that need none). A one-key stage's q, k and k reducer
+    get None; the rest equal the reference's bit for bit. The K and V
+    reducers' gradients come from one pass over the joined K|V block: column
+    by column the same sums as each alone. With ``row`` set, the other tokens
+    get gradient only through K and V; the kept row's residual and q
+    gradients are added to it in the order of the full stage: ((residual +
+    v) + k) + q."""
+    r, wq, _, wk, wv, wo, wf, *_ = stage
+    conv, att, att_saved, normed, ln1, mask, ln2 = saved
+    n, d = x.shape[-2:]
+    rows = slice(None) if row is None else slice(row, row + 1)
+    g2 = _layer_norm_grads(g, *ln2)
+    gn, gwf, gbf = _affine_grads(g2 * mask, normed, wf, True)
+    g1 = _layer_norm_grads(g2 + gn, *ln1)
+    ga, gwo, gbo = _affine_grads(g1, att, wo, True)
+    if att_saved is None:
+        gvp, gvk, gvb = _depthwise_conv1d_grads(_single_key_grads(ga, heads), conv, r, n)
+        gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
+        gx[..., rows, :] += g1
+        return gx, None, None, None, None, gwv, gbv, None, None, gvk, gvb, gwo, gbo, gwf, gbf
+    gq, gk, gv = _attention_grads(ga, *att_saved)
+    gkvp, gkvk, gkvb = _depthwise_conv1d_grads(np.concatenate([gk, gv], axis=-1), conv, r, n)
+    # composed primitives hand gradients on C-contiguous (backward's first
+    # write); a strided view can make matmul sum in another order
+    gvp, gkp, gq = (np.ascontiguousarray(a) for a in (gkvp[..., d:], gkvp[..., :d], gq))
+    gx, gwv, gbv = _affine_grads(gvp, x, wv, True)
+    gx[..., rows, :] += g1
+    gxk, gwk, gbk = _affine_grads(gkp, x, wk, True)
+    gxq, gwq, gbq = _affine_grads(gq, np.ascontiguousarray(x[..., rows, :]), wq, True)
+    gx += gxk
+    gx[..., rows, :] += gxq
+    return gx, gwq, gbq, gwk, gbk, gwv, gbv, gkvk[:, :d], gkvb[:d], gkvk[:, d:], gkvb[d:], gwo, gbo, gwf, gbf

@@ -122,7 +122,8 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> float:
     the gradient norm before clipping. Aborts on non-finite grads.
 
     The gradients (None counts as zero) are joined into one fresh flat vector
-    and checked before anything changes. When ``0 < clip_norm < norm`` the
+    and checked before anything changes: a non-finite gradient, or a norm that
+    overflows float64, raises NumericalError. When ``0 < clip_norm < norm`` the
     vector is scaled by ``clip_norm / norm``; ``p.grad`` is never written.
     Each parameter's slice of the step is subtracted in place.
     """
@@ -130,16 +131,16 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> float:
     g = np.concatenate([
         p.grad.reshape(-1) if p.grad is not None else np.zeros(p.size) for _, p in named_params
     ])
-    if not np.all(np.isfinite(g)):
-        name = next(n for n, p in named_params if p.grad is not None and not np.all(np.isfinite(p.grad)))
-        raise NumericalError(f"non-finite gradient for parameter {name!r}")
-    norm = math.sqrt(float(np.dot(g, g)))
+    with np.errstate(over="ignore"):  # finite gradients' squares can overflow; raised below
+        norm = math.sqrt(float(np.dot(g, g)))
+    if not math.isfinite(norm):  # also any non-finite gradient
+        bad = [n for n, p in named_params if p.grad is not None and not np.all(np.isfinite(p.grad))]
+        raise NumericalError(f"non-finite gradient for parameter {bad[0]!r}" if bad else
+                             "gradient norm overflows float64 though every gradient is finite")
     if 0.0 < config.clip_norm < norm:
         g *= config.clip_norm / norm
     state.step += 1
-    t = state.step
-    c1 = 1.0 - config.beta1 ** t
-    c2 = 1.0 - config.beta2 ** t
+    c1, c2 = 1.0 - config.beta1 ** state.step, 1.0 - config.beta2 ** state.step
     m, v = state.m, state.v
     m *= config.beta1
     m += (1.0 - config.beta1) * g

@@ -3,7 +3,10 @@
 The library's taped ops are the model's building blocks; the taped chain
 that tests hold the one-node ``forward`` to lives here. ``add`` through
 ``attention`` are the elementwise, structural and attention primitives
-only that chain and the graph tests use, and ``embed``, ``reduce_kv`` and
+only that chain and the graph tests use (``attention`` tapes the model's
+own attention kernels, ``model._attention`` and ``_attention_grads``, where
+the encoder stage's array code lives; the other kernels are ``autodiff``'s),
+and ``embed``, ``reduce_kv`` and
 ``multi_scale_attention`` the model's sublayers as taped ops over a
 model's parameters. ``composed_forward`` chains them into the recorded
 forward (``composed_trm_block`` per encoder stage, which runs q, k, the k
@@ -32,6 +35,7 @@ import numpy as np
 from tstransformer import autodiff as ad
 from tstransformer.data import DegradationSpec, WindowedDataset
 from tstransformer.errors import DimensionError, ParameterError
+from tstransformer.model import _attention, _attention_grads
 
 
 def _same_shape(name, a, b):
@@ -101,8 +105,8 @@ def attention(q, k, v, heads: int):
     d = q.shape[-1]
     if heads < 1 or d % heads:
         raise DimensionError(f"heads ({heads}) must divide the model width ({d})")
-    out, saved = ad._attention(q.data, k.data, v.data, heads)
-    return ad._result(out, (q, k, v), lambda g: ad._attention_grads(g, *saved))
+    out, saved = _attention(q.data, k.data, v.data, heads)
+    return ad._result(out, (q, k, v), lambda g: _attention_grads(g, *saved))
 
 
 def _affine(model, x, prefix: str):

@@ -35,7 +35,7 @@ from tstransformer.data import (
     zscore_fit,
 )
 from tstransformer.metrics import accuracy_ft, rmse, score_rul
-from tstransformer.model import ModelConfig, TSTransformerModel
+from tstransformer.model import ModelConfig, TSTransformerModel, _fuse_stage, _stage_forward
 from tstransformer.training import TrainConfig, mse_loss, rolling_forecast, train
 
 TABLE_PERCENT_ERRORS = (-2.706, 0.466, -0.206, -0.269, -0.251)
@@ -161,8 +161,8 @@ def test_criterion_4_shape_and_clamp():
             k, v = reduce_kv(model, tokens, stage)
             expected = max(1, -(-n // r))
             assert k.shape == (expected, 16) and v.shape == (expected, 16)
-            arrays = model._stage_arrays[stage]
-            out, _ = ad._stage_forward(tokens.data, arrays, r, cfg.heads, cfg.eps, ad._fuse_stage(arrays, r, n))
+            built = _fuse_stage(model._stage_arrays[stage], r, n)
+            out, _ = _stage_forward(tokens.data, built, cfg.heads, cfg.eps)
             assert out.shape == (n, 16)
     _report(4, "shape/clamp suite", time.perf_counter() - t0, 5.0)
 

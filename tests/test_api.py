@@ -1,6 +1,7 @@
 """The public API, pinned: the names ``tstransformer`` exports, the public
 names ``autodiff`` defines and the model's public methods, and the
-signatures of the calls whose shape has changed before. A change that
+signatures of the calls whose shape has changed before. The layering too:
+every function and class ``autodiff`` defines, private ones included. A change that
 drops or reshapes one of these edits the pin and states why; a test-only
 helper belongs in ``tests/helpers.py``, not in the library."""
 
@@ -29,6 +30,16 @@ AUTODIFF_NAMES = (
     "Tensor", "affine", "backward", "depthwise_conv1d", "gradient_check", "layer_norm", "matmul", "no_grad",
     "relu", "softmax_last", "zero_grad",
 )
+# The autodiff core, private names included: the graph engine, the
+# primitives and the array kernels they call. The encoder stage's array code
+# (attention, the stage build, forward and backward) lives in the model,
+# which imports these kernels by name; a helper added here edits this pin
+# and says why it belongs to no model.
+AUTODIFF_DEFINED = AUTODIFF_NAMES + (
+    "_NonFiniteError", "_State", "_affine", "_affine_grads", "_check_data", "_const", "_depthwise_conv1d",
+    "_depthwise_conv1d_grads", "_fold_taps", "_layer_norm", "_layer_norm_grads", "_pad_index", "_reduce_leading",
+    "_result", "_softmax", "_softmax_grad",
+)
 MODEL_METHODS = (
     "forward", "from_arrays", "load_arrays", "named_parameters", "param", "parameter_count", "parameters",
 )
@@ -52,6 +63,12 @@ def test_autodiff_names_and_model_methods_are_pinned():
                if not name.startswith("_") and getattr(value, "__module__", None) == autodiff.__name__]
     assert sorted(defined) == sorted(AUTODIFF_NAMES)
     assert sorted(name for name in vars(TSTransformerModel) if not name.startswith("_")) == sorted(MODEL_METHODS)
+
+
+def test_autodiff_defines_only_the_autodiff_core():
+    defined = [name for name, value in vars(autodiff).items()
+               if callable(value) and getattr(value, "__module__", None) == autodiff.__name__]
+    assert sorted(defined) == sorted(AUTODIFF_DEFINED)
 
 
 def test_adam_step_and_save_checkpoint_signatures_are_pinned():

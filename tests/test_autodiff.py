@@ -10,6 +10,7 @@ from helpers import add, attention, edge_padded_conv1d, mean_all, mul, scale, sl
 from tstransformer import autodiff as ad
 from tstransformer.autodiff import Tensor
 from tstransformer.errors import ContractError, DimensionError, ParameterError
+from tstransformer.model import _single_key_grads
 
 
 def t(data, grad=False):
@@ -287,7 +288,7 @@ def test_attention_multi_head_batched_gradient():
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
-    # _stage_forward's one-key shortcut against full attention over one key:
+    # the model's one-key stage shortcut against full attention over one key:
     # v repeated to n rows, _single_key_grads for v, and no q or k gradient
     rng = np.random.default_rng(heads * 10 + n)
     q_a, k_a, v_a = (rng.normal(size=lead + (rows, d)) for rows in (n, 1, 1))
@@ -296,7 +297,7 @@ def test_single_key_attention_matches_attention_bit_for_bit(heads, n, lead, d):
     full = attention(q, k, v, heads)
     ad.backward(sum_all(mul(full, cot)))
     assert np.array_equal(np.repeat(v_a, n, axis=-2), full.data)
-    assert np.array_equal(ad._single_key_grads(cot.data, heads), v.grad)
+    assert np.array_equal(_single_key_grads(cot.data, heads), v.grad)
     assert not q.grad.any() and not k.grad.any()  # what the shortcut leaves out
 
 

@@ -24,12 +24,15 @@ from helpers import (
     vanilla_attention_reference,
 )
 from tstransformer import autodiff as ad
+from tstransformer import model as tst_model
 from tstransformer.autodiff import Tensor
 from tstransformer.cli import load_run_config
 from tstransformer.errors import DimensionError, ParameterError
 from tstransformer.model import (
     ModelConfig,
     TSTransformerModel,
+    _fuse_stage,
+    _stage_forward,
     param_count,
     param_shapes,
 )
@@ -468,8 +471,7 @@ def test_trm_block_preserves_shape():
     cfg = model.config
     tokens = np.random.default_rng(6).normal(size=(9, 16))
     for arrays, r in zip(model._stage_arrays, cfg.reduction_factors):
-        fused = ad._fuse_stage(arrays, r, 9)
-        assert ad._stage_forward(tokens, arrays, r, cfg.heads, cfg.eps, fused)[0].shape == (9, 16)
+        assert _stage_forward(tokens, _fuse_stage(arrays, r, 9), cfg.heads, cfg.eps)[0].shape == (9, 16)
 
 
 def test_trm_block_residual_only_path():
@@ -478,8 +480,7 @@ def test_trm_block_residual_only_path():
         if name.startswith("stage0."):
             p.data[...] = 0.0
     x = np.random.default_rng(7).normal(size=(5, 16))
-    arrays = model._stage_arrays[0]
-    got, _ = ad._stage_forward(x, arrays, 1, model.config.heads, model.config.eps, ad._fuse_stage(arrays, 1, 5))
+    got, _ = _stage_forward(x, _fuse_stage(model._stage_arrays[0], 1, 5), model.config.heads, model.config.eps)
     want = ad.layer_norm(ad.layer_norm(Tensor(x), model.config.eps), model.config.eps).data
     assert np.allclose(got, want, atol=1e-12)
 
@@ -557,7 +558,7 @@ def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
     # the [k|v] columns of the stage's fused weight ("stage3.kv"), in the
     # backward through k's and v's own weights
     watched, fused = {}, []
-    affine, affine_grads, fuse_stage = ad._affine, ad._affine_grads, ad._fuse_stage
+    affine, affine_grads, fuse_stage = tst_model._affine, tst_model._affine_grads, tst_model._fuse_stage
 
     def watched_fuse_stage(arrays, r, n, *args):
         fused.append(fuse_stage(arrays, r, n, *args))
@@ -566,9 +567,9 @@ def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
     def name_of(w):
         if id(w) in watched:
             return watched[id(w)]
-        # stages fuse in order, so the last stage's arrays come last; a
-        # one-key stage's first array is its v taps, which no product meets
-        return "stage3.kv" if fused and np.shares_memory(w, fused[-1][0]) else None
+        # stages fuse in order, so the last stage's build comes last; a
+        # one-key stage's w is v's own weight, which is watched by id
+        return "stage3.kv" if fused and np.shares_memory(w, fused[-1].w) else None
 
     def watched_affine(x, w, b):
         out = affine(x, w, b)
@@ -581,9 +582,9 @@ def test_recorded_channel_forward_runs_the_head_on_one_row(lead, monkeypatch):
             rows[name].append(g.shape[-2])
         return affine_grads(g, x, w, want_x)
 
-    monkeypatch.setattr(ad, "_fuse_stage", watched_fuse_stage)
-    monkeypatch.setattr(ad, "_affine", watched_affine)
-    monkeypatch.setattr(ad, "_affine_grads", watched_affine_grads)
+    monkeypatch.setattr(tst_model, "_fuse_stage", watched_fuse_stage)
+    monkeypatch.setattr(tst_model, "_affine", watched_affine)
+    monkeypatch.setattr(tst_model, "_affine_grads", watched_affine_grads)
     x = np.random.default_rng(12).normal(size=lead + (32, 5))
     for mode, q_rows in (("multi_scale", []), ("vanilla", [1, 1])):  # a one-key last stage runs no q
         model = TSTransformerModel(toy_config(n_variates=5, horizon=7, mode=mode), seed=15)
@@ -635,7 +636,8 @@ def test_untaped_forward_tapes_nothing_and_calls_no_primitive(monkeypatch):
     def no_primitive(*args):
         raise AssertionError("a taped primitive ran under no_grad")
 
-    monkeypatch.setattr(ad, "_result", no_primitive)
+    for module in (ad, tst_model):  # the model calls autodiff's _result by its own name
+        monkeypatch.setattr(module, "_result", no_primitive)
     with ad.no_grad():
         _, nodes = count_nodes(lambda: (model.forward(x), model.forward(x[0], channel=2)))
     assert nodes == 0

@@ -179,6 +179,20 @@ def test_adam_checks_every_gradient_before_updating():
     assert state.step == 0 and not state.m.any() and not state.v.any()
 
 
+@pytest.mark.parametrize("clip_norm", [1.0, 0.0])
+def test_adam_rejects_an_overflowing_gradient_norm_before_updating(clip_norm):
+    # every gradient is finite, but the squared norm overflows: clipping by
+    # clip_norm / inf would zero the step, and unclipped v would overflow
+    cfg = TrainConfig(clip_norm=clip_norm)
+    a, b = Tensor([1.0], requires_grad=True), Tensor([2.0, 3.0], requires_grad=True)
+    a.grad, b.grad = np.array([0.5]), np.array([1e200, 1e200])
+    state = adam_init([a, b])
+    with pytest.raises(NumericalError, match="gradient norm overflows"):
+        adam_step([("a", a), ("b", b)], state, cfg)
+    assert a.data[0] == 1.0 and np.array_equal(b.data, [2.0, 3.0])
+    assert state.step == 0 and not state.m.any() and not state.v.any()
+
+
 def test_flat_adam_matches_per_parameter_loop_bit_for_bit():
     cfg = TrainConfig(learning_rate=0.01)
     shapes = [(3, 4), (5,), (2, 2, 2), (1,)]
@@ -682,7 +696,7 @@ def test_rollout_is_a_loop_of_full_forwards_bit_for_bit(mode, horizon, step, m, 
     for r, fused in zip(cfg.reduction_factors, stages):
         keys = -(-m // r)
         width, kv_width = (d, d) if keys == 1 else (3 * d, 2 * d)  # a one-key stage runs v alone
-        biases += zip(fused[1:2] + fused[3:], [(m, width), (keys, kv_width), (m, d), (m, d)])
+        biases += zip([fused.b, fused.kernel_b, fused.bo, fused.bf], [(m, width), (keys, kv_width), (m, d), (m, d)])
     for bias, shape in biases:  # shared by the forwards of a build: read-only
         assert bias.shape == shape and not bias.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
