@@ -324,10 +324,8 @@ def _single_key_grads(g, heads):
     return _merge_heads(np.ones((1, g.shape[-2])) @ _split_heads(g, heads), heads)
 
 
-# One stage built for n tokens, all that _stage_forward and _stage_backward
-# read: the reduction factor r, the parameters they use as they are, and the
-# joined weight w, its bias b, the reducer kernel, its bias and the out and
-# FFN biases of _fuse_stage.
+# One stage built for n tokens by _fuse_stage: all that _stage_forward and
+# _stage_backward read, the parameters as they are and the joined arrays.
 _Stage = collections.namedtuple("_Stage", "r wq bq wk wv wo wf w b kernel kernel_b bo bf")
 
 

@@ -3,12 +3,11 @@
 The library's taped ops are the model's building blocks; the taped chain
 that tests hold the one-node ``forward`` to lives here. ``add`` through
 ``attention`` are the elementwise, structural and attention primitives
-only that chain and the graph tests use (``attention`` tapes the model's
-own attention kernels, ``model._attention`` and ``_attention_grads``, where
-the encoder stage's array code lives; the other kernels are ``autodiff``'s),
-and ``embed``, ``reduce_kv`` and
+only that chain and the graph tests use, and ``embed``, ``reduce_kv`` and
 ``multi_scale_attention`` the model's sublayers as taped ops over a
-model's parameters. ``composed_forward`` chains them into the recorded
+model's parameters. The array kernels they run are ``autodiff``'s, except
+attention's: ``attention`` tapes ``model._attention`` and
+``_attention_grads``, which live with the rest of the encoder stage. ``composed_forward`` chains them into the recorded
 forward (``composed_trm_block`` per encoder stage, which runs q, k, the k
 reducer and attention in every stage, and the last stage on one token row
 when one is asked for), so the model's one-node forward, with its one-key
