@@ -258,7 +258,8 @@ def _layer_norm_grads(g, c, sigma, s):
     n = c.shape[-1]
     inv_s = 1.0 / s
     # d sigma / d c_j = c_j / (n * sigma); zero at exactly-constant slices
-    coef = np.where(sigma > 0.0, inv_s * inv_s / (n * np.where(sigma > 0.0, sigma, 1.0)), 0.0)
+    live = sigma > 0.0
+    coef = np.where(live, inv_s * inv_s / (n * np.where(live, sigma, 1.0)), 0.0)
     gc = g * inv_s - c * (np.add.reduce(g * c, axis=-1, keepdims=True) * coef)
     return gc - np.add.reduce(gc, axis=-1, keepdims=True) / n
 

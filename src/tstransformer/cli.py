@@ -9,7 +9,6 @@ inputs and seed produce byte-identical outputs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -195,9 +194,13 @@ def _load_for_training(args, cfg: RunConfig):
     return series, zscore_apply(train_ts, stats), stats
 
 
-def _windows(cfg: RunConfig, train_norm: TimeSeries, lookback: int):
-    """Windows over the normalized training side, as views of it."""
-    return make_windows(train_norm, lookback, cfg.settings().horizon)
+def _distinct_outputs(*outputs) -> None:
+    """Reject two ``(flag, path)`` outputs of one command that resolve to one file."""
+    seen = {}
+    for flag, path in outputs:
+        first = seen.setdefault(Path(path).resolve(), flag)
+        if first != flag:
+            raise ConfigError(f"{first} and {flag} both name {path}; give each output its own file")
 
 
 def _fit(cfg: RunConfig, windows, tcfg: TrainConfig):
@@ -315,8 +318,11 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
     run = cfg.settings()
+    out_ckpt = Path(args.out_checkpoint)
+    loss_path = Path(args.out_loss) if args.out_loss else out_ckpt.with_suffix(out_ckpt.suffix + ".loss.csv")
+    _distinct_outputs(("--out-checkpoint", out_ckpt), ("--out-loss", loss_path))
     series, train_norm, stats = _load_for_training(args, cfg)
-    windows = _windows(cfg, train_norm, run.lookback)
+    windows = make_windows(train_norm, run.lookback, run.horizon)
     _check_rollout(cfg)
     tcfg = cfg.train_config()
     model, history = _fit(cfg, windows, tcfg)
@@ -332,10 +338,8 @@ def cmd_train(args) -> int:
         "train.loss_channels": tcfg.loss_channels,
         "train.time_column": cfg.schema().time_column,
     }
-    out_ckpt = Path(args.out_checkpoint)
     out_ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_ckpt, model, stats, series.target_channel, extra)
-    loss_path = Path(args.out_loss) if args.out_loss else out_ckpt.with_suffix(out_ckpt.suffix + ".loss.csv")
     write_atomic(loss_path, loss_history_csv(history))
     print(
         f"trained {model.parameter_count()} parameters for {len(history)} epochs; "
@@ -389,14 +393,15 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
+    out = Path(args.out)
+    svg_path = args.svg or str(out.with_suffix(".svg"))
+    _distinct_outputs(("--out", out), ("--svg" if args.svg else "the plot path", svg_path))
     time, true, pred = _read_forecast_csv(args.forecast)
     thresholds = cfg.thresholds()
     origin = cfg.rul_origin()
     report = evaluate_forecast(time, true, pred, thresholds, origin)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(out, report.to_csv())
-    svg_path = args.svg or str(out.with_suffix(".svg"))
     render_forecast_svg(svg_path, time, true, pred, report, thresholds, origin)
     score = "n/a" if report.score_rul is None else f"{report.score_rul:.4f}"
     print(f"RMSE {report.rmse:.6g} V, Score_RUL {score} -> {out}, plot {svg_path}")
@@ -415,7 +420,8 @@ def cmd_lag_scan(args) -> int:
     origin = cfg.rul_origin()
     series, train_norm, stats = _load_for_training(args, cfg)
     # Every size's windows first: views cost nothing, and a bad size fails before any training.
-    built = [_for_size(size, _windows, cfg, train_norm, size) for size in sizes]
+    horizon = cfg.settings().horizon
+    built = [_for_size(size, make_windows, train_norm, size, horizon) for size in sizes]
     _check_rollout(cfg)
     tcfg = cfg.train_config()
     lines = ["window," + ",".join(f"lag_h_ft_{f:g}" for f in thresholds.loss_fractions)]
@@ -489,30 +495,7 @@ EXIT_CODES = (
 )
 
 
-def _keep_heap_resident() -> None:
-    """Have glibc keep freed heap memory mapped instead of returning it to the OS.
-
-    By default glibc trims the freed top of the heap after every training
-    step, and the next step page-faults it back in: at horizon 2000 that is
-    thousands of minor faults per batch. A 256 MB trim threshold and a 32 MB
-    mmap threshold (glibc's maximum on 64-bit systems) keep step-sized blocks
-    resident. Both are set, because setting either one switches off glibc's
-    dynamic thresholds, and one alone does not help.
-    Nothing numeric changes. Does nothing where ``mallopt`` is missing (musl,
-    macOS, Windows) or refuses a value; repeat calls are harmless.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_heap_resident()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -258,7 +258,8 @@ def rolling_forecast(
     NumericalError naming the row the round starts at.
 
     Every round runs on one build of the model's fused stage arrays, made
-    on entry, so the parameters must not change while a rollout runs.
+    on entry, so the parameters must not change while a rollout runs: a
+    rollout that finds them changed at exit raises a ContractError.
     Overlapping rollouts of one model are safe: each holds its own build.
     """
     cfg = model.config
@@ -289,6 +290,7 @@ def rolling_forecast(
 
     preds = np.empty(n - origin)
     pos = origin
+    theta = model._theta.copy()
     # A layer norm maps an overflowed row to zeros, so an overflow can leave
     # the forecast finite: it raises here instead. forward's non-finite data
     # error is a window whose values are finite but whose mean overflows; any
@@ -308,6 +310,8 @@ def rolling_forecast(
             work[pos : pos + take, ti] = chunk
             preds[pos - origin : pos - origin + take] = chunk
             pos += take
+    if not np.array_equal(theta, model._theta):
+        raise ContractError("the model's parameters changed while the rollout ran")
 
     mean_t, std_t = stats.channel(series.target_channel)
     return ForecastResult(

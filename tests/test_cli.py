@@ -1,7 +1,6 @@
 """CLI tests: subcommand behavior, exit codes, config parsing, and the
 emitted CSV/SVG artifacts."""
 
-import ctypes
 import dataclasses
 import re
 import xml.etree.ElementTree as ET
@@ -198,6 +197,20 @@ def test_train_ratios_alone_set_the_stage_count(workdir, tmp_path):
     assert (config.stages, config.ratios) == (2, (1.0, 0.25))
 
 
+def _no_ingest(*a, **kw):
+    raise AssertionError("read input before checking the output paths")
+
+
+def test_train_outputs_sharing_a_path_exit_2_before_any_ingest(workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ingest_csv", _no_ingest)
+    assert run("train", "--data", workdir / "pre.csv", "--config", workdir / "run.cfg",
+               "--out-checkpoint", "m.ckpt", "--out-loss", tmp_path / "m.ckpt") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--out-checkpoint and --out-loss" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -329,6 +342,21 @@ def test_evaluate_svg_well_formed(perfect_forecast):
     assert len(polylines) == 2  # one per series
     lines = [e for e in tree.iter() if e.tag.endswith("line")]
     assert len(lines) >= 5  # threshold rules plus crossing markers
+
+
+@pytest.mark.parametrize("out, svg, names", [
+    ("r.svg", None, "--out and the plot path"),  # the derived plot path is --out itself
+    ("r.csv", "./r.csv", "--out and --svg"),
+], ids=["derived-svg", "svg-is-out"])
+def test_evaluate_outputs_sharing_a_path_exit_2_before_any_ingest(
+        perfect_forecast, tmp_path, monkeypatch, capsys, out, svg, names):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ingest_csv", _no_ingest)
+    argv = ["evaluate", "--forecast", perfect_forecast / "forecast.csv", "--out", out]
+    assert run(*argv, *(["--svg", svg] if svg else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and names in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_missing_column_exit_2(tmp_path):
@@ -705,46 +733,3 @@ def test_predict_overflowing_window_mean_exit_4(workdir, tmp_path, capsys):
                "--out", tmp_path / "f.csv") == 4
     assert f"non-finite forecast in the round starting at row {origin}: tensor data" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
-
-
-# ---------------------------------------------------------------------------
-# allocator
-
-
-def test_warm_training_step_page_faults_nothing():
-    # glibc's default trims the freed heap top after every step, and the next
-    # step faults it back in: thousands of minor faults per step at horizon 2000
-    resource = pytest.importorskip("resource")
-    try:
-        ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        pytest.skip("the C library has no mallopt")
-    cli._keep_heap_resident()
-    m, lookback, horizon, batch, steps = 5, 32, 2000, 64, 20
-    n = batch + lookback + horizon - 1  # exactly one batch of windows, so an epoch is one step
-    names = tuple(f"c{i}" for i in range(m))
-    series = TimeSeries(np.arange(n) * 0.1, np.random.default_rng(0).normal(size=(n, m)), names, names[0])
-    windows = make_windows(series, lookback, horizon)
-    model = TSTransformerModel(ModelConfig(m, lookback, horizon), seed=0)
-    tcfg = TrainConfig(epochs=5, batch_size=batch)
-    train(model, windows, tcfg)  # warm
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    train(model, windows, dataclasses.replace(tcfg, epochs=steps))
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults / steps <= 50
-
-
-# None: a C library without mallopt (macOS); OSError, TypeError: none to load (Windows)
-@pytest.mark.parametrize("failure", [None, OSError, TypeError])
-def test_main_runs_where_mallopt_is_missing(workdir, tmp_path, monkeypatch, failure):
-    opened = []
-
-    def cdll(name):
-        opened.append(name)
-        if failure is not None:
-            raise failure("no C library")
-        return object()
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    assert run("preprocess", "--in", workdir / "raw.csv", "--out", tmp_path / "pre.csv") == 0
-    assert opened == [None]

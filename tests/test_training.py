@@ -578,6 +578,28 @@ def test_overlapping_rollouts_on_two_threads_leave_no_stale_build(monkeypatch):
         assert model.forward(window).data.tobytes() == donor.forward(window).data.tobytes()
 
 
+def test_rollout_raises_when_the_parameters_change_under_it(monkeypatch):
+    # A training step on another thread between two rounds: the later rounds
+    # would mix the entry build with the new live parameters.
+    series = synth_degradation(3, 40.0, 3)
+    boundary = 20.0
+    stats = zscore_fit(split_at(series, boundary)[0])
+    cfg = ModelConfig(n_variates=3, lookback=16, horizon=4)
+    model, donor = TSTransformerModel(cfg, seed=0), TSTransformerModel(cfg, seed=1)
+    forward, rounds = TSTransformerModel.forward, []
+
+    def swapped_after_first_round(self, window, *args, **kwargs):
+        rounds.append(None)
+        if len(rounds) == 2:
+            self.load_arrays([p.data for p in donor.parameters()])
+        return forward(self, window, *args, **kwargs)
+
+    monkeypatch.setattr(TSTransformerModel, "forward", swapped_after_first_round)
+    with pytest.raises(ContractError, match="parameters changed while the rollout ran"):
+        rolling_forecast(model, series, stats, boundary)
+    assert len(rounds) > 2
+
+
 def test_rolling_perfect_on_constant_series():
     # constant series: a freshly initialized model (zero biases) predicts
     # the window mean exactly, so the rollout reproduces the series
