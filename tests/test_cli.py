@@ -1,7 +1,6 @@
 """CLI tests: subcommand behavior, exit codes, config parsing, and the
 emitted CSV/SVG artifacts."""
 
-import dataclasses
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,11 +11,11 @@ import pytest
 from helpers import edit_checkpoint_header
 from tstransformer import cli
 from tstransformer.cli import DEFAULTS, _write_series_csv, load_run_config, main
-from tstransformer.data import CsvSchema, DegradationSpec, TimeSeries, ingest_csv, make_windows, synth_degradation
+from tstransformer.data import CsvSchema, DegradationSpec, ingest_csv, synth_degradation
 from tstransformer.errors import ConfigError
 from tstransformer.metrics import FaultThresholds, RulCoverageWarning, lag_error
-from tstransformer.model import ModelConfig, TSTransformerModel
-from tstransformer.training import TrainConfig, load_checkpoint, save_checkpoint, train
+from tstransformer.model import ModelConfig
+from tstransformer.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
